@@ -8,6 +8,8 @@ to watch when modifying the algorithms — the end-to-end benches would
 hide a 10x regression in a single stage.
 """
 
+from conftest import all_pairs_dependencies
+
 from repro.arch import CrossbarSpec, paper_case_study
 from repro.core import (
     cross_layer_schedule_dynamic,
@@ -68,16 +70,16 @@ def test_micro_stage2_dependencies(benchmark, tinyyolov4_canonical):
 
 
 def test_micro_stage2_dependencies_naive(benchmark, tinyyolov4_canonical):
-    """Reference all-pairs Stage II — the regression the index removes."""
+    """Reference all-pairs Stage II, set by set — what the columnar path replaces."""
     sets = determine_sets(tinyyolov4_canonical)
     deps = benchmark.pedantic(
-        determine_dependencies,
+        all_pairs_dependencies,
         args=(tinyyolov4_canonical, sets),
-        kwargs={"use_index": False},
         rounds=1,
         iterations=1,
     )
-    assert deps.deps == determine_dependencies(tinyyolov4_canonical, sets).deps
+    columnar = determine_dependencies(tinyyolov4_canonical, sets)
+    assert list(deps.deps.items()) == list(columnar.deps.items())
 
 
 def test_micro_stage4_dynamic(benchmark, tinyyolov4_canonical):

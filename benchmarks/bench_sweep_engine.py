@@ -2,8 +2,8 @@
 
 The seed evaluated the paper grid by recompiling every config point
 from scratch, serially, with Stage II's all-pairs Rect-intersection
-scan.  The engine introduced alongside this bench (a) interval-indexes
-Stage II, (b) shares pipeline stages between config points through a
+scan, set by set.  The engine (a) runs the columnar Stage II, (b)
+shares pipeline stages between config points through a
 ``CompilationCache``, and (c) optionally fans points out over worker
 processes.  This bench runs a multi-benchmark sweep both ways, asserts
 the speedup/utilization numbers are identical point-wise, and records
@@ -18,10 +18,10 @@ equality assert is the regression guard.
 import os
 import time
 
-from conftest import write_artifact
+from conftest import all_pairs_dependencies, write_artifact
 
 from repro.analysis import sweep_all
-from repro.core import dependencies, pipeline
+from repro.core import pipeline
 from repro.models import benchmark_by_name
 
 #: Multi-benchmark grid kept small enough for a CI smoke yet large
@@ -46,13 +46,7 @@ def test_sweep_engine_vs_seed_path(results_dir, monkeypatch, canonical_benchmark
 
     # Seed-equivalent path: serial, uncached, naive all-pairs Stage II.
     with monkeypatch.context() as m:
-        m.setattr(
-            pipeline,
-            "determine_dependencies",
-            lambda graph, sets: dependencies.determine_dependencies(
-                graph, sets, use_index=False
-            ),
-        )
+        m.setattr(pipeline, "determine_dependencies", all_pairs_dependencies)
         t0 = time.perf_counter()
         seed_results = sweep_all(specs, xs=SWEEP_XS, use_cache=False, graphs=graphs)
         seed_wall = time.perf_counter() - t0

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,16 @@ class MeshNoc:
         r1, c1 = divmod(src, self.cols)
         r2, c2 = divmod(dst, self.cols)
         return abs(r1 - r2) + abs(c1 - c2)
+
+    def hops_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`hops` elementwise over two arrays of tile ids."""
+        for tiles in (src, dst):
+            bad = (tiles < 0) | (tiles >= self.num_tiles)
+            if bad.any():
+                self._check_tile(int(tiles[bad][0]))
+        r1, c1 = np.divmod(src, self.cols)
+        r2, c2 = np.divmod(dst, self.cols)
+        return np.abs(r1 - r2) + np.abs(c1 - c2)
 
     def transfer_latency_ns(self, src: int, dst: int, payload_bytes: int) -> float:
         """Latency of moving ``payload_bytes`` from one tile to another.

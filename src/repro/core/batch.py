@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..ir.graph import Graph
 from .dependencies import DependencyGraph
-from .kernels import ENGINES, csr_batch_schedule, set_graph_arrays
+from .kernels import ENGINES, csr_batch_schedule
 from .schedule import Schedule, SetTask
 
 #: A (image, layer, set index) triple identifying a batched set.
@@ -95,7 +95,7 @@ def cross_layer_schedule_batch(
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "csr":
         schedule, spans = csr_batch_schedule(
-            set_graph_arrays(dependency_graph), batch_size, validate=validate
+            dependency_graph.arrays, batch_size, validate=validate
         )
         return BatchScheduleResult(
             schedule=schedule,

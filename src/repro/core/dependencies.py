@@ -15,11 +15,14 @@ multiple IFM sets and vice versa) without a separate forward pass.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
 
 from ..ir.graph import Graph
-from ..ir.ops import Input
+from ..ir.ops import Input, empty_columns, rect_columns
 from ..ir.tensor import Rect
+from .kernels import SetGraphArrays, lower_dependencies, set_offsets
 
 #: A (layer name, set index) pair identifying one scheduling set.
 SetRef = tuple[str, int]
@@ -78,9 +81,13 @@ def build_set_indexes(sets: dict[str, list[Rect]]) -> dict[str, RectIndex]:
     return {layer: RectIndex(rects) for layer, rects in sets.items()}
 
 
-@dataclass
 class DependencyGraph:
     """Set-level data dependencies of a model.
+
+    The graph is stored as the CSR set graph
+    (:class:`~repro.core.kernels.SetGraphArrays`: ``indptr`` /
+    ``indices`` over global set ids), which Stage II emits directly and
+    the schedulers, the energy model and the verifier read.
 
     Attributes
     ----------
@@ -89,11 +96,61 @@ class DependencyGraph:
     deps:
         Per (layer, set index), the list of predecessor sets that must
         complete first.  Sets reading only the graph input have an
-        empty list.
+        empty list.  A view built from the arrays on first access, for
+        the reference consumers; a graph may also be constructed from
+        this dict alone, and is then lowered to arrays on first use.
     """
 
-    sets: dict[str, list[Rect]]
-    deps: dict[SetRef, list[SetRef]] = field(default_factory=dict)
+    __slots__ = ("sets", "_deps", "_arrays")
+
+    def __init__(
+        self,
+        sets: dict[str, list[Rect]],
+        deps: Optional[dict[SetRef, list[SetRef]]] = None,
+        arrays: Optional[SetGraphArrays] = None,
+    ) -> None:
+        self.sets = sets
+        self._deps = {} if deps is None and arrays is None else deps
+        self._arrays = arrays
+
+    @property
+    def arrays(self) -> SetGraphArrays:
+        """The CSR set graph (lowered from ``deps`` once if need be)."""
+        if self._arrays is None:
+            self._arrays = lower_dependencies(self.sets, self.deps)
+        return self._arrays
+
+    @property
+    def deps(self) -> dict[SetRef, list[SetRef]]:
+        """Predecessors per set ref (built from the arrays on first access)."""
+        if self._deps is None:
+            arrays = self.arrays
+            refs = list(
+                zip(
+                    [arrays.layers[lid] for lid in arrays.layer_of.tolist()],
+                    arrays.set_index.tolist(),
+                )
+            )
+            indptr = arrays.indptr.tolist()
+            preds = [refs[gid] for gid in arrays.indices.tolist()]
+            self._deps = {
+                ref: preds[indptr[gid] : indptr[gid + 1]] for gid, ref in enumerate(refs)
+            }
+        return self._deps
+
+    def __getstate__(self) -> dict:
+        """Pickle the arrays, not the ``deps`` view built from them."""
+        return {"sets": self.sets, "arrays": self.arrays}
+
+    def __setstate__(self, state: dict) -> None:
+        self.sets = state["sets"]
+        self._deps = None
+        self._arrays = state["arrays"]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DependencyGraph):
+            return NotImplemented
+        return self.sets == other.sets and self.deps == other.deps
 
     def predecessors(self, layer: str, set_index: int) -> list[SetRef]:
         """Data dependencies of one set."""
@@ -105,11 +162,11 @@ class DependencyGraph:
 
     def edge_count(self) -> int:
         """Total dependency edges."""
-        return sum(len(edges) for edges in self.deps.values())
+        return self.arrays.num_edges
 
     def fan_in_stats(self) -> tuple[float, int]:
         """(mean, max) dependencies per set — the paper's P relation."""
-        counts = [len(edges) for edges in self.deps.values()]
+        counts = np.diff(self.arrays.indptr).tolist()
         if not counts:
             return (0.0, 0)
         return (sum(counts) / len(counts), max(counts))
@@ -189,24 +246,193 @@ def set_dependencies(
     return refs
 
 
-def determine_dependencies(
-    graph: Graph, sets: dict[str, list[Rect]], use_index: bool = True
+def reference_dependencies(
+    graph: Graph,
+    sets: dict[str, list[Rect]],
+    indexes: dict[str, RectIndex] | None = None,
 ) -> DependencyGraph:
-    """Stage II: the full set-level dependency graph.
+    """Stage II set by set: :func:`set_dependencies` for every set.
 
-    ``use_index=False`` falls back to the reference all-pairs
-    intersection scan (kept for validation and benchmarking); the
-    indexed and naive paths produce identical dependency graphs.
+    The scalar reference :func:`determine_dependencies` is checked
+    against, gid for gid; ``indexes=None`` scans all pairs.
     """
-    dependency_graph = DependencyGraph(sets=sets)
     shapes = graph.infer_shapes()
-    indexes = build_set_indexes(sets) if use_index else None
-    for layer in graph.base_layers():
-        for set_index in range(len(sets[layer])):
-            dependency_graph.deps[(layer, set_index)] = set_dependencies(
-                graph, sets, layer, set_index, shapes, indexes
-            )
-    return dependency_graph
+    return DependencyGraph(
+        sets=sets,
+        deps={
+            (layer, index): set_dependencies(graph, sets, layer, index, shapes, indexes)
+            for layer in sets
+            for index in range(len(sets[layer]))
+        },
+    )
+
+
+def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> DependencyGraph:
+    """Stage II: the full set-level dependency graph, as CSR arrays.
+
+    Columnar twin of calling :func:`set_dependencies` for every set:
+    all sets of a base layer move through the backward rules at once
+    as rect columns (:meth:`~repro.ir.ops.Op.input_region_columns`),
+    along every producer path :func:`trace_to_base` would walk, and each
+    path's regions are intersected with the producer's sets by
+    ``np.searchsorted`` on their sorted row starts.  Predecessors come
+    out in the same order, gid for gid: path order, then set index,
+    keeping the first occurrence.  Set ids follow the order of ``sets``.
+    """
+    layers = tuple(sets)
+    if set(layers) != set(graph.base_layers()):
+        raise KeyError(
+            f"Stage I sets cover layers {sorted(layers)}, but the graph's "
+            f"base layers are {sorted(graph.base_layers())}"
+        )
+    shapes = graph.infer_shapes()
+    offsets = set_offsets(map(len, sets.values()))
+    coords = rect_columns([rect for rects in sets.values() for rect in rects])
+    layer_id = {layer: lid for lid, layer in enumerate(layers)}
+    indexes: dict[str, _SetColumnsIndex] = {}
+    fan_in = [np.empty(0, dtype=np.int64)]
+    indices = [np.empty(0, dtype=np.int64)]
+    for lid, layer in enumerate(layers):
+        lo, hi = int(offsets[lid]), int(offsets[lid + 1])
+        paths: list[tuple[str, Optional[np.ndarray], np.ndarray]] = []
+        _trace_columns(graph, layer, None, coords[:, lo:hi], shapes, paths, root=True)
+        hits = []
+        for base_layer, rows, region in paths:
+            index = indexes.get(base_layer)
+            if index is None:
+                pid = layer_id[base_layer]
+                index = indexes[base_layer] = _SetColumnsIndex(
+                    coords[:, offsets[pid] : offsets[pid + 1]]
+                )
+            counts, found = index.query(region)
+            if rows is not None:
+                per_set = np.zeros(hi - lo, dtype=np.int64)
+                per_set[rows] = counts
+                counts = per_set
+            hits.append((counts, found + offsets[layer_id[base_layer]]))
+        repeated = len({base for base, _, _ in paths}) < len(paths)
+        counts, gids = _merge_paths(hits, hi - lo, repeated)
+        fan_in.append(counts)
+        indices.append(gids)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(fan_in), dtype=np.int64)))
+    arrays = SetGraphArrays.from_csr(layers, offsets, coords, indptr, np.concatenate(indices))
+    return DependencyGraph(sets=sets, arrays=arrays)
+
+
+def _trace_columns(
+    graph: Graph,
+    name: str,
+    rows: Optional[np.ndarray],
+    rects: np.ndarray,
+    shapes: dict,
+    paths: list,
+    root: bool = False,
+) -> None:
+    """:func:`trace_to_base` over rect columns, collecting every path.
+
+    ``rows`` maps the columns of ``rects`` to set indices of the layer
+    being resolved (``None``: the identity).  Empty regions leave the
+    path, exactly where the scalar walk would return early; the
+    ``root`` call starts from the base layer's own rule instead.
+    """
+    op = graph[name]
+    if not root:
+        empty = empty_columns(rects)
+        if empty.any():
+            keep = np.flatnonzero(~empty)
+            if not len(keep):
+                return
+            rects = rects[:, keep]
+            rows = keep if rows is None else rows[keep]
+        if op.is_base:
+            paths.append((name, rows, rects))
+            return
+        if isinstance(op, Input):
+            return
+    regions = op.input_region_columns(rects, [shapes[p] for p in op.inputs], shapes[name])
+    for producer, region in zip(op.inputs, regions):
+        _trace_columns(graph, producer, rows, region, shapes, paths)
+
+
+class _SetColumnsIndex:
+    """:class:`RectIndex` over one layer's rect columns, queried in bulk."""
+
+    __slots__ = ("r0", "c0", "r1", "c1", "order", "max_rows")
+
+    def __init__(self, rects: np.ndarray) -> None:
+        nonempty = np.flatnonzero(~empty_columns(rects))
+        r0, c0, r1, c1 = rects[:, nonempty]
+        order = np.lexsort((c0, r0))  # stable: ties keep set order
+        self.r0, self.c0, self.r1, self.c1 = r0[order], c0[order], r1[order], c1[order]
+        self.max_rows = int((self.r1 - self.r0).max()) if len(order) else 1
+        order = nonempty[order]
+        # Row-major sets keep set order; ``None`` marks that identity.
+        identity = len(order) == rects.shape[1] and bool((np.diff(order) > 0).all())
+        self.order = None if identity else order
+
+    def query(self, regions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per region, the count of intersecting sets; and those sets'
+        indices, region by region, ascending within a region."""
+        lo = np.searchsorted(self.r0, regions[0] - (self.max_rows - 1), side="left")
+        hi = np.searchsorted(self.r0, regions[2], side="left")
+        # Candidates start within ``max_rows - 1`` rows above a region
+        # and before its end; keep those that really overlap it.
+        found = _ranges(lo, hi - lo)
+        owner = np.repeat(np.arange(len(lo)), hi - lo)
+        hit = (
+            (self.r1[found] > regions[0][owner])
+            & (self.c0[found] < regions[3][owner])
+            & (self.c1[found] > regions[1][owner])
+        )
+        found = found[hit]
+        counts = np.bincount(owner[hit], minlength=len(lo))
+        if self.order is not None:
+            owner = np.repeat(np.arange(len(counts)), counts)
+            found = self.order[found]
+            found = found[np.lexsort((found, owner))]
+        return counts, found
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` per pair."""
+    total = int(counts.sum())
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(total, dtype=np.int64) + shift
+
+
+def _merge_paths(
+    hits: list[tuple[np.ndarray, np.ndarray]], n: int, repeated: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interleave per-path hits set by set (path order), deduplicated.
+
+    ``hits`` holds, per path, the per-set hit counts and the hit gids
+    set by set.  ``repeated`` says two paths reach the same producer,
+    the only way a gid can occur twice for one set.
+    """
+    if not hits:
+        return np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if len(hits) == 1:
+        return hits[0]
+    total = np.sum([counts for counts, _ in hits], axis=0)
+    cursor = np.cumsum(total) - total
+    merged = np.empty(int(total.sum()), dtype=np.int64)
+    for counts, gids in hits:
+        merged[_ranges(cursor, counts)] = gids
+        cursor = cursor + counts
+    if repeated and len(merged):
+        owner = np.repeat(np.arange(n, dtype=np.int64), total)
+        key = owner * (int(merged.max()) + 1) + merged
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        keep = np.zeros(len(key), dtype=bool)
+        keep[order[first]] = True
+        merged = merged[keep]
+        total = np.bincount(owner[keep], minlength=n)
+    return total, merged
 
 
 def layer_level_dependencies(graph: Graph) -> dict[str, list[str]]:

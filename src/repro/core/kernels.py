@@ -8,22 +8,23 @@ zero-cost replay of :mod:`repro.sim.engine` walk ``dict[(str, int)]``
 structures and allocate one frozen :class:`~repro.core.schedule.SetTask`
 per set — pure interpreter overhead at scale.
 
-This module lowers the set-level problem once per compile to flat
-NumPy arrays:
+This module holds the set-level problem as flat NumPy arrays, the
+:class:`SetGraphArrays` *CSR set graph*:
 
 * a **global dense set-id space**: set ``(layer, set_index)`` becomes
   ``gid = offsets[layer_id] + set_index``, with per-gid ``layer_of`` /
   ``set_index`` / ``area`` / rect-coordinate columns;
-* a **CSR encoding** of ``DependencyGraph.deps`` (``indptr`` /
-  ``indices`` over predecessor gids) plus the **reverse CSR**
-  (``rindptr`` / ``rindices`` over consumer gids) for event-driven
-  wake-ups.
+* a **CSR encoding** of the set dependencies (``indptr`` / ``indices``
+  over predecessor gids) plus the **reverse CSR** (``rindptr`` /
+  ``rindices`` over consumer gids) for event-driven wake-ups.
 
-The arrays are built once and memoized on the
-:class:`~repro.core.dependencies.DependencyGraph` instance (and cached
-on the :class:`~repro.core.passes.CompilationContext`), so the static
-scheduler, the dynamic list scheduler, the batch pipeline scheduler and
-the simulator replay all share one lowering.
+Stage II (:func:`repro.core.dependencies.determine_dependencies`)
+emits these arrays directly and the
+:class:`~repro.core.dependencies.DependencyGraph` stores them, so the
+static scheduler, the dynamic list scheduler, the batch pipeline
+scheduler, the simulator replay, the energy model and the verifier all
+share one set graph.  A graph built from a ``deps`` dict is lowered
+once, on first use (:func:`lower_dependencies`).
 
 Engine selection is a compile option:
 ``ScheduleOptions(engine="csr")`` (the default) runs the kernels here;
@@ -42,23 +43,24 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .dependencies import DependencyGraph
+from ..ir.ops import rect_columns
 from .schedule import Schedule, ScheduleColumns
+
+if TYPE_CHECKING:
+    from ..ir.tensor import Rect
+    from .dependencies import SetRef
 
 #: Scheduling engine option names (``ScheduleOptions.engine``).
 ENGINES = ("csr", "python")
 
-#: Attribute under which the lowered arrays are memoized on a
-#: :class:`DependencyGraph` instance.
-_ARRAYS_ATTR = "_set_graph_arrays"
-
 
 @dataclass(frozen=True)
 class SetGraphArrays:
-    """Columnar lowering of one :class:`DependencyGraph`.
+    """The CSR set graph of one compilation (set ids, rects, edges).
 
     Attributes
     ----------
@@ -95,6 +97,55 @@ class SetGraphArrays:
     rindptr: np.ndarray
     rindices: np.ndarray
     lex_rank: np.ndarray
+
+    @classmethod
+    def from_csr(
+        cls,
+        layers: tuple[str, ...],
+        offsets: np.ndarray,
+        coords: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+    ) -> "SetGraphArrays":
+        """Assemble the set graph from its CSR and the set rectangles.
+
+        ``coords`` is int64 ``(4, n)`` with rows ``r0, c0, r1, c1`` in
+        gid order; the per-gid columns and the reverse CSR are derived.
+        """
+        n = int(offsets[-1])
+        layer_of, set_index = gid_columns(offsets)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        rindices = rows[np.argsort(indices, kind="stable")]
+        rindptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(indices, minlength=n)))
+        ).astype(np.int64)
+        lex_rank = np.empty(len(layers), dtype=np.int32)
+        lex_rank[sorted(range(len(layers)), key=lambda i: layers[i])] = np.arange(
+            len(layers), dtype=np.int32
+        )
+        r0, c0, r1, c1 = np.ascontiguousarray(coords, dtype=np.int32)
+        return cls(
+            layers=tuple(layers),
+            offsets=np.asarray(offsets, dtype=np.int64),
+            layer_of=layer_of,
+            set_index=set_index,
+            area=(coords[2] - coords[0]) * (coords[3] - coords[1]),
+            r0=r0,
+            c0=c0,
+            r1=r1,
+            c1=c1,
+            indptr=np.asarray(indptr, dtype=np.int64),
+            indices=np.asarray(indices, dtype=np.int64),
+            rindptr=rindptr,
+            rindices=rindices,
+            lex_rank=lex_rank,
+        )
+
+    def __getstate__(self) -> dict:
+        """Pickle the arrays only; the :meth:`as_lists` memo is rebuilt."""
+        state = dict(self.__dict__)
+        state.pop("_lists", None)
+        return state
 
     @property
     def num_sets(self) -> int:
@@ -144,44 +195,25 @@ class SetGraphArrays:
         return cached
 
 
-def set_graph_arrays(dependency_graph: DependencyGraph) -> SetGraphArrays:
-    """Lower ``dependency_graph`` to :class:`SetGraphArrays` (memoized).
-
-    The result is cached on the dependency graph instance, so the
-    schedulers, the batch extension and the simulator replay share one
-    lowering per compilation.
-    """
-    cached = getattr(dependency_graph, _ARRAYS_ATTR, None)
-    if cached is not None:
-        return cached
-    arrays = _build_arrays(dependency_graph)
-    setattr(dependency_graph, _ARRAYS_ATTR, arrays)
-    return arrays
+def set_offsets(counts: Iterable[int]) -> np.ndarray:
+    """``int64[L+1]`` gid offsets of layers holding ``counts`` sets each."""
+    return np.concatenate(([0], np.cumsum(list(counts), dtype=np.int64)))
 
 
-def _build_arrays(dependency_graph: DependencyGraph) -> SetGraphArrays:
-    sets = dependency_graph.sets
-    deps = dependency_graph.deps
+def gid_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gid ``(layer_of, set_index)`` int32 columns of ``offsets``."""
+    counts = np.diff(offsets)
+    layer_of = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    set_index = np.arange(offsets[-1], dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    return layer_of, set_index.astype(np.int32)
+
+
+def lower_dependencies(
+    sets: dict[str, list["Rect"]], deps: dict["SetRef", list["SetRef"]]
+) -> SetGraphArrays:
+    """Lower a ``deps`` dict over ``sets`` to the CSR set graph."""
     layers = tuple(sets)
-    counts = np.asarray([len(sets[layer]) for layer in layers], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    n = int(offsets[-1])
-
-    layer_of = np.repeat(np.arange(len(layers), dtype=np.int32), counts)
-    set_index = (
-        np.arange(n, dtype=np.int64) - offsets[:-1].repeat(counts)
-    ).astype(np.int32)
-
-    coords = np.asarray(
-        [
-            (rect.r0, rect.c0, rect.r1, rect.c1)
-            for layer in layers
-            for rect in sets[layer]
-        ],
-        dtype=np.int64,
-    ).reshape(n, 4)
-    area = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
-
+    offsets = set_offsets(map(len, sets.values()))
     base = {layer: int(offsets[lid]) for lid, layer in enumerate(layers)}
     indptr_list = [0]
     indices_list: list[int] = []
@@ -195,34 +227,12 @@ def _build_arrays(dependency_graph: DependencyGraph) -> SetGraphArrays:
                 )
             indices_list.extend(base[ref_layer] + ref_si for ref_layer, ref_si in refs)
             indptr_list.append(len(indices_list))
-    indptr = np.asarray(indptr_list, dtype=np.int64)
-    indices = np.asarray(indices_list, dtype=np.int64)
-
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    rindices = rows[np.argsort(indices, kind="stable")]
-    rindptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(indices, minlength=n)))
-    ).astype(np.int64)
-
-    lex_rank = np.empty(len(layers), dtype=np.int32)
-    for rank, lid in enumerate(sorted(range(len(layers)), key=lambda i: layers[i])):
-        lex_rank[lid] = rank
-
-    return SetGraphArrays(
-        layers=layers,
-        offsets=offsets,
-        layer_of=layer_of,
-        set_index=set_index,
-        area=area,
-        r0=np.ascontiguousarray(coords[:, 0], dtype=np.int32),
-        c0=np.ascontiguousarray(coords[:, 1], dtype=np.int32),
-        r1=np.ascontiguousarray(coords[:, 2], dtype=np.int32),
-        c1=np.ascontiguousarray(coords[:, 3], dtype=np.int32),
-        indptr=indptr,
-        indices=indices,
-        rindptr=rindptr,
-        rindices=rindices,
-        lex_rank=lex_rank,
+    return SetGraphArrays.from_csr(
+        layers,
+        offsets,
+        rect_columns([rect for rects in sets.values() for rect in rects]),
+        np.asarray(indptr_list, dtype=np.int64),
+        np.asarray(indices_list, dtype=np.int64),
     )
 
 

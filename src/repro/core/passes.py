@@ -48,7 +48,6 @@ from ..mapping.rewrite import RewriteReport
 from ..mapping.tiling import LayerTiling
 from .cache import CacheKey, CompilationCache
 from .dependencies import DependencyGraph
-from .kernels import SetGraphArrays, set_graph_arrays
 from .pipeline import (
     CompiledModel,
     ScheduleOptions,
@@ -102,9 +101,6 @@ class CompilationContext:
     placement: Optional[Placement] = None
     sets: Optional[dict[str, list[Rect]]] = None
     dependencies: Optional[DependencyGraph] = None
-    #: Columnar CSR lowering of ``dependencies`` (built once by the
-    #: csr scheduling engine, reused by batch scheduling / simulation).
-    set_graph: Optional[SetGraphArrays] = None
     schedule: Optional[Schedule] = None
 
     # bookkeeping
@@ -314,11 +310,6 @@ def _schedule_layer_by_layer(ctx: CompilationContext) -> Schedule:
 
 def _schedule_clsa_cim(ctx: CompilationContext) -> Schedule:
     assert ctx.mapped is not None and ctx.sets is not None
-    if ctx.options.engine == "csr" and ctx.dependencies is not None:
-        # Build (or fetch) the columnar lowering up front so it is
-        # cached on the context for downstream consumers even when the
-        # schedule itself comes out of the compilation cache.
-        ctx.set_graph = set_graph_arrays(ctx.dependencies)
     return schedule_stage(
         ctx.mapped, ctx.sets, ctx.dependencies, ctx.options, ctx.cache, ctx.mapped_key
     )

@@ -59,7 +59,6 @@ from .kernels import (
     ENGINES,
     csr_dynamic_schedule,
     csr_static_schedule,
-    set_graph_arrays,
 )
 from .layer_by_layer import layer_by_layer_schedule
 from .schedule import Schedule
@@ -382,7 +381,7 @@ def dependencies_stage(
     cache: Optional[CompilationCache] = None,
     mapped_key: Optional[CacheKey] = None,
 ) -> DependencyGraph:
-    """Stage II: determine dependencies (interval-indexed)."""
+    """Stage II: determine dependencies (columnar, emits the CSR set graph)."""
     return _stage_cached(
         cache,
         lambda: ("deps", _key_for(mapped, cache, mapped_key), granularity),
@@ -428,7 +427,7 @@ def schedule_stage(
             # The columnar kernels self-validate with vectorized
             # dependency/resource checks (same invariants as
             # validate_schedule, no per-set Python objects).
-            arrays = set_graph_arrays(dependencies)
+            arrays = dependencies.arrays
             if options.order_mode == "dynamic":
                 return csr_dynamic_schedule(arrays)
             order = intra_layer_order(sets, options.intra_layer_policy)

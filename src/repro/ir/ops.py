@@ -15,6 +15,13 @@ algorithm needs:
     has to be specified", which in this implementation means
     subclassing :class:`Op` and overriding :meth:`Op.input_regions`.
 
+``input_region_columns(rects, input_shapes, output_shape)``
+    The same rule over a whole block of rectangles at once, as an
+    int64 ``(4, n)`` array whose rows are ``r0, c0, r1, c1`` (the
+    *rect columns* Stage II moves all sets of a layer through).  The
+    default loops over :meth:`Op.input_regions`, so a new operator
+    needs only the scalar rule; every builtin overrides it with NumPy.
+
 Operators are split into *base layers* (executed on crossbar PEs:
 :class:`Conv2D`, :class:`Dense`) and *non-base layers* (executed on the
 tile's general-purpose execution unit: everything else), mirroring the
@@ -25,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -36,6 +45,8 @@ PADDING_MODES = ("valid", "same")
 
 #: Supported activation kinds.
 ACTIVATION_KINDS = ("linear", "relu", "leaky_relu", "relu6", "sigmoid", "tanh")
+
+_RECT_COORDS = attrgetter("r0", "c0", "r1", "c1")
 
 
 class OpError(ValueError):
@@ -104,6 +115,63 @@ def window_input_rect(
     return rect.clip(input_shape.height, input_shape.width)
 
 
+def rect_columns(rects: list[Rect]) -> np.ndarray:
+    """Rect columns (int64 ``(4, n)``: rows ``r0, c0, r1, c1``) of ``rects``."""
+    flat = chain.from_iterable(map(_RECT_COORDS, rects))
+    coords = np.fromiter(flat, dtype=np.int64, count=4 * len(rects))
+    return coords.reshape(len(rects), 4).T.copy()
+
+
+def empty_columns(rects: np.ndarray) -> np.ndarray:
+    """Per column, :meth:`Rect.is_empty`."""
+    return (rects[2] <= rects[0]) | (rects[3] <= rects[1])
+
+
+def _clipped(rects: np.ndarray, shape: Shape) -> np.ndarray:
+    """:meth:`Rect.clip` per column, in place (``rects`` must be owned)."""
+    np.maximum(rects[:2], 0, out=rects[:2])
+    np.minimum(rects[2], shape.height, out=rects[2])
+    np.minimum(rects[3], shape.width, out=rects[3])
+    return rects
+
+
+def _shift_clip_columns(rects: np.ndarray, d_row: int, d_col: int, shape: Shape) -> np.ndarray:
+    """:meth:`Rect.shift` then :meth:`Rect.clip`, per column."""
+    return _clipped(rects + np.array([[d_row], [d_col], [d_row], [d_col]]), shape)
+
+
+def _full_or_empty_columns(rects: np.ndarray, shape: Shape) -> np.ndarray:
+    """The whole ``shape`` for non-empty columns, ``Rect.empty()`` otherwise."""
+    out = np.zeros_like(rects)
+    full = ~empty_columns(rects)
+    out[2, full] = shape.height
+    out[3, full] = shape.width
+    return out
+
+
+def window_input_columns(
+    rects: np.ndarray,
+    kernel: tuple[int, int],
+    strides: tuple[int, int],
+    pads_before: tuple[int, int],
+    input_shape: Shape,
+) -> np.ndarray:
+    """:func:`window_input_rect` over rect columns."""
+    kh, kw = kernel
+    sh, sw = strides
+    pt, pl = pads_before
+    # (r1 - 1) * sh + kh - pt == r1 * sh + (kh - sh - pt)
+    out = _clipped(
+        rects * np.array([[sh], [sw], [sh], [sw]])
+        + np.array([[-pt], [-pl], [kh - sh - pt], [kw - sw - pl]]),
+        input_shape,
+    )
+    empty = empty_columns(rects)
+    if empty.any():
+        out[:, empty] = 0
+    return out
+
+
 @dataclass
 class Op:
     """Base class of all IR operators.
@@ -136,6 +204,23 @@ class Op:
     ) -> list[Rect]:
         """Backward region propagation. Subclasses must override."""
         raise NotImplementedError
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        """:meth:`input_regions` over rect columns, one block per input.
+
+        Column ``j`` of each returned block equals the scalar rule's
+        region for column ``j`` of ``rects``.  This default applies the
+        scalar rule column by column; builtins override it with NumPy.
+        """
+        per_rect = [
+            self.input_regions(Rect(*coords), input_shapes, output_shape)
+            for coords in rects.T.tolist()
+        ]
+        if not per_rect:
+            return [np.empty((4, 0), dtype=np.int64) for _ in input_shapes]
+        return [rect_columns(list(regions)) for regions in zip(*per_rect)]
 
     def _expect_arity(self, input_shapes: list[Shape], arity: int) -> None:
         if len(input_shapes) != arity:
@@ -170,6 +255,11 @@ class Input(Op):
     def input_regions(
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
+        return []
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
         return []
 
 
@@ -212,18 +302,27 @@ class Conv2D(Op):
         out_w = conv_out_size(in_shape.width, kw, sw, self.padding)
         return Shape(out_h, out_w, self.out_channels)
 
+    def _pads_before(self, in_shape: Shape) -> tuple[int, int]:
+        if self.padding != "same":
+            return (0, 0)
+        return (
+            same_padding(in_shape.height, self.kernel[0], self.strides[0])[0],
+            same_padding(in_shape.width, self.kernel[1], self.strides[1])[0],
+        )
+
     def input_regions(
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
         in_shape = input_shapes[0]
-        if self.padding == "same":
-            pads = (
-                same_padding(in_shape.height, self.kernel[0], self.strides[0])[0],
-                same_padding(in_shape.width, self.kernel[1], self.strides[1])[0],
-            )
-        else:
-            pads = (0, 0)
+        pads = self._pads_before(in_shape)
         return [window_input_rect(out_rect, self.kernel, self.strides, pads, in_shape)]
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        in_shape = input_shapes[0]
+        pads = self._pads_before(in_shape)
+        return [window_input_columns(rects, self.kernel, self.strides, pads, in_shape)]
 
     def kernel_matrix_shape(self, in_channels: int) -> tuple[int, int]:
         """im2col kernel-matrix dimensions ``(KW*KH*KI, KO)`` (Fig. 3)."""
@@ -271,6 +370,11 @@ class Dense(Op):
             return [Rect.empty()]
         return [in_shape.full_rect()]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [_full_or_empty_columns(rects, input_shapes[0])]
+
     def kernel_matrix_shape(self, in_features: int) -> tuple[int, int]:
         """Kernel-matrix dimensions ``(in_features, units)``."""
         return (in_features, self.units)
@@ -303,6 +407,11 @@ class BatchNorm(Op):
     ) -> list[Rect]:
         return [out_rect]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [rects]
+
     def param_count(self) -> int:
         return sum(
             int(p.size)
@@ -325,6 +434,11 @@ class BiasAdd(Op):
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
         return [out_rect]
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [rects]
 
     def param_count(self) -> int:
         return 0 if self.bias is None else int(self.bias.size)
@@ -361,6 +475,11 @@ class Pad(Op):
         rect = out_rect.shift(-self.pad_top, -self.pad_left)
         return [rect.clip(in_shape.height, in_shape.width)]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [_shift_clip_columns(rects, -self.pad_top, -self.pad_left, input_shapes[0])]
+
     @property
     def is_identity(self) -> bool:
         """True when all four pad amounts are zero."""
@@ -387,6 +506,11 @@ class Activation(Op):
     ) -> list[Rect]:
         return [out_rect]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [rects]
+
 
 @dataclass
 class _Pool(Op):
@@ -411,18 +535,27 @@ class _Pool(Op):
         out_w = conv_out_size(in_shape.width, self.pool[1], self.strides[1], self.padding)
         return Shape(out_h, out_w, in_shape.channels)
 
+    def _pads_before(self, in_shape: Shape) -> tuple[int, int]:
+        if self.padding != "same":
+            return (0, 0)
+        return (
+            same_padding(in_shape.height, self.pool[0], self.strides[0])[0],
+            same_padding(in_shape.width, self.pool[1], self.strides[1])[0],
+        )
+
     def input_regions(
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
         in_shape = input_shapes[0]
-        if self.padding == "same":
-            pads = (
-                same_padding(in_shape.height, self.pool[0], self.strides[0])[0],
-                same_padding(in_shape.width, self.pool[1], self.strides[1])[0],
-            )
-        else:
-            pads = (0, 0)
+        pads = self._pads_before(in_shape)
         return [window_input_rect(out_rect, self.pool, self.strides, pads, in_shape)]
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        in_shape = input_shapes[0]
+        pads = self._pads_before(in_shape)
+        return [window_input_columns(rects, self.pool, self.strides, pads, in_shape)]
 
 
 @dataclass
@@ -451,6 +584,11 @@ class GlobalAvgPool(Op):
             return [Rect.empty()]
         return [in_shape.full_rect()]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [_full_or_empty_columns(rects, input_shapes[0])]
+
 
 @dataclass
 class Add(Op):
@@ -471,6 +609,11 @@ class Add(Op):
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
         return [out_rect for _ in input_shapes]
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [rects for _ in input_shapes]
 
 
 @dataclass
@@ -494,6 +637,11 @@ class Concat(Op):
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
         return [out_rect for _ in input_shapes]
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [rects for _ in input_shapes]
 
 
 @dataclass
@@ -557,6 +705,15 @@ class ConcatSpatial(Op):
             rects.append(rect.clip(shape.height, shape.width))
         return rects
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        height = self.axis == "height"
+        return [
+            _shift_clip_columns(rects, -offset if height else 0, 0 if height else -offset, shape)
+            for shape, offset in zip(input_shapes, self.input_offsets(input_shapes))
+        ]
+
 
 @dataclass
 class Slice(Op):
@@ -604,6 +761,11 @@ class Slice(Op):
         rect = out_rect.shift(self.offsets[0], self.offsets[1])
         return [rect.clip(in_shape.height, in_shape.width)]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [_shift_clip_columns(rects, self.offsets[0], self.offsets[1], input_shapes[0])]
+
 
 @dataclass
 class Upsample(Op):
@@ -638,6 +800,18 @@ class Upsample(Op):
         )
         return [rect.clip(in_shape.height, in_shape.width)]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        out = np.empty_like(rects)
+        np.floor_divide(rects[:2], self.factor, out=out[:2])
+        np.negative(np.floor_divide(-rects[2:], self.factor), out=out[2:])  # ceil
+        out = _clipped(out, input_shapes[0])
+        empty = empty_columns(rects)
+        if empty.any():
+            out[:, empty] = 0
+        return [out]
+
 
 @dataclass
 class Flatten(Op):
@@ -655,6 +829,11 @@ class Flatten(Op):
             return [Rect.empty()]
         return [in_shape.full_rect()]
 
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [_full_or_empty_columns(rects, input_shapes[0])]
+
 
 @dataclass
 class Identity(Op):
@@ -668,6 +847,11 @@ class Identity(Op):
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
         return [out_rect]
+
+    def input_region_columns(
+        self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[np.ndarray]:
+        return [rects]
 
 
 #: All concrete op classes, keyed by type name (used by serialization).

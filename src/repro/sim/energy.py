@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.pipeline import CompiledModel
 from .metrics import active_pe_cycles
 
@@ -133,24 +135,28 @@ def estimate_energy(
 
     noc_nj = 0.0
     if compiled.dependencies is not None:
-        noc = compiled.arch.build_noc()
-        sets = compiled.dependencies.sets
-        shapes = compiled.mapped.infer_shapes()
-        home_tile = {
-            layer: compiled.placement.tiles_of(layer)[0]
-            for layer in compiled.placement.pe_ranges
-        }
-        for (layer, _index), preds in compiled.dependencies.deps.items():
-            dst = home_tile[layer]
-            for pred_layer, pred_index in preds:
-                rect = sets[pred_layer][pred_index]
-                payload = (
-                    rect.area
-                    * shapes[pred_layer].channels
-                    * config.bytes_per_element
-                )
-                hops = noc.hops(home_tile[pred_layer], dst)
-                noc_nj += config.noc_energy_nj_per_byte_hop * payload * hops
+        arrays = compiled.dependencies.arrays
+        if arrays.num_edges:
+            noc = compiled.arch.build_noc()
+            shapes = compiled.mapped.infer_shapes()
+            home_tile = np.array(
+                [compiled.placement.tiles_of(layer)[0] for layer in arrays.layers]
+            )
+            channels = np.array([shapes[layer].channels for layer in arrays.layers])
+            producer_layer = arrays.layer_of[arrays.indices]
+            consumer_layer = np.repeat(arrays.layer_of, np.diff(arrays.indptr))
+            payload = (
+                arrays.area[arrays.indices]
+                * channels[producer_layer]
+                * config.bytes_per_element
+            )
+            hops = noc.hops_array(home_tile[producer_layer], home_tile[consumer_layer])
+            # Summed left to right over the edges (cumsum, not the
+            # pairwise np.sum), so the total is bit-identical to adding
+            # the edges one by one in set order.
+            noc_nj = float(
+                np.cumsum(config.noc_energy_nj_per_byte_hop * payload * hops)[-1]
+            )
 
     makespan_ns = compiled.latency_ns
     static_mw = config.static_power_mw_per_pe * compiled.arch.num_pes

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from ..core.dependencies import DependencyGraph, SetRef
-from ..core.kernels import csr_replay, set_graph_arrays
+from ..core.kernels import csr_replay
 from ..core.pipeline import CompiledModel
 from ..core.schedule import Schedule, SetTask
 
@@ -80,7 +80,7 @@ def simulate(
 
     if cost_model is None and getattr(compiled.options, "engine", "csr") == "csr":
         schedule, stalls, events_processed = csr_replay(
-            set_graph_arrays(dependency_graph), compiled.schedule.policy
+            dependency_graph.arrays, compiled.schedule.policy
         )
         return SimulationResult(
             schedule=schedule,

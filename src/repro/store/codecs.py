@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from ..ir.serialize import (
-    _dependencies_from_list,
-    _dependencies_to_list,
     _duplication_from_dict,
     _duplication_to_dict,
     _rewrite_from_dict,
@@ -163,14 +163,59 @@ def _decode_sets(payload: dict[str, Any]) -> Any:
 
 
 # -- Stage II dependencies (deps) -------------------------------------------
+#
+# Version 2 stores the CSR set graph as flat int lists: the layers with
+# their set counts, every set rectangle as ``r0, c0, r1, c1`` in set-id
+# order, and ``indptr``/``indices``.  Neither side builds the ``deps``
+# dict view.  Version 1 entries (that dict as lists of set refs) are
+# orphaned by the content address and left to ``ArtifactStore.gc``.
 
 
 def _encode_deps(value: Any) -> dict[str, Any]:
-    return {"sets": _sets_to_dict(value.sets), "deps": _dependencies_to_list(value)}
+    arrays = value.arrays
+    return {
+        "layers": list(arrays.layers),
+        "counts": np.diff(arrays.offsets).tolist(),
+        "rects": np.stack([arrays.r0, arrays.c0, arrays.r1, arrays.c1], axis=1)
+        .ravel()
+        .tolist(),
+        "indptr": arrays.indptr.tolist(),
+        "indices": arrays.indices.tolist(),
+    }
 
 
 def _decode_deps(payload: dict[str, Any]) -> Any:
-    return _dependencies_from_list(payload["deps"], _sets_from_dict(payload["sets"]))
+    from ..core.dependencies import DependencyGraph
+    from ..core.kernels import SetGraphArrays, set_offsets
+    from ..ir.tensor import Rect
+
+    layers = [str(layer) for layer in payload["layers"]]
+    counts = np.asarray(payload["counts"], dtype=np.int64)
+    coords = np.asarray(payload["rects"], dtype=np.int64)
+    indptr = np.asarray(payload["indptr"], dtype=np.int64)
+    indices = np.asarray(payload["indices"], dtype=np.int64)
+    offsets = set_offsets(counts)
+    n = int(offsets[-1])
+    if (
+        len(counts) != len(layers)
+        or (counts < 0).any()
+        or coords.shape != (4 * n,)
+        or len(indptr) != n + 1
+        or indptr[0] != 0
+        or (np.diff(indptr) < 0).any()
+        or indptr[-1] != len(indices)
+        or (len(indices) and (indices.min() < 0 or indices.max() >= n))
+    ):
+        raise ValueError("inconsistent deps payload")
+    rects = coords.tolist()
+    sets = {
+        layer: [Rect(*rects[i : i + 4]) for i in range(4 * lo, 4 * hi, 4)]
+        for layer, lo, hi in zip(layers, offsets[:-1].tolist(), offsets[1:].tolist())
+    }
+    arrays = SetGraphArrays.from_csr(
+        tuple(layers), offsets, coords.reshape(n, 4).T, indptr, indices
+    )
+    return DependencyGraph(sets=sets, arrays=arrays)
 
 
 # -- schedule ---------------------------------------------------------------
@@ -193,7 +238,7 @@ CODECS: dict[str, StageCodec] = {
         StageCodec("wdup", 1, _encode_wdup, _decode_wdup),
         StageCodec("place", 1, _encode_placement, _decode_placement),
         StageCodec("sets", 1, _encode_sets, _decode_sets),
-        StageCodec("deps", 1, _encode_deps, _decode_deps),
+        StageCodec("deps", 2, _encode_deps, _decode_deps),
         StageCodec("schedule", 1, _encode_schedule, _decode_schedule),
     )
 }

@@ -90,14 +90,8 @@ class VerifyContext:
         return self._memoized("dep_graph", compute)
 
     def arrays(self) -> "SetGraphArrays":
-        """The CSR lowering of :meth:`dep_graph` (memoized)."""
-
-        def compute() -> "SetGraphArrays":
-            from ..core.kernels import set_graph_arrays
-
-            return set_graph_arrays(self.dep_graph())
-
-        return self._memoized("arrays", compute)
+        """The CSR set graph of :meth:`dep_graph`."""
+        return self.dep_graph().arrays
 
     def columns(self) -> Optional["ScheduleColumns"]:
         """The schedule in columnar form, or ``None`` without a schedule."""

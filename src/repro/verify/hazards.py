@@ -689,10 +689,8 @@ def assert_batch_schedule(
     checks: resource exclusivity first, then the per-image dependency
     sweep over the flat gid space.
     """
-    from ..core.kernels import set_graph_arrays
-
     result.schedule.validate_intra_layer_order()
-    arrays = set_graph_arrays(dependency_graph)
+    arrays = dependency_graph.arrays
     table, diags = build_table(arrays, result.schedule.columns())
     if table is None:
         raise AssertionError(diags[0].message if diags else "schedule incomplete")

@@ -1,5 +1,6 @@
 """Unit tests for the architecture model (Section II-A)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,6 +121,16 @@ class TestMeshNoc:
     def test_average_hops_grows_with_size(self):
         assert MeshNoc(1).average_hops() == 0.0
         assert MeshNoc(4).average_hops() < MeshNoc(64).average_hops()
+
+    def test_hops_array_matches_hops(self):
+        noc = MeshNoc(11)  # 4 columns, ragged last row
+        src, dst = np.divmod(np.arange(121), 11)
+        expected = [noc.hops(a, b) for a, b in zip(src.tolist(), dst.tolist())]
+        assert noc.hops_array(src, dst).tolist() == expected
+        with pytest.raises(ValueError):
+            noc.hops_array(np.array([0, 1]), np.array([3, 11]))
+        with pytest.raises(ValueError):
+            noc.hops_array(np.array([-1]), np.array([0]))
 
     def test_bad_tile_rejected(self):
         noc = MeshNoc(4)

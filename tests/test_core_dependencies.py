@@ -2,9 +2,11 @@
 
 from repro.core import (
     SetGranularity,
+    build_set_indexes,
     determine_dependencies,
     determine_sets,
     layer_level_dependencies,
+    reference_dependencies,
     trace_to_base,
 )
 from repro.frontend import preprocess
@@ -189,16 +191,18 @@ class TestRectIndex:
 
         canonical = preprocess(tiny_dual_head(), quantization=None).graph
         sets = determine_sets(canonical)
-        fast = determine_dependencies(canonical, sets, use_index=True)
-        slow = determine_dependencies(canonical, sets, use_index=False)
-        assert fast.deps == slow.deps
+        fast = reference_dependencies(canonical, sets, build_set_indexes(sets)).deps
+        slow = reference_dependencies(canonical, sets).deps
+        assert fast == slow
+        assert list(determine_dependencies(canonical, sets).deps.items()) == list(slow.items())
 
     def test_indexed_and_naive_agree_at_coarse_granularity(self):
         g = two_conv_with_pool()
         sets = determine_sets(g, SetGranularity(rows_per_set=None, target_sets=4))
-        fast = determine_dependencies(g, sets, use_index=True)
-        slow = determine_dependencies(g, sets, use_index=False)
-        assert fast.deps == slow.deps
+        fast = reference_dependencies(g, sets, build_set_indexes(sets)).deps
+        slow = reference_dependencies(g, sets).deps
+        assert fast == slow
+        assert list(determine_dependencies(g, sets).deps.items()) == list(slow.items())
 
     def test_empty_rects_excluded_like_naive_scan(self):
         from repro.core import RectIndex

@@ -27,7 +27,6 @@ from repro.core import (
     determine_dependencies,
     determine_sets,
     intra_layer_order,
-    set_graph_arrays,
     validate_arrays_schedule,
     validate_batch_arrays_schedule,
     validate_batch_schedule,
@@ -91,7 +90,7 @@ class TestSetGraphArrays:
         g = preprocess(branchy_model(), quantization=None).graph
         sets = determine_sets(g)
         dep = determine_dependencies(g, sets)
-        arrays = set_graph_arrays(dep)
+        arrays = dep.arrays
 
         assert arrays.layers == tuple(sets)
         assert arrays.num_sets == dep.num_sets()
@@ -116,7 +115,7 @@ class TestSetGraphArrays:
     def test_reverse_csr_is_transpose(self):
         g = preprocess(branchy_model(), quantization=None).graph
         dep = determine_dependencies(g, determine_sets(g))
-        arrays = set_graph_arrays(dep)
+        arrays = dep.arrays
         forward = set()
         for gid in range(arrays.num_sets):
             for pred in arrays.indices[arrays.indptr[gid] : arrays.indptr[gid + 1]]:
@@ -130,19 +129,19 @@ class TestSetGraphArrays:
     def test_memoized_on_dependency_graph(self):
         g = preprocess(chain_model(), quantization=None).graph
         dep = determine_dependencies(g, determine_sets(g))
-        assert set_graph_arrays(dep) is set_graph_arrays(dep)
+        assert dep.arrays is dep.arrays
 
     def test_missing_deps_entry_raises(self):
         g = preprocess(chain_model(1), quantization=None).graph
         sets = determine_sets(g)
         broken = DependencyGraph(sets=sets, deps={})
         with pytest.raises(KeyError, match="no entry"):
-            set_graph_arrays(broken)
+            broken.arrays
 
     def test_lex_rank_orders_layer_names(self):
         g = preprocess(branchy_model(), quantization=None).graph
         dep = determine_dependencies(g, determine_sets(g))
-        arrays = set_graph_arrays(dep)
+        arrays = dep.arrays
         by_rank = sorted(range(len(arrays.layers)), key=lambda i: arrays.lex_rank[i])
         assert [arrays.layers[i] for i in by_rank] == sorted(arrays.layers)
 
@@ -169,7 +168,7 @@ class TestEngineIdentity:
         sets = determine_sets(g)
         dep = determine_dependencies(g, sets)
         order = intra_layer_order(sets, policy)
-        fast = csr_static_schedule(set_graph_arrays(dep), order)
+        fast = csr_static_schedule(dep.arrays, order)
         slow = cross_layer_schedule(g, dep, order)
         validate_schedule(slow, dep)
         assert task_keys(fast) == task_keys(slow)
@@ -190,7 +189,7 @@ class TestEngineIdentity:
 
     def test_batch_csr_validates(self):
         csr, _ = compiled_pair(chain_model())
-        arrays = set_graph_arrays(csr.dependencies)
+        arrays = csr.dependencies.arrays
         schedule, _ = csr_batch_schedule(arrays, 3)
         n = arrays.num_sets
         start = np.zeros(3 * n, dtype=np.int64)
@@ -224,7 +223,7 @@ class TestVectorizedValidation:
     def make_arrays(self):
         g = preprocess(chain_model(2), quantization=None).graph
         dep = determine_dependencies(g, determine_sets(g))
-        return set_graph_arrays(dep)
+        return dep.arrays
 
     def test_accepts_valid_schedule(self):
         arrays = self.make_arrays()

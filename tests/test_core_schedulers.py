@@ -117,6 +117,36 @@ class TestLayerByLayer:
         for earlier, later in zip(tasks, tasks[1:]):
             assert later.start == earlier.end
 
+    @staticmethod
+    def reference_tasks(graph, sets):
+        """The baseline as a per-set loop: each layer starts when its
+        producers have finished, then runs its sets back to back."""
+        from repro.core import layer_level_dependencies
+
+        preds = layer_level_dependencies(graph)
+        shapes = graph.infer_shapes()
+        layer_end, tasks = {}, []
+        for layer in graph.base_layers():
+            cursor = max((layer_end[p] for p in preds[layer]), default=0)
+            rects = sets[layer] if sets is not None else [shapes[layer].full_rect()]
+            for index, rect in enumerate(rects):
+                tasks.append(SetTask(layer, index, rect, cursor, cursor + rect.area))
+                cursor += rect.area
+            layer_end[layer] = cursor
+        return tasks
+
+    @pytest.mark.parametrize(
+        "granularity", [None, SetGranularity(), SetGranularity(rows_per_set=None, target_sets=5)]
+    )
+    def test_columnar_schedule_matches_per_set_loop(self, granularity):
+        from repro.models import tiny_dual_head
+
+        g = preprocess(tiny_dual_head(), quantization=None).graph
+        sets = None if granularity is None else determine_sets(g, granularity)
+        schedule = layer_by_layer_schedule(g, sets)
+        assert schedule.has_columns
+        assert schedule.tasks == self.reference_tasks(g, sets)
+
 
 class TestCrossLayerStatic:
     def schedule_for(self, graph, granularity=None):

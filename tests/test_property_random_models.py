@@ -1,8 +1,9 @@
 """Property tests over randomly generated CNN graphs.
 
 Hypothesis builds small random models (chains with optional branches,
-pooling, upsampling, concats and residual adds), and the whole compiler
-stack must uphold its invariants on every one of them:
+pooling, stride-2 valid convs, upsampling, concats and residual adds),
+and the whole compiler stack must uphold its invariants on every one of
+them:
 
 * schedules are dependency- and resource-valid;
 * CLSA-CIM never loses to layer-by-layer;
@@ -33,20 +34,34 @@ def random_models(draw):
     current_size = size
     num_blocks = draw(st.integers(1, 3))
     for _ in range(num_blocks):
-        choice = draw(st.sampled_from(["conv", "conv_pool", "branch", "residual"]))
+        choices = ["conv", "branch", "residual", "upsample_concat"]
+        if current_size >= 4:  # room to downsample
+            choices += ["conv_pool", "stride2_valid"]
+        choice = draw(st.sampled_from(choices))
         channels = draw(st.sampled_from([2, 4, 6]))
         kernel = draw(st.sampled_from([1, 3]))
         if choice == "conv":
             x = b.conv2d(x, channels, kernel=kernel, padding="same", use_bias=True)
             x = b.relu(x)
-        elif choice == "conv_pool" and current_size >= 4:
+        elif choice == "conv_pool":
             x = b.conv2d(x, channels, kernel=kernel, padding="same", use_bias=True)
             x = b.maxpool(x, 2)
             current_size //= 2
+        elif choice == "stride2_valid":
+            x = b.conv2d(x, channels, kernel=kernel, strides=2, padding="valid", use_bias=True)
+            current_size = (current_size - kernel) // 2 + 1
         elif choice == "branch":
             left = b.conv2d(x, channels, kernel=kernel, padding="same", use_bias=True)
             right = b.conv2d(x, channels, kernel=1, padding="same", use_bias=True)
             x = b.concat([left, right])
+        elif choice == "upsample_concat":
+            # YOLO-style neck: upsample a lateral conv, bring it back to
+            # this size with a stride-2 conv, concat with the block input.
+            lateral = b.conv2d(x, channels, kernel=1, padding="same", use_bias=True)
+            up = b.upsample(lateral, 2)
+            down = b.conv2d(up, channels, kernel=kernel, strides=2, padding="same",
+                            use_bias=True)
+            x = b.concat([down, x])
         else:  # residual
             inner = b.conv2d(x, channels, kernel=kernel, padding="same", use_bias=True)
             skip = b.conv2d(x, channels, kernel=1, padding="same", use_bias=True)

@@ -7,6 +7,7 @@ from repro.core import ScheduleOptions, compile_model
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import tiny_sequential
+from repro.models.zoo import build
 from repro.sim import EnergyModelConfig, estimate_energy
 
 
@@ -138,3 +139,43 @@ class TestDegenerateSchedules:
         )
         assert report.average_power_mw == pytest.approx(1.0)
         assert report.energy_per_active_cycle_nj == pytest.approx(2.0)
+
+
+def edge_loop_noc_uj(compiled, config):
+    """The NoC term as a per-edge loop over the ``deps`` view."""
+    noc = compiled.arch.build_noc()
+    sets = compiled.dependencies.sets
+    shapes = compiled.mapped.infer_shapes()
+    home = {layer: compiled.placement.tiles_of(layer)[0] for layer in compiled.placement.pe_ranges}
+    total = 0.0
+    for (layer, _index), preds in compiled.dependencies.deps.items():
+        for pred_layer, pred_index in preds:
+            payload = (
+                sets[pred_layer][pred_index].area
+                * shapes[pred_layer].channels
+                * config.bytes_per_element
+            )
+            hops = noc.hops(home[pred_layer], home[layer])
+            total += config.noc_energy_nj_per_byte_hop * payload * hops
+    return total / 1e3
+
+
+class TestNocTermOnCsrEdges:
+    """The array NoC term equals the per-edge loop bit for bit."""
+
+    @pytest.mark.parametrize("name", ["tinyyolov3", "tiny_csp"])
+    @pytest.mark.parametrize("mapping", ["none", "wdup"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EnergyModelConfig(),
+            EnergyModelConfig(noc_energy_nj_per_byte_hop=0.0013, bytes_per_element=2),
+        ],
+    )
+    def test_bit_identical_to_edge_loop(self, name, mapping, config):
+        g = preprocess(build(name), quantization=None).graph
+        arch = paper_case_study(minimum_pe_requirement(g, CrossbarSpec()) + 16)
+        compiled = compile_model(g, arch, ScheduleOptions(mapping=mapping), assume_canonical=True)
+        noc_uj = estimate_energy(compiled, config).noc_uj
+        assert noc_uj > 0
+        assert noc_uj.hex() == edge_loop_noc_uj(compiled, config).hex()

@@ -3,15 +3,16 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.arch import paper_case_study
-from repro.core import ScheduleOptions
+from repro.core import ScheduleOptions, determine_dependencies, determine_sets
 from repro.core.cache import CompilationCache, graph_fingerprint
 from repro.core.pipeline import compile_model
 from repro.frontend import preprocess
 from repro.models import tiny_sequential
-from repro.store import ArtifactStore, codec_for
+from repro.store import CODECS, ArtifactStore, StageCodec, codec_for
 from repro.store.keys import key_digest
 
 
@@ -303,3 +304,70 @@ class TestManifestAndStats:
         reopened = ArtifactStore(store.root)
         hit, _ = reopened.get("preprocess", key)
         assert hit
+
+
+class TestDepsCodec:
+    """Version 2 of the ``deps`` codec: the CSR set graph as flat ints."""
+
+    @pytest.fixture
+    def dependencies(self, canonical):
+        return determine_dependencies(canonical, determine_sets(canonical))
+
+    def test_round_trip_never_builds_the_dict_view(self, dependencies):
+        codec = codec_for("deps")
+        assert codec.version == 2
+        payload = json.loads(json.dumps(codec.encode(dependencies)))
+        assert sorted(payload) == ["counts", "indices", "indptr", "layers", "rects"]
+        back = codec.decode(payload)
+        assert dependencies._deps is None and back._deps is None
+        assert back.sets == dependencies.sets
+        for name in ("offsets", "indptr", "indices", "r0", "c0", "r1", "c1"):
+            np.testing.assert_array_equal(
+                getattr(back.arrays, name), getattr(dependencies.arrays, name)
+            )
+
+    def test_inconsistent_payload_rejected(self, dependencies):
+        codec = codec_for("deps")
+        payload = codec.encode(dependencies)
+        payload["indices"] = payload["indices"][:-1]
+        with pytest.raises(ValueError):
+            codec.decode(payload)
+
+    def test_v1_entry_never_served_and_gc_reclaims_it(
+        self, store, canonical, dependencies, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.ir.serialize import (
+            _dependencies_from_list,
+            _dependencies_to_list,
+            _sets_from_dict,
+            _sets_to_dict,
+        )
+
+        def encode_v1(value):
+            return {"sets": _sets_to_dict(value.sets), "deps": _dependencies_to_list(value)}
+
+        def decode_v1(payload):
+            return _dependencies_from_list(payload["deps"], _sets_from_dict(payload["sets"]))
+
+        key = ("deps", graph_fingerprint(canonical), "finest")
+        with monkeypatch.context() as patch:
+            patch.setitem(CODECS, "deps", StageCodec("deps", 1, encode_v1, decode_v1))
+            assert store.put("deps", key, dependencies)
+        v1_path = store._entry_path(key_digest(key, 1))
+        assert os.path.exists(v1_path)
+
+        assert store.get("deps", key) == (False, None)
+        assert os.path.exists(v1_path)  # never read, so never quarantined
+        assert store.put("deps", key, dependencies)
+        v2_path = store._entry_path(key_digest(key, 2))
+        hit, value = store.get("deps", key)
+        assert hit and value.arrays.num_edges == dependencies.edge_count()
+
+        os.utime(v1_path, (1, 1))  # the orphan is the least recently used
+        budget = os.path.getsize(v2_path)
+        assert main(["cache", "gc", "--store", store.root, "--max-bytes", str(budget)]) == 0
+        capsys.readouterr()
+        assert not os.path.exists(v1_path)
+        assert os.path.exists(v2_path)
+        assert store.get("deps", key)[0]

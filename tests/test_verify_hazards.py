@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.arch import paper_case_study
-from repro.core.kernels import set_graph_arrays
 from repro.core.schedule import Schedule
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
@@ -166,7 +165,7 @@ def test_paper_buffers_warn_but_do_not_fail():
 
 class TestMutations:
     def test_raw_race(self, compiled):
-        arrays = set_graph_arrays(compiled.dependencies)
+        arrays = compiled.dependencies.arrays
         producer, consumer = first_dependent_edge(arrays)
         cols = compiled.schedule.columns()
         row = row_of(
@@ -300,7 +299,7 @@ class TestRaisingWrappers:
         assert_schedule(compiled.schedule, compiled.dependencies)
 
     def test_assert_schedule_raises_on_race(self, compiled):
-        arrays = set_graph_arrays(compiled.dependencies)
+        arrays = compiled.dependencies.arrays
         _, consumer = first_dependent_edge(arrays)
         cols = compiled.schedule.columns()
         row = row_of(
@@ -313,7 +312,7 @@ class TestRaisingWrappers:
             assert_schedule(bad, compiled.dependencies)
 
     def test_assert_arrays_schedule(self, compiled):
-        arrays = set_graph_arrays(compiled.dependencies)
+        arrays = compiled.dependencies.arrays
         cols = compiled.schedule.columns()
         # scatter row intervals onto gid order
         start = np.empty(arrays.num_sets, dtype=np.int64)
@@ -336,14 +335,14 @@ class TestRaisingWrappers:
     def test_batch_schedule_validates_by_default(self, compiled):
         from repro.core.kernels import csr_batch_schedule
 
-        arrays = set_graph_arrays(compiled.dependencies)
+        arrays = compiled.dependencies.arrays
         schedule, spans = csr_batch_schedule(arrays, 2)  # validate=True default
         assert len(spans) == 2
 
     def test_assert_batch_arrays_schedule_raises(self, compiled):
         from repro.core.kernels import csr_batch_schedule
 
-        arrays = set_graph_arrays(compiled.dependencies)
+        arrays = compiled.dependencies.arrays
         schedule, _ = csr_batch_schedule(arrays, 2)
         cols = schedule.columns()
         n = arrays.num_sets
