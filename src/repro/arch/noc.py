@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 
@@ -59,17 +58,6 @@ class MeshNoc:
         self.spec = spec or NocSpec()
         self.cols = math.ceil(math.sqrt(num_tiles))
         self.rows = math.ceil(num_tiles / self.cols)
-        self._graph = nx.Graph()
-        for tile in range(num_tiles):
-            self._graph.add_node(tile)
-        for tile in range(num_tiles):
-            row, col = divmod(tile, self.cols)
-            right = tile + 1
-            below = tile + self.cols
-            if col + 1 < self.cols and right < num_tiles:
-                self._graph.add_edge(tile, right)
-            if below < num_tiles:
-                self._graph.add_edge(tile, below)
 
     def coordinates(self, tile: int) -> tuple[int, int]:
         """Mesh ``(row, col)`` of a tile id."""
@@ -128,8 +116,27 @@ class MeshNoc:
         return total / (self.num_tiles * (self.num_tiles - 1))
 
     def is_connected(self) -> bool:
-        """Whether the mesh is a single connected component."""
-        return nx.is_connected(self._graph)
+        """Whether the mesh is a single connected component.
+
+        A breadth-first walk from tile 0 over mesh links (left, right,
+        up, down; the ragged last row has no links past its end).
+        """
+        seen = [False] * self.num_tiles
+        seen[0] = True
+        frontier = [0]
+        for tile in frontier:
+            col = tile % self.cols
+            links = (
+                tile - 1 if col > 0 else -1,
+                tile + 1 if col + 1 < self.cols else -1,
+                tile - self.cols,
+                tile + self.cols,
+            )
+            for other in links:
+                if 0 <= other < self.num_tiles and not seen[other]:
+                    seen[other] = True
+                    frontier.append(other)
+        return len(frontier) == self.num_tiles
 
     def _check_tile(self, tile: int) -> None:
         if not 0 <= tile < self.num_tiles:

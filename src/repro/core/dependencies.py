@@ -22,7 +22,7 @@ import numpy as np
 from ..ir.graph import Graph
 from ..ir.ops import Input, empty_columns, rect_columns
 from ..ir.tensor import Rect
-from .kernels import SetGraphArrays, lower_dependencies, set_offsets
+from .kernels import SetGraphArrays, gid_columns, lower_dependencies, set_offsets
 
 #: A (layer name, set index) pair identifying one scheduling set.
 SetRef = tuple[str, int]
@@ -273,11 +273,11 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
     Columnar twin of calling :func:`set_dependencies` for every set:
     all sets of a base layer move through the backward rules at once
     as rect columns (:meth:`~repro.ir.ops.Op.input_region_columns`),
-    along every producer path :func:`trace_to_base` would walk, and each
-    path's regions are intersected with the producer's sets by
-    ``np.searchsorted`` on their sorted row starts.  Predecessors come
-    out in the same order, gid for gid: path order, then set index,
-    keeping the first occurrence.  Set ids follow the order of ``sets``.
+    along every producer path :func:`trace_to_base` would walk.  The
+    regions of every path of every layer then meet the producers' sets
+    in one query, and one sort puts the predecessors in the reference
+    order, gid for gid: path order, then set index, keeping the first
+    occurrence.  Set ids follow the order of ``sets``.
     """
     layers = tuple(sets)
     if set(layers) != set(graph.base_layers()):
@@ -289,33 +289,44 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
     offsets = set_offsets(map(len, sets.values()))
     coords = rect_columns([rect for rects in sets.values() for rect in rects])
     layer_id = {layer: lid for lid, layer in enumerate(layers)}
-    indexes: dict[str, _SetColumnsIndex] = {}
-    fan_in = [np.empty(0, dtype=np.int64)]
-    indices = [np.empty(0, dtype=np.int64)]
+    # Per path, in path order within each layer: the gids of the sets
+    # it carries, its producer layer id and its region block.
+    origins = [np.empty(0, dtype=np.int64)]
+    producers: list[int] = []
+    blocks = [np.empty((4, 0), dtype=np.int64)]
+    repeated = False
     for lid, layer in enumerate(layers):
         lo, hi = int(offsets[lid]), int(offsets[lid + 1])
+        op = graph[layer]
         paths: list[tuple[str, Optional[np.ndarray], np.ndarray]] = []
-        _trace_columns(graph, layer, None, coords[:, lo:hi], shapes, paths, root=True)
-        hits = []
+        needed = op.input_region_columns(
+            coords[:, lo:hi], [shapes[p] for p in op.inputs], shapes[layer]
+        )
+        for producer, region in zip(op.inputs, needed):
+            _trace_columns(graph, producer, None, region, shapes, paths)
+        gids = np.arange(lo, hi)
         for base_layer, rows, region in paths:
-            index = indexes.get(base_layer)
-            if index is None:
-                pid = layer_id[base_layer]
-                index = indexes[base_layer] = _SetColumnsIndex(
-                    coords[:, offsets[pid] : offsets[pid + 1]]
-                )
-            counts, found = index.query(region)
-            if rows is not None:
-                per_set = np.zeros(hi - lo, dtype=np.int64)
-                per_set[rows] = counts
-                counts = per_set
-            hits.append((counts, found + offsets[layer_id[base_layer]]))
-        repeated = len({base for base, _, _ in paths}) < len(paths)
-        counts, gids = _merge_paths(hits, hi - lo, repeated)
-        fan_in.append(counts)
-        indices.append(gids)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(fan_in), dtype=np.int64)))
-    arrays = SetGraphArrays.from_csr(layers, offsets, coords, indptr, np.concatenate(indices))
+            origins.append(gids if rows is None else gids[rows])
+            producers.append(layer_id[base_layer])
+            blocks.append(region)
+        repeated = repeated or len({base for base, _, _ in paths}) < len(paths)
+    origin = np.concatenate(origins)
+    owner, pred = _overlapping_sets(
+        coords, offsets, np.repeat(producers, [block.shape[1] for block in blocks[1:]]),
+        np.concatenate(blocks, axis=1),
+    )
+    # Regions are numbered path by path, so for one origin the region
+    # number orders its paths.
+    origin = origin[owner]
+    order = np.lexsort((pred, owner, origin))
+    origin, pred = origin[order], pred[order]
+    if repeated:
+        # Some layer reaches one producer by two paths: first occurrences.
+        keep = np.sort(np.unique(origin * int(offsets[-1]) + pred, return_index=True)[1])
+        origin, pred = origin[keep], pred[keep]
+    fan_in = np.bincount(origin, minlength=int(offsets[-1]))
+    indptr = np.concatenate(([0], np.cumsum(fan_in, dtype=np.int64)))
+    arrays = SetGraphArrays.from_csr(layers, offsets, coords, indptr, pred)
     return DependencyGraph(sets=sets, arrays=arrays)
 
 
@@ -326,17 +337,18 @@ def _trace_columns(
     rects: np.ndarray,
     shapes: dict,
     paths: list,
-    root: bool = False,
+    checked: bool = False,
 ) -> None:
     """:func:`trace_to_base` over rect columns, collecting every path.
 
     ``rows`` maps the columns of ``rects`` to set indices of the layer
     being resolved (``None``: the identity).  Empty regions leave the
-    path, exactly where the scalar walk would return early; the
-    ``root`` call starts from the base layer's own rule instead.
+    path, exactly where the scalar walk would return early; ``checked``
+    says ``rects`` holds none, being a block a column rule handed back
+    unchanged after this walk had filtered it.
     """
     op = graph[name]
-    if not root:
+    if not checked:
         empty = empty_columns(rects)
         if empty.any():
             keep = np.flatnonzero(~empty)
@@ -344,53 +356,53 @@ def _trace_columns(
                 return
             rects = rects[:, keep]
             rows = keep if rows is None else rows[keep]
-        if op.is_base:
-            paths.append((name, rows, rects))
-            return
-        if isinstance(op, Input):
-            return
+    if op.is_base:
+        paths.append((name, rows, rects))
+        return
+    if isinstance(op, Input):
+        return
     regions = op.input_region_columns(rects, [shapes[p] for p in op.inputs], shapes[name])
     for producer, region in zip(op.inputs, regions):
-        _trace_columns(graph, producer, rows, region, shapes, paths)
+        _trace_columns(graph, producer, rows, region, shapes, paths, region is rects)
 
 
-class _SetColumnsIndex:
-    """:class:`RectIndex` over one layer's rect columns, queried in bulk."""
+def _overlapping_sets(
+    coords: np.ndarray, offsets: np.ndarray, producer: np.ndarray, regions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every overlapping (region, set of the region's producer layer) pair.
 
-    __slots__ = ("r0", "c0", "r1", "c1", "order", "max_rows")
-
-    def __init__(self, rects: np.ndarray) -> None:
-        nonempty = np.flatnonzero(~empty_columns(rects))
-        r0, c0, r1, c1 = rects[:, nonempty]
-        order = np.lexsort((c0, r0))  # stable: ties keep set order
-        self.r0, self.c0, self.r1, self.c1 = r0[order], c0[order], r1[order], c1[order]
-        self.max_rows = int((self.r1 - self.r0).max()) if len(order) else 1
-        order = nonempty[order]
-        # Row-major sets keep set order; ``None`` marks that identity.
-        identity = len(order) == rects.shape[1] and bool((np.diff(order) > 0).all())
-        self.order = None if identity else order
-
-    def query(self, regions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per region, the count of intersecting sets; and those sets'
-        indices, region by region, ascending within a region."""
-        lo = np.searchsorted(self.r0, regions[0] - (self.max_rows - 1), side="left")
-        hi = np.searchsorted(self.r0, regions[2], side="left")
-        # Candidates start within ``max_rows - 1`` rows above a region
-        # and before its end; keep those that really overlap it.
-        found = _ranges(lo, hi - lo)
-        owner = np.repeat(np.arange(len(lo)), hi - lo)
-        hit = (
-            (self.r1[found] > regions[0][owner])
-            & (self.c0[found] < regions[3][owner])
-            & (self.c1[found] > regions[1][owner])
-        )
-        found = found[hit]
-        counts = np.bincount(owner[hit], minlength=len(lo))
-        if self.order is not None:
-            owner = np.repeat(np.arange(len(counts)), counts)
-            found = self.order[found]
-            found = found[np.lexsort((found, owner))]
-        return counts, found
+    One index over all non-empty sets, sorted by ``(layer, r0)``: a set
+    overlapping a region starts within its layer's ``max_rows - 1``
+    rows above the region and before its end, so two ``np.searchsorted``
+    calls bound its candidates.  Both bounds are clamped to the
+    producer's band of the index; with mixed set heights, a bound near
+    row 0 would otherwise reach the previous layer's last sets.
+    Returns the region number and the gid of each pair, by region.
+    """
+    gid = np.flatnonzero(~empty_columns(coords))
+    if not len(gid) or not len(producer):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    layer = gid_columns(offsets)[0][gid].astype(np.int64)
+    r0 = coords[0, gid]
+    max_rows = np.ones(len(offsets) - 1, dtype=np.int64)
+    np.maximum.at(max_rows, layer, coords[2, gid] - r0)
+    base = int(r0.min())
+    span = int(r0.max()) - base + 1
+    key = layer * span + (r0 - base)
+    order = np.argsort(key, kind="stable")
+    key, gid = key[order], gid[order]
+    band = producer * span
+    lo = np.searchsorted(key, band + np.clip(regions[0] - max_rows[producer] + 1 - base, 0, span))
+    hi = np.searchsorted(key, band + np.clip(regions[2] - base, 0, span))
+    found = _ranges(lo, hi - lo)
+    owner = np.repeat(np.arange(len(lo)), hi - lo)
+    sets = gid[found]
+    hit = (
+        (coords[2, sets] > regions[0][owner])
+        & (coords[1, sets] < regions[3][owner])
+        & (coords[3, sets] > regions[1][owner])
+    )
+    return owner[hit], sets[hit]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -400,39 +412,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return np.arange(total, dtype=np.int64) + shift
-
-
-def _merge_paths(
-    hits: list[tuple[np.ndarray, np.ndarray]], n: int, repeated: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interleave per-path hits set by set (path order), deduplicated.
-
-    ``hits`` holds, per path, the per-set hit counts and the hit gids
-    set by set.  ``repeated`` says two paths reach the same producer,
-    the only way a gid can occur twice for one set.
-    """
-    if not hits:
-        return np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if len(hits) == 1:
-        return hits[0]
-    total = np.sum([counts for counts, _ in hits], axis=0)
-    cursor = np.cumsum(total) - total
-    merged = np.empty(int(total.sum()), dtype=np.int64)
-    for counts, gids in hits:
-        merged[_ranges(cursor, counts)] = gids
-        cursor = cursor + counts
-    if repeated and len(merged):
-        owner = np.repeat(np.arange(n, dtype=np.int64), total)
-        key = owner * (int(merged.max()) + 1) + merged
-        order = np.argsort(key, kind="stable")
-        ordered = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        keep = np.zeros(len(key), dtype=bool)
-        keep[order[first]] = True
-        merged = merged[keep]
-        total = np.bincount(owner[keep], minlength=n)
-    return total, merged
 
 
 def layer_level_dependencies(graph: Graph) -> dict[str, list[str]]:

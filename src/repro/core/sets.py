@@ -83,13 +83,20 @@ def determine_sets(
     """Stage I: sets of every base layer, keyed by layer name.
 
     Returns row-major ordered rectangles per layer.  Dense layers
-    (1x1 spatial OFM) always get exactly one set.
+    (1x1 spatial OFM) always get exactly one set.  Each OFM
+    ``(height, width)`` is partitioned once per call: layers of one
+    spatial shape get their own lists of the same frozen rectangles.
     """
     shapes = graph.infer_shapes()
-    return {
-        name: partition_ofm(shapes[name], granularity)
-        for name in graph.base_layers()
-    }
+    partitions: dict[tuple[int, int], list[Rect]] = {}
+    sets: dict[str, list[Rect]] = {}
+    for name in graph.base_layers():
+        shape = shapes[name]
+        key = (shape.height, shape.width)
+        if key not in partitions:
+            partitions[key] = partition_ofm(shape, granularity)
+        sets[name] = list(partitions[key])
+    return sets
 
 
 def validate_partition(shape: Shape, sets: list[Rect]) -> None:

@@ -1,10 +1,33 @@
 """Tests for the clsa-cim command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+
+def test_import_needs_only_declared_dependencies():
+    """``import repro, repro.cli`` loads numpy and the stdlib, nothing else
+    (pyproject.toml declares numpy alone).  ``__mp_main__`` is
+    multiprocessing's alias of ``__main__``, not a module."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules) | {'__mp_main__'}\n"
+        "import repro, repro.cli\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'repro', 'numpy'}))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestVersion:

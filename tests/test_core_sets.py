@@ -115,6 +115,25 @@ class TestDetermineSets:
         sets = determine_sets(g, SetGranularity(rows_per_set=3))
         validate_partition(g.shape_of("c1"), sets["c1"])
 
+    @pytest.mark.parametrize(
+        "granularity", [FINEST, SetGranularity(rows_per_set=None, target_sets=4)]
+    )
+    def test_layers_of_one_shape_get_their_own_lists(self, granularity):
+        """One partition per OFM shape, but a list per layer."""
+        b = GraphBuilder("net")
+        x = b.input((9, 7, 3), name="in")
+        c1 = b.conv2d(x, 4, kernel=3, padding="same", use_bias=False, name="c1")
+        b.conv2d(c1, 5, kernel=1, padding="valid", use_bias=False, name="c2")
+        g = b.graph
+        sets = determine_sets(g, granularity)
+        assert sets["c1"] == sets["c2"]
+        assert sets["c1"] is not sets["c2"]
+        for layer in ("c1", "c2"):
+            validate_partition(g.shape_of(layer), sets[layer])
+        expected = list(sets["c2"])
+        sets["c1"].pop()
+        assert sets["c2"] == expected
+
 
 class TestValidatePartition:
     def test_detects_overlap(self):

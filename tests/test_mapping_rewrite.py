@@ -129,6 +129,31 @@ class TestRewriteSemantics:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("axis", ["width", "height"])
+    def test_duplicate_reading_a_concat_directly(self, axis):
+        """The second conv's slices read the first conv's concat, with no
+        bias or activation between: its geometry comes from the concat's
+        recorded shape."""
+        b = GraphBuilder("chain")
+        x = b.input((14, 13, 2), name="in")
+        c1 = b.conv2d(x, 4, kernel=3, padding="valid", use_bias=False, name="c1")
+        b.conv2d(c1, 3, kernel=3, strides=2, padding="valid", use_bias=False, name="c2")
+        g = b.graph
+        g.initialize_weights(seed=9)
+        report = apply_duplication(g, manual_solution(g, {"c1": 3, "c2": 2}), axis=axis)
+        rewritten = report.graph
+        concat = report.duplicated["c1"].concat
+        assert rewritten["c2/dup0/slice"].inputs == [concat]
+        before, after = g.infer_shapes(), rewritten.infer_shapes()
+        assert after[concat] == before["c1"]
+        assert after[report.duplicated["c2"].concat] == before["c2"]
+        image = np.random.default_rng(3).normal(size=(14, 13, 2))
+        np.testing.assert_allclose(
+            Executor(rewritten).run_single(image),
+            Executor(g).run_single(image),
+            atol=1e-12,
+        )
+
 
 class TestRewriteErrors:
     def test_non_canonical_conv_rejected(self):

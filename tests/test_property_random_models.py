@@ -1,7 +1,8 @@
 """Property tests over randomly generated CNN graphs.
 
 Hypothesis builds small random models (chains with optional branches,
-pooling, stride-2 valid convs, upsampling, concats and residual adds),
+pooling, stride-2 valid convs, upsampling, concats and residual adds
+over projected or identity shortcuts),
 and the whole compiler stack must uphold its invariants on every one of
 them:
 
@@ -34,7 +35,7 @@ def random_models(draw):
     current_size = size
     num_blocks = draw(st.integers(1, 3))
     for _ in range(num_blocks):
-        choices = ["conv", "branch", "residual", "upsample_concat"]
+        choices = ["conv", "branch", "residual", "identity_residual", "upsample_concat"]
         if current_size >= 4:  # room to downsample
             choices += ["conv_pool", "stride2_valid"]
         choice = draw(st.sampled_from(choices))
@@ -62,6 +63,12 @@ def random_models(draw):
             down = b.conv2d(up, channels, kernel=kernel, strides=2, padding="same",
                             use_bias=True)
             x = b.concat([down, x])
+        elif choice == "identity_residual":
+            # ResNet's identity shortcut: the skip is the block input itself.
+            inner = b.conv2d(
+                x, b.graph.shape_of(x).channels, kernel=kernel, padding="same", use_bias=True
+            )
+            x = b.relu(b.add([inner, x]))
         else:  # residual
             inner = b.conv2d(x, channels, kernel=kernel, padding="same", use_bias=True)
             skip = b.conv2d(x, channels, kernel=1, padding="same", use_bias=True)
