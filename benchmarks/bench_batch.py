@@ -12,12 +12,9 @@ from conftest import session_compile, write_artifact
 
 from repro.analysis import format_table
 from repro.arch import paper_case_study
-from repro.core import (
-    ScheduleOptions,
-    cross_layer_schedule_batch,
-    validate_batch_schedule,
-)
+from repro.core import ScheduleOptions, cross_layer_schedule_batch
 from repro.models import CASE_STUDY
+from repro.verify import assert_batch_schedule
 
 
 def test_batch_pipelining(benchmark, results_dir, tinyyolov4_canonical):
@@ -35,7 +32,7 @@ def test_batch_pipelining(benchmark, results_dir, tinyyolov4_canonical):
 
     def run(batch_size):
         result = cross_layer_schedule_batch(compiled.mapped, deps, batch_size)
-        validate_batch_schedule(result, deps)
+        assert_batch_schedule(result, deps)
         utilization = batch_size * busy_per_image / (arch.num_pes * result.makespan)
         return result, utilization
 

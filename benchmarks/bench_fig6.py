@@ -14,7 +14,8 @@ rewrite, Stages I-IV).
 
 from conftest import session_compile, write_artifact
 
-from repro.analysis import SweepExecutor, duplication_table, fig6c_report
+from repro import Session
+from repro.analysis import duplication_table, fig6c_report
 from repro.arch import paper_case_study
 from repro.core import ScheduleOptions
 from repro.mapping import problem_from_tilings, solve, tile_graph
@@ -78,10 +79,12 @@ def test_fig6ab_gantt_charts(benchmark, results_dir, tinyyolov4_canonical):
 
 def test_fig6c_speedup_utilization(benchmark, results_dir, tinyyolov4_canonical):
     """E5: the Fig. 6(c) panel across x values (staged+cached engine)."""
-    executor = SweepExecutor()
-    sweep = benchmark.pedantic(
-        lambda: executor.run(
-            CASE_STUDY, xs=(4, 8, 16, 32), graph=tinyyolov4_canonical
+    session = Session(paper_case_study(1))
+    (sweep,) = benchmark.pedantic(
+        lambda: session.sweep(
+            [CASE_STUDY],
+            xs=(4, 8, 16, 32),
+            graphs={CASE_STUDY.name: tinyyolov4_canonical},
         ),
         rounds=1,
         iterations=1,
@@ -106,9 +109,7 @@ def test_fig6c_speedup_utilization(benchmark, results_dir, tinyyolov4_canonical)
         assert combo.speedup >= xinf.speedup
 
     write_artifact(results_dir, "fig6c_case_study.txt", fig6c_report(sweep))
-    cache = executor.cache_for(CASE_STUDY.name)
-    if cache is not None:
-        write_artifact(results_dir, "fig6c_cache_stats.txt", cache.summary())
+    write_artifact(results_dir, "fig6c_cache_stats.txt", session.cache.summary())
 
 
 def test_fig6_compile_performance(benchmark, tinyyolov4_canonical):

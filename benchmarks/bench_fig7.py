@@ -16,21 +16,19 @@ Paper reference points (shape, not exact):
 import pytest
 from conftest import write_artifact
 
-from repro.analysis import (
-    benchmark_sweep,
-    fig7a_report,
-    fig7b_report,
-    headline_summary,
-    sweep_all,
-)
+from repro import Session
+from repro.analysis import fig7a_report, fig7b_report, headline_summary
+from repro.arch import paper_case_study
 from repro.models import PAPER_BENCHMARKS, benchmark_by_name
 
 
 @pytest.fixture(scope="module")
 def all_sweeps(canonical_benchmarks):
-    # One engine invocation for the whole Fig. 7 grid: stages shared
-    # between config points are compiled once per benchmark.
-    results = sweep_all(PAPER_BENCHMARKS, graphs=canonical_benchmarks)
+    # One sweep for the whole Fig. 7 grid: stages shared between
+    # config points are compiled once per benchmark.
+    results = Session(paper_case_study(1)).sweep(
+        PAPER_BENCHMARKS, graphs=canonical_benchmarks
+    )
     return {result.benchmark: result for result in results}
 
 
@@ -39,10 +37,10 @@ def test_fig7_full_grid(benchmark, results_dir, all_sweeps, canonical_benchmarks
     results = [all_sweeps[spec.name] for spec in PAPER_BENCHMARKS]
 
     benchmark.pedantic(
-        lambda: benchmark_sweep(
-            benchmark_by_name("vgg16"),
+        lambda: Session(paper_case_study(1)).sweep(
+            [benchmark_by_name("vgg16")],
             xs=(4,),
-            graph=canonical_benchmarks["vgg16"],
+            graphs={"vgg16": canonical_benchmarks["vgg16"]},
         ),
         rounds=1,
         iterations=1,

@@ -1,20 +1,20 @@
 #!/usr/bin/env python
 """Columnar scheduling kernels vs the pure-Python reference schedulers.
 
-Measures the Stage IV hot loops that PR 3 lowered onto the CSR set
-graph of :mod:`repro.core.kernels`:
+Measures the Stage IV hot loops of :mod:`repro.core.kernels` (the CSR
+set graph) against the reference schedulers in ``tests/oracles``:
 
 * **single-image** — FINEST-granularity dynamic cross-layer scheduling
   (what ``schedule_stage`` runs per config point: the scheduler plus
-  its validation pass, for each engine);
+  its validation pass, for each implementation);
 * **batch** — the pipelined batch scheduler at ``--batch`` inferences,
-  measured symmetrically to the single-image workload: each engine's
-  scheduler plus its validator (``validate_batch_schedule`` for the
-  reference, the vectorized array checks for the kernels).
+  measured symmetrically to the single-image workload: each
+  implementation's scheduler plus its validator (``assert_batch_schedule``
+  for the reference, the vectorized array checks for the kernels).
 
-Methodology: every (workload, engine) measurement runs in a **fresh
-subprocess** with the collector in its default state, so one engine's
-heap (the reference allocates one ``SetTask`` plus dict entries per
+Methodology: every (workload, implementation) measurement runs in a
+**fresh subprocess** with the collector in its default state, so one
+implementation's heap (the reference allocates one ``SetTask`` plus dict entries per
 scheduled set; at batch 32 that is hundreds of thousands of objects)
 never inflates the other's collection pauses.  Within a process the
 timing is best-of-``--repeats`` with a collection before each run.
@@ -52,9 +52,9 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = str(REPO_ROOT / "src")
-if SRC not in sys.path:
-    sys.path.insert(0, SRC)
+for _path in (str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 
 def best_of(fn, repeats: int) -> float:
@@ -87,16 +87,15 @@ def _compile(model: str):
 
 
 def run_worker(spec: dict) -> None:
-    """Measure one (workload, engine) pair; print a JSON result line."""
-    from repro.core import (
-        cross_layer_schedule_batch,
-        cross_layer_schedule_dynamic,
-        csr_batch_schedule,
-        csr_dynamic_schedule,
-        validate_batch_schedule,
-        validate_schedule,
-    )
+    """Measure one (workload, engine) pair; print a JSON result line.
+
+    ``engine`` is ``csr`` (the kernels) or ``python`` (the oracles).
+    """
+    from oracles import cross_layer_schedule_dynamic, reference_batch_schedule
+
+    from repro.core import csr_batch_schedule, csr_dynamic_schedule
     from repro.core.kernels import lower_dependencies
+    from repro.verify import assert_schedule
 
     compiled = _compile(spec["model"])
     dependencies = compiled.dependencies
@@ -123,16 +122,14 @@ def run_worker(spec: dict) -> None:
             )
     else:
         if spec["workload"] == "single":
-            fn = lambda: validate_schedule(  # noqa: E731
+            fn = lambda: assert_schedule(  # noqa: E731
                 cross_layer_schedule_dynamic(mapped, dependencies), dependencies
             )
         else:
-
-            def fn() -> None:
-                result_batch = cross_layer_schedule_batch(
-                    mapped, dependencies, batch_size, engine="python"
-                )
-                validate_batch_schedule(result_batch, dependencies)
+            # validate=True: the reference runs assert_batch_schedule.
+            fn = lambda: reference_batch_schedule(  # noqa: E731
+                mapped, dependencies, batch_size, validate=True
+            )
 
     result["seconds"] = best_of(fn, repeats)
     print(json.dumps(result))
@@ -158,7 +155,7 @@ def measure(model: str, workload: str, engine: str, batch: int, repeats: int) ->
 
 
 def bench_model(model: str, batch_size: int, repeats: int) -> dict:
-    """Benchmark both engines on one model; returns the JSON record."""
+    """Benchmark kernels and reference on one model; returns the JSON record."""
     results = {
         # The single-image measurement is milliseconds long: give it
         # more repeats so best-of is robust to scheduler jitter.
@@ -266,7 +263,7 @@ def main(argv=None) -> int:
     if args.quick:
         ok = single["speedup"] >= 1.0 and batch["speedup"] >= 1.0
         if not ok:
-            print("FAIL: csr engine slower than the python reference", file=sys.stderr)
+            print("FAIL: csr kernels slower than the python reference", file=sys.stderr)
         return 0 if ok else 1
     ok = single["speedup"] >= 5.0 and batch["speedup"] >= 10.0
     if not ok:

@@ -11,7 +11,6 @@ import pathlib
 import pytest
 
 from repro import Session
-from repro.core import reference_dependencies
 from repro.frontend import preprocess
 from repro.models import CASE_STUDY, PAPER_BENCHMARKS
 
@@ -27,14 +26,6 @@ def session_compile(canonical, arch, options, cache=False):
     return Session(arch, cache=cache).compile(
         canonical, options, assume_canonical=True
     )
-
-
-def all_pairs_dependencies(graph, sets):
-    """The seed's Stage II: each set resolved alone by an all-pairs scan.
-
-    The reference the columnar ``determine_dependencies`` replaces.
-    """
-    return reference_dependencies(graph, sets, indexes=None)
 
 
 @pytest.fixture(scope="session")

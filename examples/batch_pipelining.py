@@ -12,7 +12,7 @@ Run:  python examples/batch_pipelining.py
 
 from repro import ScheduleOptions, compile_model, paper_case_study, preprocess
 from repro.analysis import format_table
-from repro.core import cross_layer_schedule_batch, validate_batch_schedule
+from repro.core import cross_layer_schedule_batch
 from repro.models import CASE_STUDY
 from repro.sim import estimate_energy
 
@@ -39,10 +39,10 @@ def main():
 
     rows = []
     for batch_size in (1, 2, 4, 8, 16):
+        # Runs the static verifier's batch checks before returning.
         result = cross_layer_schedule_batch(
             compiled.mapped, compiled.dependencies, batch_size
         )
-        validate_batch_schedule(result, compiled.dependencies)
         utilization = (
             batch_size * busy_per_image / (arch.num_pes * result.makespan)
         )

@@ -11,16 +11,11 @@ Run:  python examples/custom_architecture.py
 """
 
 from repro import ScheduleOptions, compile_model, minimum_pe_requirement, preprocess
-from repro.arch import (
-    ArchitectureConfig,
-    CrossbarSpec,
-    NocSpec,
-    TileSpec,
-    check_requirements,
-)
+from repro.arch import ArchitectureConfig, CrossbarSpec, NocSpec, TileSpec
 from repro.analysis import format_table
 from repro.models import tiny_yolo_v4
 from repro.sim import CostModelConfig, NocCostModel, evaluate, simulate
+from repro.verify import verify_graph
 
 
 def main():
@@ -39,11 +34,11 @@ def main():
     print(f"TinyYOLOv4 needs {min_pes} of these smaller PEs "
           f"(vs 117 at 256x256 — Eq. 1 scales with crossbar size)\n")
 
-    # Section II-A hardware requirement check.
-    report = check_requirements(canonical, arch, pe_demand=min_pes)
-    print(f"Sec. II-A requirements satisfied: {report.satisfied}")
-    for issue in report.issues:
-        print(f"  issue: {issue}")
+    # Section II-A hardware requirement check (the verifier's arch rules).
+    report = verify_graph(canonical, arch)
+    print(f"Sec. II-A requirements satisfied: {report.ok}")
+    for issue in report.errors:
+        print(f"  issue: {issue.message}")
 
     # Compile with the full CLSA-CIM flow.
     compiled = compile_model(

@@ -12,19 +12,21 @@ Run:  python examples/resnet_depth_sweep.py          # ResNet-50 only
 
 import sys
 
-from repro import preprocess
-from repro.analysis import benchmark_sweep, fig7a_report, fig7b_report
+from repro import Session, paper_case_study
+from repro.analysis import fig7a_report, fig7b_report
 from repro.models import benchmark_by_name
 
 
 def main(run_all: bool):
     names = ["resnet50", "resnet101", "resnet152"] if run_all else ["resnet50"]
+    # The architecture argument is unused by sweeps: every grid point
+    # gets the paper's PE_min + x chip.
+    session = Session(paper_case_study(1))
     results = []
     for name in names:
         spec = benchmark_by_name(name)
         print(f"sweeping {name} (PE_min = {spec.min_pes})...")
-        canonical = preprocess(spec.build(), quantization=None).graph
-        results.append(benchmark_sweep(spec, xs=(4, 16, 32), graph=canonical))
+        results.extend(session.sweep([spec], xs=(4, 16, 32)))
 
     print()
     print(fig7a_report(results))

@@ -13,8 +13,8 @@ to 28.4 % corresponding to a 21.9x speedup.
 Run:  python examples/tinyyolov4_case_study.py
 """
 
-from repro import ScheduleOptions, compile_model, paper_case_study, preprocess
-from repro.analysis import benchmark_sweep, duplication_table, fig6c_report, table1
+from repro import ScheduleOptions, Session, compile_model, paper_case_study, preprocess
+from repro.analysis import duplication_table, fig6c_report, table1
 from repro.models import CASE_STUDY
 from repro.sim import ascii_gantt
 
@@ -54,7 +54,9 @@ def main():
     print("=" * 72)
     print("Fig. 6(c) — speedup and utilization vs extra PEs")
     print("=" * 72)
-    sweep = benchmark_sweep(CASE_STUDY, xs=(4, 8, 16, 32), graph=canonical)
+    (sweep,) = Session(paper_case_study(1)).sweep(
+        [CASE_STUDY], xs=(4, 8, 16, 32), graphs={CASE_STUDY.name: canonical}
+    )
     print(fig6c_report(sweep))
     xinf = sweep.series("xinf")[0]
     combo32 = [p for p in sweep.series("wdup+xinf") if p.extra_pes == 32][0]

@@ -20,16 +20,12 @@ from .sweep import (
     ConfigPoint,
     EvalTask,
     FailedPoint,
-    SweepExecutor,
     SweepResult,
     SweepTask,
     TaskEval,
-    benchmark_sweep,
-    evaluate_eval_task,
     evaluate_task,
     evaluate_task_full,
     grid_tasks,
-    sweep_all,
 )
 from .tables import duplication_table, format_table, table1, table2
 
@@ -40,12 +36,9 @@ __all__ = [
     "EvalTask",
     "FailedPoint",
     "PAPER_XS",
-    "SweepExecutor",
     "SweepResult",
     "SweepTask",
     "TaskEval",
-    "benchmark_sweep",
-    "evaluate_eval_task",
     "evaluate_task",
     "evaluate_task_full",
     "grid_tasks",
@@ -62,7 +55,6 @@ __all__ = [
     "frontier_to_json",
     "headline_summary",
     "layer_utilization_report",
-    "sweep_all",
     "sweep_to_csv",
     "sweep_to_json",
     "table1",

@@ -1,22 +1,19 @@
 """Configuration sweeps reproducing the paper's evaluation (Sec. V).
 
-``benchmark_sweep`` runs one model through the paper's configuration
-grid — layer-by-layer baseline, ``wdup+x``, ``xinf``, ``wdup+xinf+x``
-for ``x in {4, 8, 16, 32}`` — and returns speedups and utilizations
+A sweep runs each model through the paper's configuration grid —
+layer-by-layer baseline, ``wdup+x``, ``xinf``, ``wdup+xinf+x`` for
+``x in {4, 8, 16, 32}`` — and returns speedups and utilizations
 relative to the baseline, i.e. the data series of Figures 6(c), 7(a)
 and 7(b).
 
-Since the unified execution redesign the grid runs on the job layer of
-:mod:`repro.exec`: every cell lowers onto an
-:class:`~repro.exec.jobs.EvaluateJob` and fans out through a pluggable
-:class:`~repro.exec.executors.Executor` (``inline``, ``thread``,
-``process``, or any backend registered via
-:func:`repro.exec.register_executor`).  The supported entry points are
+The grid runs on the job layer of :mod:`repro.exec`: every cell lowers
+onto an :class:`~repro.exec.jobs.EvaluateJob` and fans out through a
+pluggable :class:`~repro.exec.executors.Executor` (``inline``,
+``thread``, ``process``, or any backend registered via
+:func:`repro.exec.register_executor`).  The entry points are
 :meth:`repro.session.Session.sweep` and
 :meth:`repro.session.Session.map` over a
-:class:`~repro.exec.jobs.SweepJob`; the :class:`SweepExecutor` methods
-remain as thin deprecated shims over the same machinery and produce
-identical numbers (asserted point-wise in tests).
+:class:`~repro.exec.jobs.SweepJob`.
 
 Caching and parallelism behave as they always have: every config point
 compiles through the pass pipeline with a shared
@@ -30,8 +27,6 @@ results.
 
 from __future__ import annotations
 
-import os
-from concurrent import futures
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -39,9 +34,8 @@ from ..arch.config import ArchitectureConfig
 from ..arch.presets import paper_case_study
 from ..core.cache import CompilationCache
 from ..core.pipeline import ScheduleOptions, preprocess_stage
-from ..exec.executors import Executor
 from ..exec.jobs import EvaluateJob, Evaluation, JobError, JobResult, SweepJob
-from ..exec.runtime import JobRuntime, execute_job, warn_deprecated
+from ..exec.runtime import JobRuntime, execute_job
 from ..ir.graph import Graph
 from ..mapping.tiling import minimum_pe_requirement
 from ..models.zoo import BenchmarkSpec, benchmark_by_name
@@ -224,9 +218,8 @@ def grid_tasks(spec: BenchmarkSpec, xs: Sequence[int] = PAPER_XS) -> list[SweepT
 class EvalTask:
     """One arbitrary ``(architecture, options)`` evaluation.
 
-    The historical plain-data task form consumed by
-    :meth:`SweepExecutor.iter_task_evals`; new code should submit
-    :class:`~repro.exec.jobs.EvaluateJob` through a session instead.
+    The plain-data task form the exploration engine proposes; it lowers
+    onto an :class:`~repro.exec.jobs.EvaluateJob` (:meth:`to_job`).
     ``key`` identifies the task in streamed results and must be unique
     within one stream.
     """
@@ -247,20 +240,6 @@ class EvalTask:
             want_energy=self.want_energy,
             key=self.key,
         )
-
-
-def evaluate_eval_task(
-    canonical: Graph,
-    task: EvalTask,
-    cache: Optional[CompilationCache] = None,
-    pass_manager=None,
-    hooks=(),
-) -> TaskEval:
-    """Compile and score one arbitrary configuration point."""
-    result = execute_job(
-        task.to_job(canonical), cache, pass_manager, hooks, capture=False
-    )
-    return result.value
 
 
 def grid_job(
@@ -318,7 +297,7 @@ def evaluate_task(
 
 
 # ---------------------------------------------------------------------------
-# the grid driver (shared by Session.sweep/map and the legacy shims)
+# running the grid (behind Session.sweep and Session.map)
 # ---------------------------------------------------------------------------
 
 
@@ -518,16 +497,14 @@ def run_grid(
     options_overrides: Optional[Mapping[str, Any]] = None,
     graphs: Optional[Mapping[str, Graph]] = None,
     verify: bool = False,
-    capture: bool = False,
 ) -> list[SweepResult]:
     """Run and assemble the grid (the engine behind ``Session.sweep``).
 
     With ``verify`` every cell runs the static verifier and its
     :class:`~repro.verify.VerifyReport` rides on the assembled points
     (``ConfigPoint.verify_report`` / ``SweepResult.baseline_verify_report``).
-    With ``capture`` a failing cell lands in ``SweepResult.failures``
-    and the remaining cells still run; without it the first failure
-    raises (the legacy-shim behavior).
+    A failing cell lands in ``SweepResult.failures`` and the remaining
+    cells still run.
     """
     stream = stream_grid(
         runtime,
@@ -536,7 +513,7 @@ def run_grid(
         options_overrides,
         graphs,
         ordered=False,
-        capture=capture,
+        capture=True,
         verify=verify,
     )
     return assemble_sweep_results(specs, xs, (r.value for r in stream))
@@ -557,288 +534,3 @@ def sweep_job_stream(
         capture=capture,
         verify=job.verify,
     )
-
-
-# ---------------------------------------------------------------------------
-# the legacy executor (thin deprecated shims over the job layer)
-# ---------------------------------------------------------------------------
-
-
-class SweepExecutor:
-    """Staged, cached, optionally-parallel sweep engine.
-
-    .. deprecated::
-        The public entry points (``run``, ``run_many``, ``iter_points``,
-        ``iter_task_evals``, ``run_tasks``) are thin shims over the
-        unified job layer and emit a :class:`DeprecationWarning` once
-        per process; use :meth:`repro.session.Session.sweep`,
-        :meth:`~repro.session.Session.map` with a
-        :class:`~repro.exec.jobs.SweepJob`, or
-        :meth:`~repro.session.Session.submit` with
-        :class:`~repro.exec.jobs.EvaluateJob` instead.  Results are
-        identical point-wise (asserted in tests).
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes for config-point evaluation.  ``1`` (default)
-        runs serially in-process; ``None`` uses ``os.cpu_count()``.
-        When a process pool cannot be created (restricted sandboxes),
-        execution falls back to serial with a warning — results are
-        identical either way.
-    use_cache:
-        Share one :class:`CompilationCache` per benchmark across the
-        grid (and across ``run`` calls of this executor).  Parallel
-        workers hold per-process caches.
-    cache:
-        Optional externally-owned cache (e.g. a
-        :class:`repro.session.Session`'s) used for *all* benchmarks on
-        the serial path — cache keys are graph-fingerprint-scoped, so
-        sharing across benchmarks is safe.  Ignored when ``use_cache``
-        is false.
-    pass_manager / hooks:
-        Optional custom :class:`~repro.core.passes.PassManager` and
-        pass hooks applied to every config point.  Neither can cross a
-        process boundary, so setting either forces serial execution
-        (a ``RuntimeWarning`` is emitted) — silently compiling some
-        points without an inserted pass would produce inconsistent
-        grids.  The ``thread`` and ``inline`` executors keep both
-        working.
-    executor:
-        Explicit backend (name or :class:`~repro.exec.Executor`
-        instance) overriding the jobs-derived default.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = 1,
-        use_cache: bool = True,
-        cache: Optional[CompilationCache] = None,
-        pass_manager=None,
-        hooks=(),
-        executor: Union[Executor, str, None] = None,
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = os.cpu_count() or 1 if jobs is None else jobs
-        self.use_cache = use_cache
-        self._runtime = JobRuntime(
-            executor,
-            jobs=jobs,
-            use_cache=use_cache,
-            cache=cache,
-            pass_manager=pass_manager,
-            hooks=hooks,
-            serial_note="sweeping serially",
-        )
-
-    @property
-    def _stream_pool(self) -> Optional[futures.ProcessPoolExecutor]:
-        """The live worker pool of a ``process`` backend (or ``None``)."""
-        return getattr(self._runtime.executor, "pool", None)
-
-    def close_pool(self) -> None:
-        """Shut down pooled workers (idempotent; pools rebuild lazily)."""
-        self._runtime.reset()
-
-    def shutdown(self) -> None:
-        """Release the backend entirely (owned backends only)."""
-        self._runtime.shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.shutdown()
-        except Exception:
-            pass
-
-    # -- cache handling ------------------------------------------------
-
-    def cache_for(self, benchmark: str) -> Optional[CompilationCache]:
-        """The executor-held cache of one benchmark (None if disabled)."""
-        return self._runtime.cache_for(benchmark)
-
-    # -- streaming evaluation -----------------------------------------
-
-    def iter_points(
-        self,
-        specs: Iterable[BenchmarkSpec],
-        xs: Sequence[int] = PAPER_XS,
-        options_overrides: Optional[dict] = None,
-        graphs: Optional[dict[str, Graph]] = None,
-    ) -> Iterator[ConfigPoint]:
-        """Stream config points as they complete.
-
-        .. deprecated:: use ``Session.map(SweepJob(...))``.
-        """
-        warn_deprecated("SweepExecutor.iter_points", "Session.map(SweepJob(...))")
-        return self._iter_points(specs, xs, options_overrides, graphs)
-
-    def _iter_points(
-        self,
-        specs: Iterable[BenchmarkSpec],
-        xs: Sequence[int] = PAPER_XS,
-        options_overrides: Optional[dict] = None,
-        graphs: Optional[dict[str, Graph]] = None,
-    ) -> Iterator[ConfigPoint]:
-        for result in stream_grid(
-            self._runtime, list(specs), xs, options_overrides, graphs,
-            ordered=False, capture=False,
-        ):
-            yield result.value
-
-    # -- arbitrary task streams ---------------------------------------
-
-    def iter_task_evals(
-        self,
-        canonical: Graph,
-        tasks: Sequence[EvalTask],
-        name: str = "stream",
-    ) -> Iterator[tuple[EvalTask, TaskEval]]:
-        """Evaluate an arbitrary stream of :class:`EvalTask`s.
-
-        .. deprecated:: submit ``EvaluateJob``s through ``Session.map``.
-        """
-        warn_deprecated(
-            "SweepExecutor.iter_task_evals", "Session.map([EvaluateJob(...), ...])"
-        )
-        return self._iter_task_evals(canonical, tasks, name)
-
-    def _iter_task_evals(
-        self,
-        canonical: Graph,
-        tasks: Sequence[EvalTask],
-        name: str = "stream",
-    ) -> Iterator[tuple[EvalTask, TaskEval]]:
-        tasks = list(tasks)
-        keys = [task.key for task in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("EvalTask keys must be unique within a stream")
-        by_key = {task.key: task for task in tasks}
-        for result in self._runtime.map_jobs(
-            [task.to_job(name) for task in tasks],
-            graphs={name: canonical},
-            ordered=False,
-            capture=False,
-        ):
-            yield by_key[result.key], result.value
-
-    def run_tasks(
-        self,
-        canonical: Graph,
-        tasks: Sequence[EvalTask],
-        name: str = "stream",
-    ) -> dict[str, TaskEval]:
-        """Evaluate a task stream and return results keyed by task key.
-
-        .. deprecated:: submit ``EvaluateJob``s through ``Session.map``.
-        """
-        warn_deprecated(
-            "SweepExecutor.run_tasks", "Session.map([EvaluateJob(...), ...])"
-        )
-        return {
-            task.key: evaluation
-            for task, evaluation in self._iter_task_evals(canonical, tasks, name)
-        }
-
-    # -- assembled results --------------------------------------------
-
-    def run_many(
-        self,
-        specs: Sequence[BenchmarkSpec],
-        xs: Sequence[int] = PAPER_XS,
-        options_overrides: Optional[dict] = None,
-        graphs: Optional[dict[str, Graph]] = None,
-    ) -> list[SweepResult]:
-        """Sweep several benchmarks (the Fig. 7 grid).
-
-        .. deprecated:: use ``Session.sweep`` / ``Session.submit(SweepJob)``.
-        """
-        warn_deprecated("SweepExecutor.run_many", "Session.sweep(...)")
-        return self._run_many(specs, xs, options_overrides, graphs)
-
-    def _run_many(
-        self,
-        specs: Sequence[BenchmarkSpec],
-        xs: Sequence[int] = PAPER_XS,
-        options_overrides: Optional[dict] = None,
-        graphs: Optional[dict[str, Graph]] = None,
-    ) -> list[SweepResult]:
-        return run_grid(self._runtime, specs, xs, options_overrides, graphs)
-
-    def run(
-        self,
-        spec: BenchmarkSpec,
-        xs: Sequence[int] = PAPER_XS,
-        options_overrides: Optional[dict] = None,
-        graph: Optional[Graph] = None,
-    ) -> SweepResult:
-        """Sweep one benchmark.
-
-        .. deprecated:: use ``Session.sweep`` / ``Session.submit(SweepJob)``.
-        """
-        warn_deprecated("SweepExecutor.run", "Session.sweep(...)")
-        graphs = None if graph is None else {spec.name: graph}
-        return self._run_many([spec], xs, options_overrides, graphs)[0]
-
-
-def benchmark_sweep(
-    spec: BenchmarkSpec,
-    xs: Sequence[int] = PAPER_XS,
-    options_overrides: Optional[dict] = None,
-    graph: Optional[Graph] = None,
-    jobs: int = 1,
-    use_cache: bool = True,
-    executor: Union[Executor, str, None] = None,
-) -> SweepResult:
-    """Run the paper's configuration grid for one benchmark.
-
-    Parameters
-    ----------
-    spec:
-        Benchmark descriptor (model + published structural numbers).
-    xs:
-        Extra-PE values for the wdup configurations.
-    options_overrides:
-        Extra :class:`ScheduleOptions` fields applied to every
-        configuration (e.g. a coarser granularity for quick runs).
-    graph:
-        Pre-built model graph (rebuilt from ``spec`` when omitted).
-    jobs:
-        Worker processes (see :class:`SweepExecutor`).
-    use_cache:
-        Reuse pipeline stages across config points (identical results,
-        less work).
-    executor:
-        Explicit execution backend (name or instance); defaults to
-        ``process`` when ``jobs`` asks for parallelism, else ``inline``.
-
-    Returns
-    -------
-    SweepResult
-        Baseline metrics plus one :class:`ConfigPoint` per
-        configuration: ``xinf`` once (mapping-independent) and
-        ``wdup``/``wdup+xinf`` per ``x``.
-    """
-    engine = SweepExecutor(jobs=jobs, use_cache=use_cache, executor=executor)
-    try:
-        graphs = None if graph is None else {spec.name: graph}
-        return engine._run_many([spec], xs, options_overrides, graphs)[0]
-    finally:
-        engine.shutdown()
-
-
-def sweep_all(
-    benchmarks: Sequence[BenchmarkSpec],
-    xs: Sequence[int] = PAPER_XS,
-    options_overrides: Optional[dict] = None,
-    jobs: int = 1,
-    use_cache: bool = True,
-    graphs: Optional[dict[str, Graph]] = None,
-    executor: Union[Executor, str, None] = None,
-) -> list[SweepResult]:
-    """Sweep several benchmarks (the Fig. 7 grid)."""
-    engine = SweepExecutor(jobs=jobs, use_cache=use_cache, executor=executor)
-    try:
-        return engine._run_many(benchmarks, xs=xs, options_overrides=options_overrides, graphs=graphs)
-    finally:
-        engine.shutdown()

@@ -6,7 +6,6 @@ from .noc import MeshNoc, NocSpec
 from .pe import CrossbarSpec
 from .presets import PRESETS, isaac_like, paper_case_study, small_crossbar
 from .tile import GpeuSpec, TileSpec
-from .validate import RequirementReport, check_requirements
 
 __all__ = [
     "ArchitectureConfig",
@@ -16,9 +15,7 @@ __all__ = [
     "MeshNoc",
     "NocSpec",
     "PRESETS",
-    "RequirementReport",
     "TileSpec",
-    "check_requirements",
     "feature_map_bytes",
     "isaac_like",
     "paper_case_study",

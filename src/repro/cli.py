@@ -237,12 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap per-layer duplication factors at D (default: uncapped)",
     )
     schedule.add_argument(
-        "--engine", default="csr", choices=("csr", "python"),
-        help="Stage IV implementation: columnar CSR kernels (default) "
-             "or the pure-Python reference (identical schedules; for "
-             "cross-checks and regression diagnosis)",
-    )
-    schedule.add_argument(
         "--timings", action="store_true",
         help="print the per-pass compilation timing table",
     )
@@ -463,7 +457,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         duplication_solver=args.duplication_solver,
         duplication_axis=args.duplication_axis,
         d_max_cap=args.d_max_cap,
-        engine=args.engine,
     )
     baseline_options = ScheduleOptions(mapping="none", scheduling="layer-by-layer")
     session: Optional[Session] = None
@@ -566,7 +559,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             print("\nbatch pipelining requires --scheduling clsa-cim")
             return 2
         result = cross_layer_schedule_batch(
-            compiled.mapped, compiled.dependencies, args.batch, engine=args.engine
+            compiled.mapped, compiled.dependencies, args.batch
         )
         print(
             f"\nbatch {args.batch}: makespan {result.makespan} cycles, "

@@ -2,11 +2,10 @@
 
 At the paper's "maximum achievable" granularity (one OFM row per set) a
 single darknet model already produces thousands of sets, and the batch
-extension multiplies that by the batch size.  The reference schedulers
-in :mod:`repro.core.cross_layer` / :mod:`repro.core.batch` and the
-zero-cost replay of :mod:`repro.sim.engine` walk ``dict[(str, int)]``
-structures and allocate one frozen :class:`~repro.core.schedule.SetTask`
-per set — pure interpreter overhead at scale.
+extension multiplies that by the batch size.  Walking
+``dict[(str, int)]`` structures and allocating one frozen
+:class:`~repro.core.schedule.SetTask` per set is pure interpreter
+overhead at that scale.
 
 This module holds the set-level problem as flat NumPy arrays, the
 :class:`SetGraphArrays` *CSR set graph*:
@@ -26,16 +25,15 @@ scheduler, the simulator replay, the energy model and the verifier all
 share one set graph.  A graph built from a ``deps`` dict is lowered
 once, on first use (:func:`lower_dependencies`).
 
-Engine selection is a compile option:
-``ScheduleOptions(engine="csr")`` (the default) runs the kernels here;
-``engine="python"`` selects the reference implementations.  Both
-engines produce **identical schedules point-wise** (asserted in tests);
+These kernels are Stage IV: every compile, batch run and zero-cost
+simulator replay schedules here.  The pure-Python reference schedulers
+they must match row for row live with the tests (``tests/oracles``);
 the kernels self-validate with vectorized dependency/resource checks.
 
-Event-ordering note: the reference schedulers break ties in their event
-heaps by *layer name* (string comparison).  The kernels reproduce that
-exactly by ordering on each layer's lexicographic rank (``lex_rank``),
-so even tie-heavy schedules match the reference set-for-set.
+Event-ordering note: ties in the event heaps break by *layer name*
+(string comparison), as in the reference schedulers.  The kernels order
+on each layer's lexicographic rank (``lex_rank``), so even tie-heavy
+schedules match the reference set-for-set.
 """
 
 from __future__ import annotations
@@ -53,10 +51,6 @@ from .schedule import Schedule, ScheduleColumns
 if TYPE_CHECKING:
     from ..ir.tensor import Rect
     from .dependencies import SetRef
-
-#: Scheduling engine option names (``ScheduleOptions.engine``).
-ENGINES = ("csr", "python")
-
 
 @dataclass(frozen=True)
 class SetGraphArrays:
@@ -275,25 +269,6 @@ def _columns_from(
     )
 
 
-def validate_arrays_schedule(
-    arrays: SetGraphArrays, start: np.ndarray, end: np.ndarray
-) -> None:
-    """Deprecated shim over :func:`repro.verify.assert_arrays_schedule`.
-
-    The vectorized single-image checks (data dependencies, layer
-    exclusivity) now live in the unified static verifier with the same
-    ``AssertionError`` messages.
-    """
-    from ..exec.runtime import warn_deprecated
-    from ..verify.hazards import assert_arrays_schedule
-
-    warn_deprecated(
-        "core.kernels.validate_arrays_schedule",
-        "repro.verify.assert_arrays_schedule (or Session.verify)",
-    )
-    assert_arrays_schedule(arrays, start, end)
-
-
 # ---------------------------------------------------------------------------
 # Stage IV: static (fixed Stage III order) scheduler
 # ---------------------------------------------------------------------------
@@ -372,12 +347,14 @@ def csr_dynamic_schedule(
     policy: str = "clsa-cim",
     validate: bool = True,
 ) -> Schedule:
-    """Event-driven list scheduling over integer heaps.
+    """Event-driven list scheduling over integer heaps (ready order).
 
-    Semantically identical to
-    :func:`repro.core.cross_layer.cross_layer_schedule_dynamic` but runs
-    on flat int lists indexed by gid: no tuple-keyed dicts, no per-set
-    dataclass allocation, and consumer wake-ups walk the reverse CSR.
+    Each layer greedily executes whichever of its sets has all data
+    dependencies satisfied, lowest set index first.  With weight
+    duplication a producer's stripes emit rows in parallel; ready-order
+    sequencing rate-matches producer and consumer and realizes the
+    paper's *maximum achievable* utilization (Sec. V).  Runs on flat
+    int lists indexed by gid; consumer wake-ups walk the reverse CSR.
     """
     columns, start, end, _ = _run_dynamic(arrays)
     if validate:
@@ -499,8 +476,7 @@ def csr_batch_schedule(
 ) -> tuple[Schedule, list[tuple[int, int]]]:
     """Batched event-driven scheduler; returns (schedule, image spans).
 
-    Semantics match
-    :func:`repro.core.batch.cross_layer_schedule_batch`: ready sets are
+    Ready sets are
     served earliest-image-first, tie-broken by set index; every image
     carries the full set graph; all images of a layer share its PEs.
     Batched state lives in flat ``image * n + gid`` arrays.
@@ -682,27 +658,6 @@ def csr_batch_schedule(
     return Schedule(policy=name, columns=columns), spans
 
 
-def validate_batch_arrays_schedule(
-    arrays: SetGraphArrays,
-    batch_size: int,
-    start: np.ndarray,
-    end: np.ndarray,
-) -> None:
-    """Deprecated shim over :func:`repro.verify.assert_batch_arrays_schedule`.
-
-    The vectorized batch checks now live in the unified static
-    verifier with the same ``AssertionError`` messages.
-    """
-    from ..exec.runtime import warn_deprecated
-    from ..verify.hazards import assert_batch_arrays_schedule
-
-    warn_deprecated(
-        "core.kernels.validate_batch_arrays_schedule",
-        "repro.verify.assert_batch_arrays_schedule (or Session.verify)",
-    )
-    assert_batch_arrays_schedule(arrays, batch_size, start, end)
-
-
 # ---------------------------------------------------------------------------
 # simulator replay (zero-cost path)
 # ---------------------------------------------------------------------------
@@ -713,10 +668,10 @@ def csr_replay(
 ) -> tuple[Schedule, dict[str, int], int]:
     """Zero-cost discrete-event replay on the columnar arrays.
 
-    Returns ``(schedule, per_layer_stall, events_processed)``.  The
-    replay is the dynamic list scheduler (identical semantics to the
-    reference engine without a cost model); stalls are computed in one
-    vectorized pass over the layer-contiguous gid slices.
+    Returns ``(schedule, per_layer_stall, events_processed)``.  With
+    free forwarding the replay is the dynamic list scheduler; stalls
+    are computed in one vectorized pass over the layer-contiguous gid
+    slices.
     """
     columns, start, end, _ = _run_dynamic(arrays)
     stalls: dict[str, int] = {}

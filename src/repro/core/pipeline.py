@@ -49,17 +49,9 @@ from ..mapping.placement import Placement, place_graph
 from ..mapping.rewrite import RewriteReport, apply_duplication
 from ..mapping.tiling import LayerTiling, tile_graph
 from .cache import CacheKey, CompilationCache, graph_fingerprint
-from .cross_layer import (
-    cross_layer_schedule,
-    cross_layer_schedule_dynamic,
-)
 from .dependencies import DependencyGraph, determine_dependencies
 from .intra_layer import intra_layer_order
-from .kernels import (
-    ENGINES,
-    csr_dynamic_schedule,
-    csr_static_schedule,
-)
+from .kernels import csr_dynamic_schedule, csr_static_schedule
 from .layer_by_layer import layer_by_layer_schedule
 from .schedule import Schedule
 from .sets import FINEST, SetGranularity, determine_sets
@@ -90,12 +82,6 @@ class ScheduleOptions:
         ``'dynamic'`` (ready-order list scheduling, the paper's
         maximum-achievable setting) or ``'static'`` (fixed Stage III
         order; ablation).
-    engine:
-        Stage IV implementation: ``'csr'`` (default; the columnar
-        kernels of :mod:`repro.core.kernels`) or ``'python'`` (the
-        pure-Python reference).  Both produce identical schedules
-        point-wise; the option exists for cross-checking and
-        regression diagnosis.
     intra_layer_policy:
         Stage III ordering policy name (used by ``'static'`` mode).
     duplication_solver:
@@ -115,7 +101,6 @@ class ScheduleOptions:
     duplication_solver: str = "dp"
     duplication_axis: str = "width"
     d_max_cap: Optional[int] = None
-    engine: str = "csr"
 
     def __post_init__(self) -> None:
         # Builtin names validate without touching the registries so
@@ -140,10 +125,6 @@ class ScheduleOptions:
         if self.order_mode not in ("dynamic", "static"):
             raise ValueError(
                 f"order_mode must be 'dynamic' or 'static', got {self.order_mode!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
 
     @property
@@ -423,24 +404,13 @@ def schedule_stage(
     assert dependencies is not None, "clsa-cim scheduling requires dependencies"
 
     def compute() -> Schedule:
-        if options.engine == "csr":
-            # The columnar kernels self-validate with vectorized
-            # dependency/resource checks (same invariants as
-            # validate_schedule, no per-set Python objects).
-            arrays = dependencies.arrays
-            if options.order_mode == "dynamic":
-                return csr_dynamic_schedule(arrays)
-            order = intra_layer_order(sets, options.intra_layer_policy)
-            return csr_static_schedule(arrays, order)
+        # The columnar kernels self-validate with vectorized
+        # dependency/resource checks (no per-set Python objects).
+        arrays = dependencies.arrays
         if options.order_mode == "dynamic":
-            schedule = cross_layer_schedule_dynamic(mapped, dependencies)
-        else:
-            order = intra_layer_order(sets, options.intra_layer_policy)
-            schedule = cross_layer_schedule(mapped, dependencies, order)
-        from ..verify.hazards import assert_schedule
-
-        assert_schedule(schedule, dependencies)
-        return schedule
+            return csr_dynamic_schedule(arrays)
+        order = intra_layer_order(sets, options.intra_layer_policy)
+        return csr_static_schedule(arrays, order)
 
     return _stage_cached(
         cache,
@@ -451,7 +421,6 @@ def schedule_stage(
             "clsa-cim",
             options.order_mode,
             options.intra_layer_policy,
-            options.engine,
         ),
         compute,
     )

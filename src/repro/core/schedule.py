@@ -8,9 +8,9 @@ per-layer timeline doubles as the per-PE timeline of that layer's PEs.
 Two storage forms coexist behind one API:
 
 * **Row form** — a list of :class:`SetTask` dataclasses, appended by
-  the pure-Python reference schedulers.
+  row-at-a-time schedulers (plugins, the cost-model simulator).
 * **Columnar form** — a :class:`ScheduleColumns` structure-of-arrays
-  (int64/int32 NumPy columns), produced by the CSR kernel engines in
+  (int64/int32 NumPy columns), produced by the CSR kernels in
   :mod:`repro.core.kernels`.  ``tasks`` materializes the row form
   lazily on first access, so downstream consumers written against
   :class:`SetTask` keep working unchanged while the aggregate queries
@@ -88,9 +88,8 @@ def check_layer_exclusivity(
     two rows may overlap in time.
 
     Shared by the columnar :class:`Schedule` validation and the kernel
-    validators in :mod:`repro.core.kernels` (single-image and batch),
-    so the resource-rule semantics and error format cannot diverge
-    between engines.
+    validators of :mod:`repro.verify.hazards` (single-image and batch),
+    so the resource-rule semantics and error format cannot diverge.
     """
     if len(start) < 2:
         return

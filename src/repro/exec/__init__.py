@@ -58,8 +58,6 @@ from .resilience import (
 from .runtime import (
     JobRuntime,
     execute_job,
-    reset_deprecation_warnings,
-    warn_deprecated,
 )
 
 __all__ = [
@@ -96,8 +94,6 @@ __all__ = [
     "job_key",
     "make_executor",
     "register_executor",
-    "reset_deprecation_warnings",
     "resolve_executor",
     "unregister_executor",
-    "warn_deprecated",
 ]

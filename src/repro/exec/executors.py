@@ -24,8 +24,8 @@ Three builtin backends share one submission surface:
 
 Third-party backends (remote, sharded...) plug in through
 :func:`register_executor` and become addressable by name everywhere an
-executor is accepted — ``Session(..., executor="mybackend")``, the CLI
-``--executor`` flag, and :class:`repro.analysis.sweep.SweepExecutor`.
+executor is accepted — ``Session(..., executor="mybackend")``,
+``Session.sweep(..., executor=...)`` and the CLI ``--executor`` flag.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ def make_executor(
 
     ``None`` resolves to ``process`` when ``jobs`` asks for parallelism
     (>1 workers, or ``None`` meaning one per CPU) and ``inline``
-    otherwise — the historical ``SweepExecutor(jobs=...)`` semantics.
+    otherwise.
     Instances pass through unchanged.
     """
     if spec is None:

@@ -67,12 +67,7 @@ from .resilience import (
 )
 from .worker import DIRECT, run_job
 
-__all__ = [
-    "JobRuntime",
-    "execute_job",
-    "reset_deprecation_warnings",
-    "warn_deprecated",
-]
+__all__ = ["JobRuntime", "execute_job"]
 
 #: Driver loop granularity: tight when a watchdog or fault plan needs
 #: prompt reactions, relaxed otherwise.
@@ -304,7 +299,7 @@ class JobRuntime:
         :meth:`shutdown` leaves them running.
     jobs:
         Worker-count hint for backends resolved from a name
-        (``None`` = one per CPU).
+        (``None`` = one per CPU; must be >= 1 otherwise).
     use_cache / cache:
         Compilation-cache policy: disabled, one shared cache, or (the
         default) one private cache per graph name.  Process workers
@@ -357,6 +352,8 @@ class JobRuntime:
         job_timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.executor: Executor = make_executor(executor, jobs=jobs)
         #: Instances passed in are externally owned and never shut down.
         self.owns_executor = executor is None or isinstance(executor, str)
@@ -1191,12 +1188,6 @@ class JobRuntime:
 
     # -- lifecycle -----------------------------------------------------
 
-    def reset(self) -> None:
-        """Drop pooled state (process pools); backends rebuild lazily."""
-        reset = getattr(self.executor, "reset", None)
-        if reset is not None:
-            reset()
-
     def shutdown(self, force: bool = False) -> None:
         """Release the executor (owned backends only, unless forced)."""
         if self._fallback_thread is not None:
@@ -1230,27 +1221,3 @@ class JobRuntime:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------------
-# deprecation bookkeeping (shared by the legacy sweep/explore shims)
-# ---------------------------------------------------------------------------
-
-_DEPRECATION_SEEN: set[str] = set()
-
-
-def warn_deprecated(entry: str, replacement: str) -> None:
-    """Emit one :class:`DeprecationWarning` per entry point per process."""
-    if entry in _DEPRECATION_SEEN:
-        return
-    _DEPRECATION_SEEN.add(entry)
-    warnings.warn(
-        f"{entry} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecations already fired (test helper)."""
-    _DEPRECATION_SEEN.clear()

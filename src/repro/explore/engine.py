@@ -7,9 +7,9 @@
 2. canonicalize each point and look its fingerprint up in the
    :class:`~repro.explore.store.RunStore` — hits are served from the
    journal without compiling anything;
-3. fan the misses out through the
-   :class:`~repro.analysis.sweep.SweepExecutor` (serial with a shared
-   compilation cache, or a process pool with ``jobs > 1``), journal
+3. fan the misses out through the job runtime of :mod:`repro.exec`
+   (serial with a shared compilation cache, or a process pool with
+   ``jobs > 1``), journal
    every result, and offer full-fidelity feasible scores to the
    incremental :class:`~repro.explore.pareto.ParetoFrontier`;
 4. tell the strategy what happened (in proposal order, so parallel
@@ -34,7 +34,7 @@ from ..core.pipeline import preprocess_stage
 from ..exec.executors import Executor
 from ..exec.faults import FaultPlan
 from ..exec.resilience import RetryPolicy
-from ..exec.runtime import JobRuntime, warn_deprecated
+from ..exec.runtime import JobRuntime
 from ..ir.graph import Graph
 from .evaluator import FULL, PROXY, EvaluationResult, PointEvaluator
 from .objectives import resolve_objectives
@@ -173,13 +173,9 @@ class Explorer:
         policy for transient failures, per-evaluation wall-clock
         budget, deterministic fault injection for tests).
 
-    .. deprecated::
-        Constructing an :class:`Explorer` directly is deprecated (one
-        :class:`DeprecationWarning` per process); use
-        :meth:`repro.session.Session.explore` or submit an
-        :class:`~repro.exec.jobs.ExploreJob` through
-        :meth:`~repro.session.Session.submit` — both run this engine
-        and return identical results.
+    :meth:`repro.session.Session.explore` and an
+    :class:`~repro.exec.jobs.ExploreJob` submitted through
+    :meth:`~repro.session.Session.submit` run this engine.
     """
 
     def __init__(
@@ -203,12 +199,7 @@ class Explorer:
         retry: Union[RetryPolicy, int, None] = None,
         job_timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        _internal: bool = False,
     ) -> None:
-        if not _internal:
-            warn_deprecated(
-                "Explorer", "Session.explore(...) or Session.submit(ExploreJob(...))"
-            )
         if budget < 1:
             raise ExploreError(f"budget must be >= 1, got {budget}")
         self.space = space if space is not None else default_space()

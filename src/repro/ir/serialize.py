@@ -213,8 +213,18 @@ def options_to_dict(options: Any) -> dict[str, Any]:
     return dataclasses.asdict(options)
 
 
+#: Options fields that earlier artifacts and wire payloads record but
+#: that no longer exist.  ``engine`` picked between two Stage IV
+#: implementations that produced identical schedules.
+RETIRED_OPTION_FIELDS = frozenset({"engine"})
+
+
 def options_from_dict(record: dict[str, Any]) -> Any:
     """Deserialize a :class:`~repro.core.pipeline.ScheduleOptions`.
+
+    Fields missing from ``record`` take their defaults; retired fields
+    are dropped; any other unknown or malformed field raises a
+    :class:`ValueError` that names it.
 
     Mapping/scheduler names are *not* re-validated against the
     registries: an artifact compiled with a registered plugin must load
@@ -225,21 +235,26 @@ def options_from_dict(record: dict[str, Any]) -> Any:
     from ..core.pipeline import ScheduleOptions
     from ..core.sets import SetGranularity
 
-    kwargs = dict(record)
-    kwargs["granularity"] = SetGranularity(**record["granularity"])
+    fields = {field.name: field for field in dataclasses.fields(ScheduleOptions)}
+    unknown = sorted(set(record) - set(fields) - RETIRED_OPTION_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown schedule options field(s): {', '.join(unknown)}")
+    kwargs = {name: record[name] for name in fields if name in record}
+    if "granularity" in kwargs:
+        try:
+            kwargs["granularity"] = SetGranularity(**kwargs["granularity"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad schedule options field granularity: {exc}") from exc
     try:
         return ScheduleOptions(**kwargs)
     except ValueError:
         # Unregistered plugin name: bypass __post_init__'s registry
         # check but keep the structural order_mode validation.
-        if kwargs["order_mode"] not in ("dynamic", "static"):
+        if kwargs.get("order_mode", "dynamic") not in ("dynamic", "static"):
             raise
         options = object.__new__(ScheduleOptions)
-        for field in dataclasses.fields(ScheduleOptions):
-            # Fields added after an artifact was written (e.g. the
-            # scheduling engine) fall back to their defaults.
-            value = kwargs.get(field.name, field.default)
-            object.__setattr__(options, field.name, value)
+        for name, field in fields.items():
+            object.__setattr__(options, name, kwargs.get(name, field.default))
         return options
 
 
@@ -260,7 +275,7 @@ _SCHEDULE_COLUMNS = (
 def schedule_to_dict(schedule: Any) -> dict[str, Any]:
     """Serialize a :class:`~repro.core.schedule.Schedule`.
 
-    Natively columnar schedules (built by the CSR kernel engines) are
+    Natively columnar schedules (built by the CSR kernels) are
     stored in columnar form — one list per column plus the layer-name
     table — which round-trips without materializing any
     :class:`~repro.core.schedule.SetTask`.  Row-form schedules keep the

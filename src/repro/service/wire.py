@@ -113,10 +113,16 @@ def _decode_overrides(
 ) -> Optional[Dict[str, Any]]:
     if record is None:
         return None
+    from ..core.pipeline import ScheduleOptions
     from ..core.sets import SetGranularity
 
+    fields = {field.name for field in dataclasses.fields(ScheduleOptions)}
     decoded: Dict[str, Any] = {}
     for key, value in record.items():
+        if key in serialize.RETIRED_OPTION_FIELDS:
+            continue
+        if key not in fields:
+            raise WireError(f"unknown options override {key!r}")
         if isinstance(value, Mapping) and "__granularity__" in value:
             decoded[key] = SetGranularity(**value["__granularity__"])
         else:

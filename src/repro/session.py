@@ -591,7 +591,6 @@ class Session:
                 options_overrides=options_overrides,
                 graphs=graphs,
                 verify=verify,
-                capture=True,
             )
         finally:
             if transient:
@@ -696,7 +695,6 @@ class Session:
             retry=self._retry,
             job_timeout=self._job_timeout,
             fault_plan=self._fault_plan,
-            _internal=True,
         )
         return explorer.run()
 

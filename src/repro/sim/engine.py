@@ -64,12 +64,11 @@ def simulate(
     per-edge delays (data arrives ``delay`` cycles after the producer
     set completes).
 
-    The zero-cost replay runs on the columnar CSR kernels when the
-    compilation used ``engine='csr'`` (the default) — integer heaps
-    over preallocated arrays, no per-event dict churn — and on the
-    reference event loop below otherwise (or whenever a cost model
-    makes per-edge pricing necessary).  Both paths produce the same
-    schedule and stall profile.
+    Without a cost model the replay runs on the columnar CSR kernels
+    (:func:`~repro.core.kernels.csr_replay`: the dynamic list scheduler
+    over integer heaps).  A cost model prices every edge, so the event
+    loop below serves it: ready sets are served in data-arrival order
+    (FIFO forwarding), tie-broken by set index.
     """
     if compiled.dependencies is None:
         raise ValueError(
@@ -78,7 +77,7 @@ def simulate(
         )
     dependency_graph = compiled.dependencies
 
-    if cost_model is None and getattr(compiled.options, "engine", "csr") == "csr":
+    if cost_model is None:
         schedule, stalls, events_processed = csr_replay(
             dependency_graph.arrays, compiled.schedule.policy
         )
@@ -108,20 +107,10 @@ def simulate(
     total_edge_delay = 0
     events_processed = 0
 
-    # Ready-queue policy: without a cost model, order by set index —
-    # identical to the analytical dynamic scheduler, so the replay
-    # reproduces its makespan exactly.  With a cost model, order by
-    # data arrival (FIFO forwarding), tie-broken by set index.
-    def ready_key(arrival: int, set_index: int) -> tuple[int, int]:
-        if cost_model is None:
-            return (set_index, arrival)
-        return (arrival, set_index)
-
     def try_start(layer: str, now: int) -> None:
         if layer_busy[layer] or not ready[layer]:
             return
-        key_a, key_b = heapq.heappop(ready[layer])
-        arrival, set_index = (key_b, key_a) if cost_model is None else (key_a, key_b)
+        arrival, set_index = heapq.heappop(ready[layer])
         rect = sets[layer][set_index]
         start = max(now, layer_free[layer], arrival)
         end = start + rect.area
@@ -134,7 +123,7 @@ def simulate(
 
     for ref, count in remaining.items():
         if count == 0:
-            heapq.heappush(ready[ref[0]], ready_key(0, ref[1]))
+            heapq.heappush(ready[ref[0]], (0, ref[1]))
     for layer in sets:
         try_start(layer, 0)
 
@@ -144,19 +133,17 @@ def simulate(
         layer_busy[layer] = False
         producer_ref = (layer, set_index)
         for consumer_ref in consumers.get(producer_ref, ()):  # deliver data
-            delay = 0
-            if cost_model is not None:
-                delay = cost_model.edge_delay_cycles(
-                    producer_ref, consumer_ref, dependency_graph
-                )
-                total_edge_delay += delay
+            delay = cost_model.edge_delay_cycles(
+                producer_ref, consumer_ref, dependency_graph
+            )
+            total_edge_delay += delay
             arrival = now + delay
             data_ready_at[consumer_ref] = max(data_ready_at[consumer_ref], arrival)
             remaining[consumer_ref] -= 1
             if remaining[consumer_ref] == 0:
                 heapq.heappush(
                     ready[consumer_ref[0]],
-                    ready_key(data_ready_at[consumer_ref], consumer_ref[1]),
+                    (data_ready_at[consumer_ref], consumer_ref[1]),
                 )
                 try_start(consumer_ref[0], now)
         try_start(layer, now)

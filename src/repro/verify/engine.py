@@ -247,16 +247,14 @@ def context_for(compiled: "CompiledModel", target: str = "") -> VerifyContext:
 
 
 # ---------------------------------------------------------------------------
-# strict graph checking (the pipeline's non-deprecated fast path)
+# strict graph checking (the pipeline's fast path)
 # ---------------------------------------------------------------------------
 
 
 def graph_issues(graph: "Graph") -> list[str]:
     """Error-severity IR findings as plain strings.
 
-    Drop-in replacement for the deprecated
-    ``repro.ir.validate.validate_graph`` (same messages; advisory
-    warnings such as unconsumed inputs are excluded to keep parity).
+    Advisory warnings such as unconsumed inputs are excluded.
     """
     report = verify_graph(graph)
     ordered = sorted(
@@ -265,7 +263,7 @@ def graph_issues(graph: "Graph") -> list[str]:
     return [diag.message for diag in ordered]
 
 
-#: Historical ``validate_graph`` reporting order, kept for shim parity.
+#: Reporting order of :func:`graph_issues`.
 _IR_RULE_ORDER = {
     "ir.inputs": 0,
     "ir.structure": 1,
@@ -276,11 +274,7 @@ _IR_RULE_ORDER = {
 
 
 def assert_graph(graph: "Graph") -> None:
-    """Raise :class:`~repro.ir.graph.GraphError` on any structural issue.
-
-    Drop-in replacement for the deprecated
-    ``repro.ir.validate.check_graph`` with the identical error format.
-    """
+    """Raise :class:`~repro.ir.graph.GraphError` on any structural issue."""
     issues = graph_issues(graph)
     if issues:
         from ..ir.graph import GraphError

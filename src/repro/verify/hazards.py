@@ -17,8 +17,7 @@ Two layers of API live here:
 * **raising wrappers** (:func:`assert_arrays_schedule`,
   :func:`assert_batch_arrays_schedule`, :func:`assert_schedule`,
   :func:`assert_batch_schedule`) used by the scheduler kernels for
-  cheap self-validation — these preserve the historical
-  ``AssertionError`` messages of the pre-verifier validators exactly.
+  cheap self-validation, raising ``AssertionError``.
 
 This module stays import-light at runtime (NumPy + the diagnostics
 model); core scheduling types appear only under ``TYPE_CHECKING`` so
@@ -581,7 +580,7 @@ def check_buffer_capacity(ctx: "VerifyContext") -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# raising wrappers (kernel self-validation; historical messages)
+# raising wrappers (kernel self-validation)
 # ---------------------------------------------------------------------------
 
 
@@ -590,10 +589,8 @@ def assert_arrays_schedule(
 ) -> None:
     """Vectorized single-image schedule assertion.
 
-    The canonical form of the historical
-    ``core.kernels.validate_arrays_schedule``: every data dependency's
-    producer ends before its consumer starts, and sets of one layer
-    never overlap — raising ``AssertionError`` with the same messages.
+    Every data dependency's producer ends before its consumer starts,
+    and sets of one layer never overlap; raises ``AssertionError``.
     """
     from ..core.schedule import check_layer_exclusivity
 
@@ -656,10 +653,8 @@ def assert_batch_arrays_schedule(
 def assert_schedule(schedule: "Schedule", dependency_graph: "DependencyGraph") -> None:
     """Assert a row-form schedule against its dependency graph.
 
-    The canonical form of the historical
-    ``core.cross_layer.validate_schedule``: intra-layer order first
-    (same "resource violation" message), then missing sets, then data
-    dependencies — all with the original message formats.
+    Checks intra-layer order first ("resource violation"), then
+    missing sets, then data dependencies.
     """
     schedule.validate_intra_layer_order()
     end_of = {
@@ -684,10 +679,8 @@ def assert_batch_schedule(
 ) -> None:
     """Assert a batch schedule: exclusivity plus per-image dependencies.
 
-    The canonical form of the historical
-    ``core.batch.validate_batch_schedule``, rebuilt on the vectorized
-    checks: resource exclusivity first, then the per-image dependency
-    sweep over the flat gid space.
+    Runs on the vectorized checks: resource exclusivity first, then
+    the per-image dependency sweep over the flat gid space.
     """
     result.schedule.validate_intra_layer_order()
     arrays = dependency_graph.arrays

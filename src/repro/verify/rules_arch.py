@@ -1,9 +1,7 @@
 """Architecture, placement, set-partition and duplication rule packs.
 
-Absorbs the Section II-A requirement checks of the historical
-``repro.arch.validate`` module (now a deprecated shim) with identical
-messages, and adds the mapping-layer invariants that previously went
-unchecked: PE range sanity and oversubscription, crossbar-capacity
+Holds the Section II-A requirement checks and the mapping-layer
+invariants: PE range sanity and oversubscription, crossbar-capacity
 consistency of the placement, Stage I set partitions, and weight
 duplication bookkeeping.
 """
@@ -18,7 +16,6 @@ from .diagnostics import Diagnostic, Location, Severity
 from .registry import builtin
 
 if TYPE_CHECKING:
-    from ..arch.config import ArchitectureConfig
     from .engine import VerifyContext
 
 #: Cap on itemized diagnostics per rule (shared with the hazard rules).
@@ -34,16 +31,6 @@ def _error(rule: str, message: str, **location: object) -> Diagnostic:
     )
 
 
-def pe_capacity_issues(pe_demand: int, arch: "ArchitectureConfig") -> list[str]:
-    """The Eq. 1 weight-capacity check, shared with the legacy shim."""
-    if pe_demand > arch.num_pes:
-        return [
-            f"model needs {pe_demand} PEs but architecture has only "
-            f"{arch.num_pes} (weights must be storable at least once)"
-        ]
-    return []
-
-
 @builtin(
     "arch.pe-capacity",
     requires=("graph", "arch"),
@@ -55,9 +42,14 @@ def check_pe_capacity(ctx: "VerifyContext") -> list[Diagnostic]:
     if ctx.graph_shapes() is None:
         return []
     demand = minimum_pe_requirement(ctx.graph, ctx.arch.crossbar)
+    if demand <= ctx.arch.num_pes:
+        return []
     return [
-        _error("arch.pe-capacity", message)
-        for message in pe_capacity_issues(demand, ctx.arch)
+        _error(
+            "arch.pe-capacity",
+            f"model needs {demand} PEs but architecture has only "
+            f"{ctx.arch.num_pes} (weights must be storable at least once)",
+        )
     ]
 
 

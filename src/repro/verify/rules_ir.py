@@ -1,9 +1,7 @@
 """IR rule pack: structural checks on canonical graphs.
 
-Absorbs the checks of the historical ``repro.ir.validate`` module (now
-a deprecated shim) with identical error messages, split into
-independently selectable rules, plus new advisory checks the monolith
-never had (unconsumed inputs).
+Holds the structural graph checks, split into independently
+selectable rules, plus advisory checks (unconsumed inputs).
 """
 
 from __future__ import annotations

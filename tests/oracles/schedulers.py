@@ -1,4 +1,11 @@
-"""Stage IV of CLSA-CIM: cross-layer scheduling (Sec. IV-4).
+"""Pure-Python reference schedulers for Stage IV (Sec. IV-4).
+
+The identity tests and ``benchmarks/bench_kernels.py`` compare the
+columnar kernels of :mod:`repro.core.kernels` with these loops row for
+row: the static scheduler (fixed Stage III order), the dynamic
+ready-order list scheduler, and the batch pipeline.  They walk the
+``deps`` dict of a :class:`~repro.core.dependencies.DependencyGraph`
+and allocate one :class:`~repro.core.schedule.SetTask` per set.
 
 The cross-layer scheduler assigns every OFM set its *earliest feasible
 start*: a set may begin once (a) the previous set of the same layer has
@@ -8,20 +15,19 @@ Stage II).  Because set-level data dependencies always point from
 topologically earlier base layers to later ones, a single pass over the
 layers in graph topological order — visiting each layer's sets in
 intra-layer order — computes the optimal start times directly.
-
-Non-base operations (bias, activation, pooling, ...) execute on the
-tiles' GPEUs and are modeled as free, matching the paper's latency
-model; the optional NoC/GPEU cost model in :mod:`repro.sim.noc_cost`
-relaxes this assumption.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from ..ir.graph import Graph
-from .dependencies import DependencyGraph, SetRef
-from .schedule import Schedule, SetTask
+from repro.core.batch import BatchScheduleResult
+from repro.core.dependencies import DependencyGraph, SetRef
+from repro.core.schedule import Schedule, SetTask
+from repro.ir.graph import Graph
+
+#: A (image, layer, set index) triple identifying a batched set.
+BatchRef = tuple[int, str, int]
 
 
 def cross_layer_schedule(
@@ -151,20 +157,99 @@ def cross_layer_schedule_dynamic(
     return schedule
 
 
-def validate_schedule(
-    schedule: Schedule, dependency_graph: DependencyGraph
-) -> None:
-    """Deprecated shim over :func:`repro.verify.assert_schedule`.
+def reference_batch_schedule(
+    graph: Graph,
+    dependency_graph: DependencyGraph,
+    batch_size: int,
+    validate: bool = True,
+) -> BatchScheduleResult:
+    """Stage IV extended to ``batch_size`` pipelined inferences.
 
-    The data/resource dependency assertions now live in the unified
-    static verifier with the same ``AssertionError`` messages and
-    check order (intra-layer order first).
+    Every image carries the full set-dependency graph; all images of a
+    layer share the layer's PEs (one set at a time).  Ready sets are
+    served earliest-image-first (FIFO across the batch), tie-broken by
+    set index.  Runs the static verifier's dependency/exclusivity
+    checks unless ``validate=False``.
     """
-    from ..exec.runtime import warn_deprecated
-    from ..verify.hazards import assert_schedule
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    sets = dependency_graph.sets
 
-    warn_deprecated(
-        "core.cross_layer.validate_schedule",
-        "repro.verify.assert_schedule (or Session.verify)",
+    remaining: dict[BatchRef, int] = {}
+    consumers: dict[BatchRef, list[BatchRef]] = {}
+    for (layer, index), preds in dependency_graph.deps.items():
+        for image in range(batch_size):
+            ref = (image, layer, index)
+            remaining[ref] = len(preds)
+            for pred_layer, pred_index in preds:
+                consumers.setdefault((image, pred_layer, pred_index), []).append(ref)
+
+    ready: dict[str, list[tuple[int, int]]] = {layer: [] for layer in sets}
+    layer_free: dict[str, int] = {layer: 0 for layer in sets}
+    layer_busy: dict[str, bool] = {layer: False for layer in sets}
+    events: list[tuple[int, int, str, int]] = []  # (end, image, layer, set)
+    schedule = Schedule(policy=f"clsa-cim-batch{batch_size}")
+
+    def try_start(layer: str, now: int) -> None:
+        if layer_busy[layer] or not ready[layer]:
+            return
+        image, set_index = heapq.heappop(ready[layer])
+        rect = sets[layer][set_index]
+        start = max(now, layer_free[layer])
+        end = start + rect.area
+        schedule.tasks.append(
+            SetTask(
+                layer=layer,
+                set_index=set_index,
+                rect=rect,
+                start=start,
+                end=end,
+                image=image,
+            )
+        )
+        layer_busy[layer] = True
+        layer_free[layer] = end
+        heapq.heappush(events, (end, image, layer, set_index))
+
+    for (image, layer, index), count in remaining.items():
+        if count == 0:
+            heapq.heappush(ready[layer], (image, index))
+    for layer in sets:
+        try_start(layer, 0)
+
+    while events:
+        now, image, layer, set_index = heapq.heappop(events)
+        layer_busy[layer] = False
+        for consumer in consumers.get((image, layer, set_index), ()):
+            remaining[consumer] -= 1
+            if remaining[consumer] == 0:
+                heapq.heappush(ready[consumer[1]], (consumer[0], consumer[2]))
+                try_start(consumer[1], now)
+        try_start(layer, now)
+
+    expected = dependency_graph.num_sets() * batch_size
+    if len(schedule.tasks) != expected:  # pragma: no cover - cycle guard
+        raise AssertionError(
+            f"batch scheduler placed {len(schedule.tasks)} of {expected} sets"
+        )
+
+    first = [None] * batch_size
+    last = [0] * batch_size
+    for task in schedule.tasks:  # one pass over all images' tasks
+        image = task.image
+        if first[image] is None or task.start < first[image]:
+            first[image] = task.start
+        if task.end > last[image]:
+            last[image] = task.end
+    spans = list(zip(first, last))
+    result = BatchScheduleResult(
+        schedule=schedule,
+        batch_size=batch_size,
+        makespan=schedule.makespan,
+        image_spans=spans,
     )
-    assert_schedule(schedule, dependency_graph)
+    if validate:
+        from repro.verify.hazards import assert_batch_schedule
+
+        assert_batch_schedule(result, dependency_graph)
+    return result

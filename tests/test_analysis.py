@@ -2,19 +2,24 @@
 
 import pytest
 
+from repro import Session
 from repro.analysis import (
-    benchmark_sweep,
     duplication_table,
     fig6c_report,
     fig7a_report,
     fig7b_report,
     format_table,
     headline_summary,
-    sweep_all,
     table1,
     table2,
 )
+from repro.arch import paper_case_study
 from repro.models import BenchmarkSpec, tiny_dual_head, tiny_sequential
+
+
+def sweep(specs, xs):
+    """The paper grid of each spec through ``Session.sweep``."""
+    return Session(paper_case_study(1)).sweep(specs, xs)
 
 
 def synthetic_spec(name="tiny_dual_head", factory=tiny_dual_head):
@@ -85,7 +90,7 @@ class TestPaperTables:
 class TestBenchmarkSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return benchmark_sweep(synthetic_spec(), xs=(2, 4))
+        return sweep([synthetic_spec()], xs=(2, 4))[0]
 
     def test_point_inventory(self, sweep):
         configs = sorted({p.config for p in sweep.points})
@@ -123,13 +128,13 @@ class TestBenchmarkSweep:
     def test_mismatched_published_numbers_rejected(self):
         bad = BenchmarkSpec("tiny_dual_head", (64, 64, 3), base_layers=5, min_pes=999)
         with pytest.raises(AssertionError, match="PE minimum"):
-            benchmark_sweep(bad, xs=(2,))
+            sweep([bad], xs=(2,))
 
 
 class TestReports:
     @pytest.fixture(scope="class")
     def results(self):
-        return sweep_all([synthetic_spec()], xs=(2, 4))
+        return sweep([synthetic_spec()], xs=(2, 4))
 
     def test_fig7a(self, results):
         text = fig7a_report(results)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.analysis import CSV_HEADER, benchmark_sweep, sweep_to_csv, sweep_to_json
-from repro.arch import CrossbarSpec
+from repro import Session
+from repro.analysis import CSV_HEADER, sweep_to_csv, sweep_to_json
+from repro.arch import CrossbarSpec, paper_case_study
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import BenchmarkSpec, tiny_sequential
@@ -22,7 +23,9 @@ def sweep_results():
         base_layers=len(canonical.base_layers()),
         min_pes=min_pes,
     )
-    return [benchmark_sweep(spec, xs=(2,), graph=canonical)]
+    return Session(paper_case_study(1)).sweep(
+        [spec], xs=(2,), graphs={spec.name: canonical}
+    )
 
 
 class TestCsvExport:

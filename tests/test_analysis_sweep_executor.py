@@ -1,19 +1,19 @@
-"""Tests for the staged/cached/parallel sweep engine."""
+"""Tests for the staged/cached/parallel sweep engine behind Session."""
 
+import contextlib
 import warnings
 
 import pytest
 
+from repro import Session
 from repro.analysis.sweep import (
-    SweepExecutor,
     SweepTask,
-    benchmark_sweep,
     evaluate_task,
     grid_tasks,
-    sweep_all,
 )
-from repro.arch import CrossbarSpec
+from repro.arch import CrossbarSpec, paper_case_study
 from repro.core import SetGranularity
+from repro.exec import ProcessExecutor, SweepJob
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import BenchmarkSpec, tiny_dual_head, tiny_sequential
@@ -31,6 +31,27 @@ def small_spec(name="tiny_sequential", build=tiny_sequential):
         base_layers=len(canonical.base_layers()), min_pes=min_pes,
     )
     return spec, graph
+
+
+def sweep_one(spec, graph, xs, cache=True, **kwargs):
+    """One benchmark's grid through ``Session.sweep``."""
+    session = Session(paper_case_study(1), cache=cache)
+    (result,) = session.sweep(
+        [spec], xs=xs, graphs={spec.name: graph}, options_overrides=COARSE, **kwargs
+    )
+    return result
+
+
+@contextlib.contextmanager
+def process_session(workers=2):
+    """A session over a two-worker process pool, reaped on exit."""
+    backend = ProcessExecutor(workers)
+    session = Session(paper_case_study(1), executor=backend)
+    try:
+        yield session, backend
+    finally:
+        session.close()
+        backend.kill_workers()
 
 
 def numbers(result):
@@ -60,29 +81,26 @@ class TestGrid:
 class TestExecutor:
     def test_serial_cached_equals_uncached(self):
         spec, graph = small_spec()
-        cached = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                 options_overrides=COARSE, use_cache=True)
-        uncached = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                   options_overrides=COARSE, use_cache=False)
+        cached = sweep_one(spec, graph, (2, 4), cache=True)
+        uncached = sweep_one(spec, graph, (2, 4), cache=False)
         assert numbers(cached) == numbers(uncached)
         assert cached.baseline.latency_cycles == uncached.baseline.latency_cycles
 
     def test_parallel_equals_serial(self):
         """Process-pool execution is deterministic and order-stable."""
         spec, graph = small_spec()
-        serial = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                 options_overrides=COARSE, jobs=1)
-        parallel = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                   options_overrides=COARSE, jobs=2)
+        serial = sweep_one(spec, graph, (2, 4), jobs=1)
+        parallel = sweep_one(spec, graph, (2, 4), jobs=2)
         assert numbers(serial) == numbers(parallel)
 
     def test_streaming_yields_baseline_first(self):
         spec, graph = small_spec()
-        executor = SweepExecutor()
+        job = SweepJob(
+            (spec,), xs=(2,), graphs={spec.name: graph}, options_overrides=COARSE
+        )
         labels = [
-            p.config
-            for p in executor.iter_points([spec], xs=(2,), graphs={spec.name: graph},
-                                          options_overrides=COARSE)
+            result.unwrap().config
+            for result in Session(paper_case_study(1)).map(job, ordered=False)
         ]
         assert labels[0] == "layer-by-layer"
         assert set(labels[1:]) == {"xinf", "wdup", "wdup+xinf"}
@@ -90,7 +108,7 @@ class TestExecutor:
     def test_run_many_multi_benchmark(self):
         spec_a, graph_a = small_spec()
         spec_b, graph_b = small_spec("tiny_dual_head", tiny_dual_head)
-        results = sweep_all(
+        results = Session(paper_case_study(1)).sweep(
             [spec_a, spec_b], xs=(2,), options_overrides=COARSE,
             graphs={spec_a.name: graph_a, spec_b.name: graph_b},
         )
@@ -100,19 +118,19 @@ class TestExecutor:
 
     def test_executor_cache_persists_across_runs(self):
         spec, graph = small_spec()
-        executor = SweepExecutor()
-        executor.run(spec, xs=(2,), graph=graph, options_overrides=COARSE)
-        cache = executor.cache_for(spec.name)
-        misses_after_first = cache.misses
-        executor.run(spec, xs=(2,), graph=graph, options_overrides=COARSE)
-        assert cache.misses == misses_after_first  # second run: all hits
+        session = Session(paper_case_study(1))
+        kwargs = dict(xs=(2,), graphs={spec.name: graph}, options_overrides=COARSE)
+        session.sweep([spec], **kwargs)
+        misses_after_first = session.cache.misses
+        session.sweep([spec], **kwargs)
+        assert session.cache.misses == misses_after_first  # second run: all hits
 
     def test_duplicate_specs_evaluated_once(self):
         spec, graph = small_spec()
-        single = sweep_all([spec], xs=(2,), options_overrides=COARSE,
-                           graphs={spec.name: graph})
-        doubled = sweep_all([spec, spec], xs=(2,), options_overrides=COARSE,
-                            graphs={spec.name: graph})
+        session = Session(paper_case_study(1))
+        kwargs = dict(xs=(2,), graphs={spec.name: graph}, options_overrides=COARSE)
+        single = session.sweep([spec], **kwargs)
+        doubled = session.sweep([spec, spec], **kwargs)
         assert len(doubled) == 2
         for result in doubled:
             assert numbers(result) == numbers(single[0])  # no doubled points
@@ -137,16 +155,12 @@ class TestExecutor:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(
-            "repro.analysis.sweep.futures.ProcessPoolExecutor", SubmitBrokenPool
-        )
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SubmitBrokenPool)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = benchmark_sweep(spec, xs=(2,), graph=graph,
-                                     options_overrides=COARSE, jobs=4)
+            result = sweep_one(spec, graph, (2,), jobs=4)
         assert any("degrading to thread workers" in str(w.message) for w in caught)
-        serial = benchmark_sweep(spec, xs=(2,), graph=graph,
-                                 options_overrides=COARSE, jobs=1)
+        serial = sweep_one(spec, graph, (2,), jobs=1)
         assert numbers(result) == numbers(serial)
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
@@ -155,40 +169,39 @@ class TestExecutor:
         def broken_pool(*args, **kwargs):
             raise OSError("no process pool in this sandbox")
 
-        monkeypatch.setattr(
-            "repro.analysis.sweep.futures.ProcessPoolExecutor", broken_pool
-        )
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", broken_pool)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = benchmark_sweep(spec, xs=(2,), graph=graph,
-                                     options_overrides=COARSE, jobs=4)
+            result = sweep_one(spec, graph, (2,), jobs=4)
         assert any("degrading to thread workers" in str(w.message) for w in caught)
-        serial = benchmark_sweep(spec, xs=(2,), graph=graph,
-                                 options_overrides=COARSE, jobs=1)
+        serial = sweep_one(spec, graph, (2,), jobs=1)
         assert numbers(result) == numbers(serial)
 
     def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(jobs=0)
+        spec, graph = small_spec()
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sweep_one(spec, graph, (2,), jobs=0)
 
     def test_wrong_min_pes_detected(self):
         spec, graph = small_spec()
         bad = BenchmarkSpec(spec.name, spec.input_shape,
                             base_layers=spec.base_layers, min_pes=spec.min_pes + 1)
         with pytest.raises(AssertionError, match="differs from"):
-            benchmark_sweep(bad, xs=(2,), graph=graph, options_overrides=COARSE)
+            sweep_one(bad, graph, (2,))
 
 
 class TestStreamingEarlyExit:
     def test_abandoning_parallel_stream_returns_promptly(self):
         """Closing the generator mid-stream must not block on the grid."""
         spec, graph = small_spec()
-        executor = SweepExecutor(jobs=2)
-        stream = executor.iter_points([spec], xs=(2, 4), graphs={spec.name: graph},
-                                      options_overrides=COARSE)
-        first = next(stream)
-        assert first.config == "layer-by-layer"
-        stream.close()  # would hang without cancel_futures on shutdown
+        job = SweepJob(
+            (spec,), xs=(2, 4), graphs={spec.name: graph}, options_overrides=COARSE
+        )
+        with process_session() as (session, _):
+            stream = session.map(job, ordered=False)
+            first = next(stream)
+            assert first.unwrap().config == "layer-by-layer"
+            stream.close()  # would hang without cancel_futures on shutdown
 
 
 class TestEnergyInSweepResults:
@@ -196,8 +209,7 @@ class TestEnergyInSweepResults:
 
     def test_every_point_carries_energy(self):
         spec, graph = small_spec()
-        result = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                 options_overrides=COARSE)
+        result = sweep_one(spec, graph, (2, 4))
         assert result.baseline_energy_uj is not None
         assert result.baseline_energy_uj > 0
         for point in result.points:
@@ -205,15 +217,13 @@ class TestEnergyInSweepResults:
 
     def test_best_energy_accessor(self):
         spec, graph = small_spec()
-        result = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                 options_overrides=COARSE)
+        result = sweep_one(spec, graph, (2, 4))
         best = result.best_energy()
         assert best.energy_uj == min(p.energy_uj for p in result.points)
 
     def test_best_energy_without_estimates_raises(self):
         spec, graph = small_spec()
-        result = benchmark_sweep(spec, xs=(2,), graph=graph,
-                                 options_overrides=COARSE)
+        result = sweep_one(spec, graph, (2,))
         from dataclasses import replace as dc_replace
 
         result.points = [dc_replace(p, energy_uj=None) for p in result.points]
@@ -222,23 +232,19 @@ class TestEnergyInSweepResults:
 
     def test_parallel_energy_matches_serial(self):
         spec, graph = small_spec()
-        serial = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                 options_overrides=COARSE, jobs=1)
-        parallel = benchmark_sweep(spec, xs=(2, 4), graph=graph,
-                                   options_overrides=COARSE, jobs=2)
+        serial = sweep_one(spec, graph, (2, 4), jobs=1)
+        parallel = sweep_one(spec, graph, (2, 4), jobs=2)
         assert [p.energy_uj for p in serial.points] == [
             p.energy_uj for p in parallel.points
         ]
 
 
 class TestTaskStreams:
-    """iter_task_evals: the executor generalized beyond the paper grid."""
+    """EvalTask streams through Session.map: the job layer beyond the grid."""
 
     def tasks(self, graph, n=4):
         from repro.analysis.sweep import EvalTask
-        from repro.arch import paper_case_study
         from repro.core import ScheduleOptions
-        from repro.mapping import minimum_pe_requirement
 
         min_pes = minimum_pe_requirement(graph, CrossbarSpec())
         tasks = []
@@ -254,10 +260,19 @@ class TestTaskStreams:
             ))
         return tasks
 
+    @staticmethod
+    def run_tasks(session, graph, tasks):
+        """Evaluations keyed by task key (completion order ignored)."""
+        return {
+            result.key: result.unwrap()
+            for result in session.map(
+                [task.to_job(graph) for task in tasks], ordered=False
+            )
+        }
+
     def test_serial_stream(self):
         spec, graph = small_spec()
-        executor = SweepExecutor(jobs=1)
-        results = executor.run_tasks(graph, self.tasks(graph))
+        results = self.run_tasks(Session(paper_case_study(1)), graph, self.tasks(graph))
         assert set(results) == {"t0", "t1", "t2", "t3"}
         for evaluation in results.values():
             assert evaluation.metrics.latency_cycles > 0
@@ -266,12 +281,9 @@ class TestTaskStreams:
     def test_parallel_stream_matches_serial(self):
         spec, graph = small_spec()
         tasks = self.tasks(graph)
-        serial = SweepExecutor(jobs=1).run_tasks(graph, tasks)
-        executor = SweepExecutor(jobs=2)
-        try:
-            parallel = executor.run_tasks(graph, tasks)
-        finally:
-            executor.close_pool()
+        serial = self.run_tasks(Session(paper_case_study(1)), graph, tasks)
+        with process_session() as (session, _):
+            parallel = self.run_tasks(session, graph, tasks)
         for key in serial:
             assert serial[key].metrics.latency_cycles == \
                 parallel[key].metrics.latency_cycles
@@ -282,31 +294,28 @@ class TestTaskStreams:
         per-process compilation caches)."""
         spec, graph = small_spec()
         tasks = self.tasks(graph)
-        executor = SweepExecutor(jobs=2)
-        try:
-            executor.run_tasks(graph, tasks[:2])
-            first_pool = executor._stream_pool
-            executor.run_tasks(graph, tasks[2:])
-            assert executor._stream_pool is first_pool
+        with process_session() as (session, backend):
+            self.run_tasks(session, graph, tasks[:2])
+            first_pool = backend.pool
+            self.run_tasks(session, graph, tasks[2:])
+            assert backend.pool is first_pool
             if first_pool is not None:  # pools may be unavailable in CI
-                executor.close_pool()
-                assert executor._stream_pool is None
-        finally:
-            executor.close_pool()
+                backend.reset()
+                assert backend.pool is None
 
     def test_duplicate_keys_rejected(self):
         spec, graph = small_spec()
         tasks = self.tasks(graph)
         dupes = tasks + [tasks[0]]
         with pytest.raises(ValueError, match="unique"):
-            list(SweepExecutor(jobs=1).iter_task_evals(graph, dupes))
+            self.run_tasks(Session(paper_case_study(1)), graph, dupes)
 
     def test_want_energy_false_skips_estimate(self):
         from dataclasses import replace as dc_replace
 
         spec, graph = small_spec()
         task = dc_replace(self.tasks(graph, n=1)[0], want_energy=False)
-        (result,) = SweepExecutor(jobs=1).run_tasks(graph, [task]).values()
+        (result,) = self.run_tasks(Session(paper_case_study(1)), graph, [task]).values()
         assert result.energy is None
         assert result.energy_uj is None
         assert result.metrics.latency_cycles > 0
@@ -316,7 +325,6 @@ class TestTaskStreams:
         from repro.core.cache import CompilationCache
 
         cache = CompilationCache()
-        executor = SweepExecutor(jobs=1, cache=cache)
-        executor.run_tasks(graph, self.tasks(graph))
+        self.run_tasks(Session(paper_case_study(1), cache=cache), graph, self.tasks(graph))
         # tiling runs once; later tasks hit the shared cache
         assert cache.stats["tile"].hits >= 2

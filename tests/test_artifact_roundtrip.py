@@ -127,6 +127,43 @@ class TestArtifactDetails:
         with pytest.raises(ValueError, match="version"):
             serialize.compiled_from_dict(record)
 
+    def test_recorded_engine_is_dropped(self, compiled_grid, tmp_path):
+        """Artifacts written while ``ScheduleOptions`` had an ``engine``
+        field (both values scheduled identically) load and re-evaluate
+        to the same latency."""
+        compiled = self._one(compiled_grid)
+        record = json.loads(compiled.to_json())
+        assert "engine" not in record["options"]
+        record["options"]["engine"] = "python"
+        path = tmp_path / "engine-era.json"
+        path.write_text(json.dumps(record))
+        loaded = CompiledModel.load(str(path))
+        assert loaded.options == compiled.options
+        assert loaded.evaluate() == compiled.evaluate()
+        recompiled = Session(loaded.arch).compile(
+            loaded.canonical, loaded.options, assume_canonical=True
+        )
+        assert recompiled.latency_cycles == compiled.latency_cycles
+
+    def test_unknown_options_field_rejected(self, compiled_grid, tmp_path):
+        record = json.loads(self._one(compiled_grid).to_json())
+        record["options"]["turbo"] = True
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="unknown schedule options field.*turbo"):
+            CompiledModel.load(str(path))
+
+    def test_options_decoder_defaults_and_names_bad_fields(self):
+        defaults = serialize.options_to_dict(ScheduleOptions())
+        partial = {"mapping": "none", "order_mode": "static"}
+        assert serialize.options_from_dict(partial) == ScheduleOptions(
+            mapping="none", order_mode="static"
+        )
+        assert serialize.options_from_dict(defaults) == ScheduleOptions()
+        for bad in ({"rows_per_set": 0}, {"rows": 1}, "coarse"):
+            with pytest.raises(ValueError, match="granularity"):
+                serialize.options_from_dict({**defaults, "granularity": bad})
+
     def test_plugin_artifact_loads_without_plugin(self, tmp_path):
         """An artifact compiled with a registered plugin scheduler must
         load (and evaluate) in a process where the plugin is absent."""

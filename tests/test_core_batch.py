@@ -4,14 +4,14 @@ import pytest
 
 from repro.core import (
     cross_layer_schedule_batch,
-    cross_layer_schedule_dynamic,
+    csr_dynamic_schedule,
     determine_dependencies,
     determine_sets,
-    validate_batch_schedule,
 )
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder
 from repro.models import tiny_dual_head, tiny_sequential
+from repro.verify import assert_batch_schedule
 
 
 def make_deps(graph):
@@ -31,7 +31,7 @@ class TestBatchScheduling:
     def test_batch_one_equals_dynamic(self):
         g = chain()
         deps = make_deps(g)
-        single = cross_layer_schedule_dynamic(g, deps)
+        single = csr_dynamic_schedule(deps.arrays)
         batch = cross_layer_schedule_batch(g, deps, batch_size=1)
         assert batch.makespan == single.makespan
         assert len(batch.schedule.tasks) == len(single.tasks)
@@ -41,13 +41,13 @@ class TestBatchScheduling:
         deps = make_deps(g)
         result = cross_layer_schedule_batch(g, deps, batch_size=3)
         assert len(result.schedule.tasks) == 3 * deps.num_sets()
-        validate_batch_schedule(result, deps)
+        assert_batch_schedule(result, deps)
 
     def test_pipelining_beats_sequential_batches(self):
         """B pipelined images finish well before B sequential runs."""
         g = chain(num_layers=4)
         deps = make_deps(g)
-        single = cross_layer_schedule_dynamic(g, deps).makespan
+        single = csr_dynamic_schedule(deps.arrays).makespan
         batch = cross_layer_schedule_batch(g, deps, batch_size=4)
         assert batch.makespan < 4 * single
 
@@ -99,7 +99,7 @@ class TestBatchScheduling:
         g = preprocess(tiny_dual_head(), quantization=None).graph
         deps = make_deps(g)
         result = cross_layer_schedule_batch(g, deps, batch_size=3)
-        validate_batch_schedule(result, deps)
+        assert_batch_schedule(result, deps)
         assert result.makespan > 0
 
     def test_validator_catches_violation(self):
@@ -120,4 +120,4 @@ class TestBatchScheduling:
                     victim.rect.area, image=victim.image)
         )
         with pytest.raises(AssertionError):
-            validate_batch_schedule(result, deps)
+            assert_batch_schedule(result, deps)

@@ -1,14 +1,19 @@
 """Tests for the columnar scheduling kernels (CSR set graphs).
 
-The CSR kernel engines must be *indistinguishable* from the
-pure-Python reference schedulers: identical schedules point-wise for
-the static, dynamic and batch policies, identical simulator replays,
-and a faithful columnar round trip through the Schedule API and the
-artifact serializer.
+The CSR kernels must be *indistinguishable* from the pure-Python
+reference schedulers in ``tests/oracles``: identical schedules row for
+row, in emission order, for the static, dynamic and batch policies,
+identical simulator replays, and a faithful columnar round trip
+through the Schedule API and the artifact serializer.
 """
 
 import numpy as np
 import pytest
+from oracles import (
+    cross_layer_schedule,
+    cross_layer_schedule_dynamic,
+    reference_batch_schedule,
+)
 
 from repro.arch import paper_case_study
 from repro.core import (
@@ -19,7 +24,6 @@ from repro.core import (
     SetGranularity,
     SetTask,
     compile_model,
-    cross_layer_schedule,
     cross_layer_schedule_batch,
     csr_batch_schedule,
     csr_dynamic_schedule,
@@ -27,16 +31,18 @@ from repro.core import (
     determine_dependencies,
     determine_sets,
     intra_layer_order,
-    validate_arrays_schedule,
-    validate_batch_arrays_schedule,
-    validate_batch_schedule,
-    validate_schedule,
 )
 from repro.core.dependencies import DependencyGraph
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect
 from repro.mapping import minimum_pe_requirement
 from repro.sim import simulate
+from repro.verify import (
+    assert_arrays_schedule,
+    assert_batch_arrays_schedule,
+    assert_batch_schedule,
+    assert_schedule,
+)
 
 
 def chain_model(num_layers=3, size=8):
@@ -63,26 +69,33 @@ def branchy_model(size=12):
     return b.graph
 
 
+def oracle_schedule(compiled):
+    """The oracle's schedule of a compilation's set graph."""
+    options, deps = compiled.options, compiled.dependencies
+    if options.order_mode == "dynamic":
+        reference = cross_layer_schedule_dynamic(compiled.mapped, deps)
+    else:
+        order = intra_layer_order(compiled.sets, options.intra_layer_policy)
+        reference = cross_layer_schedule(compiled.mapped, deps, order)
+    assert_schedule(reference, deps)
+    return reference
+
+
 def compiled_pair(graph, granularity=FINEST, order_mode="dynamic"):
-    """(csr compiled, python compiled) of the same model/config."""
+    """(compiled model, the oracle's schedule of its set graph)."""
     canonical = preprocess(graph, quantization=None).graph
     min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
     arch = paper_case_study(min_pes + 8)
-    results = []
-    for engine in ("csr", "python"):
-        options = ScheduleOptions(
-            granularity=granularity, order_mode=order_mode, engine=engine
-        )
-        results.append(
-            compile_model(canonical, arch, options, assume_canonical=True)
-        )
-    return results
+    options = ScheduleOptions(granularity=granularity, order_mode=order_mode)
+    compiled = compile_model(canonical, arch, options, assume_canonical=True)
+    return compiled, oracle_schedule(compiled)
 
 
 def task_keys(schedule):
-    return sorted(
+    """Schedule rows in emission order (row order is part of the contract)."""
+    return [
         (t.layer, t.set_index, t.image, t.start, t.end, t.rect) for t in schedule.tasks
-    )
+    ]
 
 
 class TestSetGraphArrays:
@@ -150,8 +163,8 @@ class TestEngineIdentity:
     @pytest.mark.parametrize("order_mode", ["dynamic", "static"])
     def test_single_image_identity(self, order_mode):
         csr, ref = compiled_pair(branchy_model(), order_mode=order_mode)
-        assert csr.schedule.makespan == ref.schedule.makespan
-        assert task_keys(csr.schedule) == task_keys(ref.schedule)
+        assert csr.schedule.makespan == ref.makespan
+        assert task_keys(csr.schedule) == task_keys(ref)
 
     @pytest.mark.parametrize(
         "granularity",
@@ -160,7 +173,7 @@ class TestEngineIdentity:
     )
     def test_identity_across_granularities(self, granularity):
         csr, ref = compiled_pair(branchy_model(), granularity=granularity)
-        assert task_keys(csr.schedule) == task_keys(ref.schedule)
+        assert task_keys(csr.schedule) == task_keys(ref)
 
     @pytest.mark.parametrize("policy", ["row_major", "column_major", "even_odd"])
     def test_static_identity_all_order_policies(self, policy):
@@ -170,22 +183,18 @@ class TestEngineIdentity:
         order = intra_layer_order(sets, policy)
         fast = csr_static_schedule(dep.arrays, order)
         slow = cross_layer_schedule(g, dep, order)
-        validate_schedule(slow, dep)
+        assert_schedule(slow, dep)
         assert task_keys(fast) == task_keys(slow)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 7])
     def test_batch_identity(self, batch_size):
-        csr, ref = compiled_pair(branchy_model())
-        fast = cross_layer_schedule_batch(
-            csr.mapped, csr.dependencies, batch_size, engine="csr"
-        )
-        slow = cross_layer_schedule_batch(
-            ref.mapped, ref.dependencies, batch_size, engine="python"
-        )
+        csr, _ = compiled_pair(branchy_model())
+        fast = cross_layer_schedule_batch(csr.mapped, csr.dependencies, batch_size)
+        slow = reference_batch_schedule(csr.mapped, csr.dependencies, batch_size)
         assert fast.makespan == slow.makespan
         assert fast.image_spans == slow.image_spans
         assert task_keys(fast.schedule) == task_keys(slow.schedule)
-        validate_batch_schedule(fast, csr.dependencies)
+        assert_batch_schedule(fast, csr.dependencies)
 
     def test_batch_csr_validates(self):
         csr, _ = compiled_pair(chain_model())
@@ -198,25 +207,62 @@ class TestEngineIdentity:
             slot = task.image * n + arrays.gid(task.layer, task.set_index)
             start[slot] = task.start
             end[slot] = task.end
-        validate_batch_arrays_schedule(arrays, 3, start, end)
+        assert_batch_arrays_schedule(arrays, 3, start, end)
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            ScheduleOptions(engine="fortran")
+        """Stage IV has one implementation: no ``engine`` knob is accepted."""
+        with pytest.raises(TypeError, match="engine"):
+            ScheduleOptions(engine="python")
         csr, _ = compiled_pair(chain_model())
-        with pytest.raises(ValueError, match="engine"):
-            cross_layer_schedule_batch(csr.mapped, csr.dependencies, 2, engine="x")
+        with pytest.raises(TypeError, match="engine"):
+            cross_layer_schedule_batch(csr.mapped, csr.dependencies, 2, engine="python")
 
     def test_sim_replay_identity(self):
+        """The zero-cost replay is the oracle's dynamic schedule, with
+        each layer's idle cycles inside its busy span as the stall."""
         csr, ref = compiled_pair(branchy_model())
-        fast = simulate(csr)
-        slow = simulate(ref)
-        assert fast.finish_cycles == csr.schedule.makespan
-        assert slow.finish_cycles == ref.schedule.makespan
-        assert fast.finish_cycles == slow.finish_cycles
-        assert fast.per_layer_stall == slow.per_layer_stall
-        assert fast.events_processed == fast.num_tasks
-        assert task_keys(fast.schedule) == task_keys(slow.schedule)
+        replay = simulate(csr)
+        assert replay.finish_cycles == csr.schedule.makespan == ref.makespan
+        assert task_keys(replay.schedule) == task_keys(ref)
+        assert replay.per_layer_stall == {
+            layer: (end - start) - busy
+            for layer, (start, end, busy) in ref.per_layer_stats().items()
+        }
+        assert replay.events_processed == replay.num_tasks
+
+
+class TestZooRowOrder:
+    """Row for row against the oracle on the zoo: every Stage IV kernel."""
+
+    @pytest.mark.parametrize(
+        "model",
+        ["tinyyolov3", "tinyyolov4", "tiny_csp", "tiny_dual_head", "tiny_sequential"],
+    )
+    def test_kernels_match_oracle_row_for_row(self, model):
+        from repro.models import build
+
+        canonical = preprocess(build(model), quantization=None).graph
+        min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
+        for extra, mapping in ((0, "none"), (16, "none"), (16, "wdup")):
+            arch = paper_case_study(min_pes + extra)
+            for granularity in (FINEST, SetGranularity(rows_per_set=3)):
+                for order_mode in ("dynamic", "static"):
+                    options = ScheduleOptions(
+                        mapping=mapping, granularity=granularity, order_mode=order_mode
+                    )
+                    compiled = compile_model(
+                        canonical, arch, options, assume_canonical=True
+                    )
+                    reference = oracle_schedule(compiled)
+                    assert task_keys(compiled.schedule) == task_keys(reference)
+                deps = compiled.dependencies
+                assert task_keys(simulate(compiled).schedule) == task_keys(
+                    cross_layer_schedule_dynamic(compiled.mapped, deps)
+                )
+                fast = cross_layer_schedule_batch(compiled.mapped, deps, 3)
+                slow = reference_batch_schedule(compiled.mapped, deps, 3)
+                assert task_keys(fast.schedule) == task_keys(slow.schedule)
+                assert fast.image_spans == slow.image_spans
 
 
 class TestVectorizedValidation:
@@ -235,7 +281,7 @@ class TestVectorizedValidation:
         start = np.zeros(arrays.num_sets, dtype=np.int64)
         end = start + arrays.area  # every set starts at 0: deps violated
         with pytest.raises(AssertionError, match="data dependency violated"):
-            validate_arrays_schedule(arrays, start, end)
+            assert_arrays_schedule(arrays, start, end)
 
     def test_rejects_resource_overlap(self):
         arrays = self.make_arrays()
@@ -255,7 +301,7 @@ class TestVectorizedValidation:
         start[hi - 1] = start[hi - 2]
         end[hi - 1] = start[hi - 1] + int(arrays.area[hi - 1])
         with pytest.raises(AssertionError):
-            validate_arrays_schedule(arrays, start, end)
+            assert_arrays_schedule(arrays, start, end)
 
 
 class TestColumnarSchedule:

@@ -1,4 +1,8 @@
-"""Tests for the layer-by-layer baseline and CLSA-CIM schedulers."""
+"""Tests for the layer-by-layer baseline and CLSA-CIM schedulers.
+
+Stage IV runs on the columnar kernels (``csr_static_schedule`` for a
+fixed Stage III order, ``csr_dynamic_schedule`` for ready order).
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -8,16 +12,16 @@ from repro.core import (
     Schedule,
     SetGranularity,
     SetTask,
-    cross_layer_schedule,
-    cross_layer_schedule_dynamic,
+    csr_dynamic_schedule,
+    csr_static_schedule,
     determine_dependencies,
     determine_sets,
     intra_layer_order,
     layer_by_layer_schedule,
-    validate_schedule,
 )
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect
+from repro.verify import assert_schedule
 
 
 def chain_model(num_layers=3, size=8):
@@ -153,8 +157,8 @@ class TestCrossLayerStatic:
         sets = determine_sets(graph, granularity or SetGranularity(rows_per_set=1))
         deps = determine_dependencies(graph, sets)
         order = intra_layer_order(sets)
-        schedule = cross_layer_schedule(graph, deps, order)
-        validate_schedule(schedule, deps)
+        schedule = csr_static_schedule(deps.arrays, order)
+        assert_schedule(schedule, deps)
         return schedule
 
     def test_chain_pipelines(self):
@@ -184,16 +188,16 @@ class TestCrossLayerDynamic:
     def schedule_for(self, graph):
         sets = determine_sets(graph)
         deps = determine_dependencies(graph, sets)
-        schedule = cross_layer_schedule_dynamic(graph, deps)
-        validate_schedule(schedule, deps)
+        schedule = csr_dynamic_schedule(deps.arrays)
+        assert_schedule(schedule, deps)
         return schedule
 
     def test_matches_static_on_chain(self):
         g = chain_model(3)
         sets = determine_sets(g)
         deps = determine_dependencies(g, sets)
-        static = cross_layer_schedule(g, deps, intra_layer_order(sets))
-        dynamic = cross_layer_schedule_dynamic(g, deps)
+        static = csr_static_schedule(deps.arrays, intra_layer_order(sets))
+        dynamic = csr_dynamic_schedule(deps.arrays)
         assert dynamic.makespan == static.makespan
 
     def test_competitive_with_static(self):
@@ -203,8 +207,8 @@ class TestCrossLayerDynamic:
             canonical = preprocess(factory(), quantization=None).graph
             sets = determine_sets(canonical)
             deps = determine_dependencies(canonical, sets)
-            static = cross_layer_schedule(canonical, deps, intra_layer_order(sets))
-            dynamic = cross_layer_schedule_dynamic(canonical, deps)
+            static = csr_static_schedule(deps.arrays, intra_layer_order(sets))
+            dynamic = csr_dynamic_schedule(deps.arrays)
             # greedy list scheduling is not provably optimal; require
             # at-least-competitive behaviour
             assert dynamic.makespan <= 1.05 * static.makespan
@@ -215,7 +219,7 @@ class TestCrossLayerDynamic:
         canonical = preprocess(tiny_dual_head(), quantization=None).graph
         sets = determine_sets(canonical)
         deps = determine_dependencies(canonical, sets)
-        schedule = cross_layer_schedule_dynamic(canonical, deps)
+        schedule = csr_dynamic_schedule(deps.arrays)
         assert len(schedule.tasks) == deps.num_sets()
 
 
@@ -260,8 +264,8 @@ class TestScheduleProperties:
         g = preprocess(b.graph, quantization=None).graph
         sets = determine_sets(g, SetGranularity(rows_per_set=rows))
         deps = determine_dependencies(g, sets)
-        dynamic = cross_layer_schedule_dynamic(g, deps)
-        validate_schedule(dynamic, deps)
+        dynamic = csr_dynamic_schedule(deps.arrays)
+        assert_schedule(dynamic, deps)
         lbl = layer_by_layer_schedule(g, sets)
         assert dynamic.makespan <= lbl.makespan
         assert dynamic.busy_cycles() == lbl.busy_cycles()

@@ -2,8 +2,8 @@
 
 Covers the executor backends, the typed job/result surface, the
 acceptance criterion that every backend produces byte-identical sweep
-rows, the deprecation shims over the legacy ``SweepExecutor`` /
-``Explorer`` entry points, and the hook-dispatch exception guard.
+rows, the ``Explorer`` entry points (direct, ``Session.explore`` and
+``ExploreJob``), and the hook-dispatch exception guard.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ from repro import (
     SweepJob,
     paper_case_study,
 )
-from repro.analysis.sweep import SweepExecutor
 from repro.core import SetGranularity
 from repro.exec import (
     Evaluation,
@@ -34,7 +33,6 @@ from repro.exec import (
     executor_names,
     make_executor,
     register_executor,
-    reset_deprecation_warnings,
     unregister_executor,
 )
 from repro.frontend import preprocess
@@ -374,13 +372,12 @@ class TestPointwiseIdentity:
         return json.dumps(payload, sort_keys=True, default=float).encode()
 
     def test_all_executors_match_legacy_sweep_run(self, canonical):
+        """Every backend's streamed rows equal the assembled inline sweep."""
         spec = small_spec(canonical)
-        legacy = SweepExecutor()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reference = legacy.run(
-                spec, xs=(2, 4), options_overrides=COARSE, graph=canonical
-            )
+        (reference,) = Session(paper_case_study(1)).sweep(
+            [spec], xs=(2, 4), options_overrides=COARSE,
+            graphs={spec.name: canonical},
+        )
         expected = self.rows([*reference.points, self._baseline_row(reference)])
         job = SweepJob(
             (spec,), xs=(2, 4), options_overrides=COARSE,
@@ -410,70 +407,32 @@ class TestPointwiseIdentity:
         )
 
     def test_session_sweep_matches_legacy_numbers(self, canonical):
+        """``Session.sweep`` equals a submitted ``SweepJob`` row for row."""
         spec = small_spec(canonical)
         session = Session(paper_case_study(1))
         via_session = session.sweep(
             [spec], xs=(2,), options_overrides=COARSE,
             graphs={spec.name: canonical},
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = SweepExecutor().run(
-                spec, xs=(2,), options_overrides=COARSE, graph=canonical
+        (via_job,) = Session(paper_case_study(1)).submit(
+            SweepJob(
+                (spec,), xs=(2,), options_overrides=COARSE,
+                graphs={spec.name: canonical},
             )
-        assert self.rows(via_session[0].points) == self.rows(via_legacy.points)
+        ).result().unwrap()
+        assert self.rows(via_session[0].points) == self.rows(via_job.points)
 
 
 class TestDeprecationShims:
-    """Satellite: legacy entry points warn exactly once, results intact."""
-
-    def test_sweep_executor_run_warns_exactly_once(self, canonical):
-        spec = small_spec(canonical)
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="SweepExecutor.run is deprecated"):
-            first = SweepExecutor().run(
-                spec, xs=(2,), options_overrides=COARSE, graph=canonical
-            )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = SweepExecutor().run(
-                spec, xs=(2,), options_overrides=COARSE, graph=canonical
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert [p.speedup for p in first.points] == [p.speedup for p in second.points]
-
-    def test_explorer_direct_use_warns_exactly_once(self, canonical):
-        from repro.explore.engine import Explorer
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="Explorer is deprecated"):
-            direct = Explorer(canonical, budget=4, seed=3).run()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            again = Explorer(canonical, budget=4, seed=3).run()
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert [r.fingerprint for r in direct.results] == [
-            r.fingerprint for r in again.results
-        ]
+    """The exploration engine's entry points agree with each other."""
 
     def test_explorer_shim_matches_session_explore(self, canonical):
         from repro.explore.engine import Explorer
 
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            direct = Explorer(canonical, budget=4, seed=5).run()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_session = Session(paper_case_study(1)).explore(
-                canonical, budget=4, seed=5
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
+        direct = Explorer(canonical, budget=4, seed=5).run()
+        via_session = Session(paper_case_study(1)).explore(
+            canonical, budget=4, seed=5
+        )
         assert [r.fingerprint for r in direct.results] == [
             r.fingerprint for r in via_session.results
         ]

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-import repro.analysis.sweep as sweep_mod
+import repro.exec.runtime as runtime_mod
 from repro import Session, paper_case_study
 from repro.explore import (
     Categorical,
@@ -107,18 +107,18 @@ class TestResume:
         assert first.counters.compiles == BUDGET
 
         compile_calls = []
-        original = sweep_mod.evaluate_eval_task
+        original = runtime_mod.execute_job
 
         def spy(*args, **kwargs):
             compile_calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "evaluate_eval_task", spy)
+        monkeypatch.setattr(runtime_mod, "execute_job", spy)
         second = explore(canonical, strategy="random", store=path)
         # 1. the engine's own counters
         assert second.counters.compiles == 0
         assert second.counters.reused_full == BUDGET
-        # 2. the run store's fingerprint hit counter
+        # 2. no job reached the compile path
         assert len(compile_calls) == 0
         # 3. the frontier is rebuilt identically from the journal
         assert {e.key for e in second.frontier} == {

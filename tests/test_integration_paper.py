@@ -84,8 +84,8 @@ class TestCaseStudyIntegration:
         assert simulate(combo).finish_cycles == combo.latency_cycles
 
     def test_requirements_check_passes(self, canonical):
-        from repro.arch import check_requirements
+        from repro.verify import verify_graph
 
         arch = paper_case_study(CASE_STUDY.min_pes)
-        report = check_requirements(canonical, arch, pe_demand=CASE_STUDY.min_pes)
-        assert report.satisfied, report.issues
+        report = verify_graph(canonical, arch)
+        assert report.ok, report.format()

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from repro.arch import CrossbarSpec, paper_case_study
-from repro.core import ScheduleOptions, compile_model, validate_schedule
+from repro.core import ScheduleOptions, compile_model
 from repro.frontend import preprocess
 from repro.ir import Executor, GraphBuilder
 from repro.mapping import minimum_pe_requirement
 from repro.sim import evaluate, simulate
+from repro.verify import assert_schedule
 
 
 def compile_all(graph, extra=4):
@@ -53,7 +54,7 @@ class TestNonSquareGeometries:
         for compiled in results.values():
             compiled.schedule.validate_intra_layer_order()
             if compiled.dependencies is not None:
-                validate_schedule(compiled.schedule, compiled.dependencies)
+                assert_schedule(compiled.schedule, compiled.dependencies)
 
     def test_simulation_agrees(self):
         results = compile_all(self.make_wide_model())
@@ -106,5 +107,5 @@ class TestStrideKernelCombos:
         b.conv2d(x, 4, kernel=3, padding="same", use_bias=False)
         results = compile_all(b.graph, extra=2)
         combo = results["wdup+xinf"]
-        validate_schedule(combo.schedule, combo.dependencies)
+        assert_schedule(combo.schedule, combo.dependencies)
         assert simulate(combo).finish_cycles == combo.latency_cycles

@@ -11,10 +11,9 @@ from repro.ir import (
     Input,
     MaxPool,
     Shape,
-    check_graph,
     sequential,
-    validate_graph,
 )
+from repro.verify import assert_graph, graph_issues
 
 
 def tiny_graph() -> Graph:
@@ -198,20 +197,20 @@ class TestSequential:
 class TestValidation:
     def test_valid_graph_passes(self):
         g = tiny_graph()
-        assert validate_graph(g) == []
-        check_graph(g)  # does not raise
+        assert graph_issues(g) == []
+        assert_graph(g)  # does not raise
 
     def test_no_inputs_flagged(self):
         g = Graph("empty")
         g.add(Identity("a", []))
-        issues = validate_graph(g)
+        issues = graph_issues(g)
         assert any("no Input nodes" in issue for issue in issues)
         assert any("no producers" in issue for issue in issues)
 
     def test_check_graph_raises(self):
         g = Graph("empty")
         with pytest.raises(GraphError):
-            check_graph(g)
+            assert_graph(g)
 
     def test_builder_auto_naming_matches_tf_convention(self):
         b = GraphBuilder("naming")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.sweep import benchmark_sweep
+from repro import Session
 from repro.arch import PRESETS, CrossbarSpec, isaac_like, paper_case_study
 from repro.core import ScheduleOptions, SetGranularity, compile_model
 from repro.frontend import preprocess
@@ -81,15 +81,17 @@ class TestSweepOverrides:
             base_layers=len(canonical.base_layers()),
             min_pes=min_pes,
         )
-        coarse = benchmark_sweep(
-            spec,
+        session = Session(paper_case_study(1))
+        graphs = {spec.name: canonical}
+        (coarse,) = session.sweep(
+            [spec],
             xs=(2,),
-            graph=canonical,
+            graphs=graphs,
             options_overrides={
                 "granularity": SetGranularity(rows_per_set=8),
             },
         )
-        fine = benchmark_sweep(spec, xs=(2,), graph=canonical)
+        (fine,) = session.sweep([spec], xs=(2,), graphs=graphs)
         coarse_xinf = coarse.series("xinf")[0]
         fine_xinf = fine.series("xinf")[0]
         assert coarse_xinf.metrics.latency_cycles >= fine_xinf.metrics.latency_cycles

@@ -5,7 +5,8 @@ import pytest
 
 from repro.arch import CrossbarSpec
 from repro.frontend import preprocess
-from repro.ir import Executor, Shape, validate_graph
+from repro.ir import Executor, Shape
+from repro.verify import graph_issues
 from repro.mapping import layer_table, minimum_pe_requirement
 from repro.models import (
     CASE_STUDY,
@@ -49,7 +50,7 @@ class TestTable2:
 
     @pytest.mark.parametrize("spec", PAPER_BENCHMARKS, ids=lambda s: s.name)
     def test_structurally_valid(self, spec):
-        assert validate_graph(spec.build()) == []
+        assert graph_issues(spec.build()) == []
 
 
 class TestTable1:
@@ -170,7 +171,7 @@ class TestSynthetic:
     )
     def test_valid_and_executable(self, factory):
         graph = factory()
-        assert validate_graph(graph) == []
+        assert graph_issues(graph) == []
         graph.initialize_weights(seed=1)
         in_shape = graph.shape_of(graph.input_names()[0]).hwc
         image = np.random.default_rng(0).normal(size=in_shape)

@@ -17,13 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    cross_layer_schedule,
+    cross_layer_schedule_dynamic,
+    reference_batch_schedule,
+)
 
 from repro.arch import CrossbarSpec, paper_case_study
-from repro.core import ScheduleOptions, compile_model, validate_schedule
+from repro.core import ScheduleOptions, compile_model, intra_layer_order
 from repro.frontend import preprocess
 from repro.ir import Executor, GraphBuilder
 from repro.mapping import minimum_pe_requirement
 from repro.sim import evaluate, speedup_eq3
+from repro.verify import assert_schedule
 
 
 @st.composite
@@ -96,7 +102,7 @@ def test_property_compiler_invariants(model):
     for result in compiled.values():
         result.schedule.validate_intra_layer_order()
         if result.dependencies is not None:
-            validate_schedule(result.schedule, result.dependencies)
+            assert_schedule(result.schedule, result.dependencies)
 
     # 2. cross-layer never loses to layer-by-layer at equal mapping
     assert (
@@ -129,12 +135,12 @@ def test_property_compiler_invariants(model):
 @settings(max_examples=15, deadline=None)
 @given(model=random_models(), batch_size=st.integers(2, 4))
 def test_property_csr_and_python_engines_identical(model, batch_size):
-    """The columnar kernels match the reference schedulers set-for-set.
+    """The columnar kernels match the reference schedulers row for row.
 
-    For every random graph: static, dynamic and batch schedules are
-    identical point-wise between ``engine='csr'`` and
-    ``engine='python'``, and the array-backed simulator replay
-    reproduces the analytical makespan of both.
+    For every random graph: the static, dynamic and batch schedules and
+    the zero-cost simulator replay equal the pure-Python oracles of
+    ``tests/oracles`` in emission order, and the replay reproduces the
+    analytical makespan.
     """
     from repro.core import cross_layer_schedule_batch
     from repro.sim import simulate
@@ -143,37 +149,32 @@ def test_property_csr_and_python_engines_identical(model, batch_size):
     min_pes = minimum_pe_requirement(canonical, CrossbarSpec())
     arch = paper_case_study(min_pes + 4)
 
-    def keys(schedule):
-        return sorted(
+    def rows(schedule):
+        return [
             (t.layer, t.set_index, t.image, t.start, t.end, t.rect)
             for t in schedule.tasks
-        )
+        ]
 
     for order_mode in ("static", "dynamic"):
-        compiled = {}
-        for engine in ("csr", "python"):
-            compiled[engine] = compile_model(
-                canonical,
-                arch,
-                ScheduleOptions(order_mode=order_mode, engine=engine),
-                assume_canonical=True,
-            )
-        assert keys(compiled["csr"].schedule) == keys(compiled["python"].schedule)
-        validate_schedule(compiled["csr"].schedule, compiled["csr"].dependencies)
+        options = ScheduleOptions(order_mode=order_mode)
+        compiled = compile_model(canonical, arch, options, assume_canonical=True)
+        deps = compiled.dependencies
+        if order_mode == "static":
+            order = intra_layer_order(compiled.sets, options.intra_layer_policy)
+            reference = cross_layer_schedule(compiled.mapped, deps, order)
+        else:
+            reference = cross_layer_schedule_dynamic(compiled.mapped, deps)
+        assert rows(compiled.schedule) == rows(reference)
+        assert_schedule(compiled.schedule, deps)
 
-    csr, ref = compiled["csr"], compiled["python"]
-    fast = cross_layer_schedule_batch(
-        csr.mapped, csr.dependencies, batch_size, engine="csr"
-    )
-    slow = cross_layer_schedule_batch(
-        ref.mapped, ref.dependencies, batch_size, engine="python"
-    )
-    assert keys(fast.schedule) == keys(slow.schedule)
+    fast = cross_layer_schedule_batch(compiled.mapped, deps, batch_size)
+    slow = reference_batch_schedule(compiled.mapped, deps, batch_size)
+    assert rows(fast.schedule) == rows(slow.schedule)
     assert fast.image_spans == slow.image_spans
 
-    for result in (csr, ref):
-        replay = simulate(result)
-        assert replay.finish_cycles == result.schedule.makespan
+    replay = simulate(compiled)
+    assert replay.finish_cycles == compiled.schedule.makespan
+    assert rows(replay.schedule) == rows(reference)
 
 
 @settings(max_examples=15, deadline=None)

@@ -66,6 +66,23 @@ class TestJobCodecs:
         assert decoded.arch == arch
         assert graph_fingerprint(decoded.graph) == graph_fingerprint(canonical)
 
+    def test_recorded_engine_dropped_unknown_option_rejected(self, canonical, arch):
+        record = roundtrip(encode_job(CompileJob(canonical, COARSE_OPTIONS, arch=arch)))
+        record["options"]["engine"] = "csr"  # written while the field existed
+        assert decode_job(record).options == COARSE_OPTIONS
+        record["options"]["turbo"] = True
+        with pytest.raises(ValueError, match="turbo"):
+            decode_job(record)
+
+    def test_sweep_overrides_drop_engine_and_name_unknown_keys(self):
+        overrides = {"granularity": COARSE, "order_mode": "static"}
+        record = roundtrip(encode_job(SweepJob(("tinyyolov3",), options_overrides=overrides)))
+        record["options_overrides"]["engine"] = "python"
+        assert decode_job(record).options_overrides == overrides
+        record["options_overrides"]["turbo"] = True
+        with pytest.raises(WireError, match="turbo"):
+            decode_job(record)
+
     def test_evaluate_job_model_name_and_flags(self):
         job = EvaluateJob("tinyyolov3", want_energy=False, key="e1")
         decoded = decode_job(roundtrip(encode_job(job)))

@@ -145,7 +145,7 @@ class TestSessionHooks:
 
 class TestSessionSweep:
     def test_sweep_matches_executor_numbers(self, canonicals):
-        from repro.analysis.sweep import sweep_all
+        from repro.exec import SweepJob
         from repro.models import benchmark_by_name
 
         spec = benchmark_by_name("tinyyolov3")
@@ -154,7 +154,10 @@ class TestSessionSweep:
         via_session = session.sweep(
             ["tinyyolov3"], xs=(4,), graphs={"tinyyolov3": graph}
         )
-        via_executor = sweep_all([spec], xs=(4,), graphs={"tinyyolov3": graph})
+        # A SweepJob through a fresh session's executor stream.
+        via_executor = Session(paper_case_study(1)).submit(
+            SweepJob((spec,), xs=(4,), graphs={"tinyyolov3": graph})
+        ).result().unwrap()
 
         def numbers(results):
             return [

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.arch import CrossbarSpec, paper_case_study
-from repro.core import ScheduleOptions, compile_model, validate_schedule
+from repro.core import ScheduleOptions, compile_model
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import tiny_csp, tiny_dual_head, tiny_sequential
 from repro.sim import CostModelConfig, NocCostModel, ZeroCostModel, simulate
+from repro.verify import assert_schedule
 
 
 def compile_xinf(graph, extra=8, mapping="none"):
@@ -43,7 +44,7 @@ class TestZeroCostReplay:
     def test_schedule_is_valid(self):
         compiled = compile_xinf(tiny_csp())
         result = simulate(compiled)
-        validate_schedule(result.schedule, compiled.dependencies)
+        assert_schedule(result.schedule, compiled.dependencies)
 
     def test_zero_edge_delay(self):
         compiled = compile_xinf(tiny_sequential())
@@ -51,13 +52,18 @@ class TestZeroCostReplay:
         assert result.total_edge_delay_cycles == 0
 
     def test_explicit_zero_cost_model(self):
+        """ZeroCostModel goes through the cost-model event loop
+        (arrival-ordered ready queues) but charges nothing."""
         compiled = compile_xinf(tiny_sequential())
-        free = simulate(compiled)
         explicit = simulate(compiled, ZeroCostModel())
-        # ZeroCostModel goes through the cost-model path (different
-        # ready ordering) but charges nothing
+        deps = compiled.dependencies
+        assert_schedule(explicit.schedule, deps)
+        ran = [(t.layer, t.set_index) for t in explicit.schedule.tasks]
+        assert len(ran) == len(set(ran)) == deps.num_sets()  # each set once
+        assert set(ran) == set(deps.deps)
         assert explicit.total_edge_delay_cycles == 0
-        assert explicit.finish_cycles >= free.finish_cycles * 0  # runs to completion
+        assert explicit.events_processed == deps.num_sets()
+        assert explicit.finish_cycles == explicit.schedule.makespan
 
     def test_layer_by_layer_rejected(self):
         g = tiny_sequential()

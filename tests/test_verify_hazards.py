@@ -1,10 +1,11 @@
 """Mutation corpus for the vectorized schedule hazard detector.
 
-Compiles both zoo case-study models under both Stage IV engines,
-asserts the verifier reports **zero diagnostics** on clean compiles
-(no false positives) and on save→load round trips, then injects one
-seeded mutation per hazard class and asserts the matching named rule
-fires:
+Compiles both zoo case-study models, asserts the verifier reports
+**zero diagnostics** on clean compiles (no false positives) — both on
+the kernels' columnar schedule and on the oracle's row-form
+``SetTask`` schedule of the same set graph — and on save→load round
+trips, then injects one seeded mutation per hazard class and asserts
+the matching named rule fires:
 
 * ``schedule.raw-race``       — a consumer starts before its producer ends
 * ``schedule.exclusivity``    — two sets of one layer overlap in time
@@ -19,6 +20,7 @@ import functools
 
 import numpy as np
 import pytest
+from oracles import cross_layer_schedule_dynamic
 
 from repro.arch import paper_case_study
 from repro.core.schedule import Schedule
@@ -36,7 +38,9 @@ from repro.verify import (
 )
 
 ZOO = ("tinyyolov3", "tinyyolov4")
-ENGINES = ("csr", "python")
+#: Schedule sources: the CSR kernels (columnar) and the pure-Python
+#: oracle (row-form ``SetTask`` lists, the verifier's other input form).
+SOURCES = ("csr", "python")
 
 
 def roomy_arch(num_pes):
@@ -54,20 +58,21 @@ def roomy_arch(num_pes):
 
 
 @functools.lru_cache(maxsize=None)
-def compile_zoo(model: str, engine: str):
+def compile_zoo(model: str, source: str):
     canonical = preprocess(build(model), quantization=None).graph
     min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
     session = Session(roomy_arch(min_pes + 16))
-    from repro.core.pipeline import ScheduleOptions
-
-    return session.compile(
-        canonical, ScheduleOptions(engine=engine), assume_canonical=True
-    )
+    compiled = session.compile(canonical, assume_canonical=True)
+    if source == "python":
+        schedule = cross_layer_schedule_dynamic(compiled.mapped, compiled.dependencies)
+        assert not schedule.has_columns
+        compiled = dataclasses.replace(compiled, schedule=schedule)
+    return compiled
 
 
 @pytest.fixture(scope="module")
 def compiled():
-    """The mutation target: tinyyolov3 on the csr engine."""
+    """The mutation target: tinyyolov3 as the kernels schedule it."""
     return compile_zoo("tinyyolov3", "csr")
 
 
@@ -115,9 +120,9 @@ def shifted(cols, row: int, new_start: int):
 
 
 @pytest.mark.parametrize("model", ZOO)
-@pytest.mark.parametrize("engine", ENGINES)
-def test_clean_zoo_compile_has_zero_diagnostics(model, engine):
-    report = verify_compiled(compile_zoo(model, engine))
+@pytest.mark.parametrize("source", SOURCES)
+def test_clean_zoo_compile_has_zero_diagnostics(model, source):
+    report = verify_compiled(compile_zoo(model, source))
     assert report.clean, report.format()
     assert len(report) == 0
     for rule in (

@@ -14,6 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cross_layer_schedule_dynamic
 
 from repro.arch import paper_case_study
 from repro.core import VERIFY_MODES, ScheduleOptions
@@ -342,12 +343,14 @@ def random_models(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(model=random_models(), engine=st.sampled_from(["csr", "python"]))
-def test_property_random_compile_verifies_clean(model, engine):
+@given(model=random_models(), source=st.sampled_from(["csr", "python"]))
+def test_property_random_compile_verifies_clean(model, source):
+    """Kernel schedules and the oracle's row-form ones verify clean."""
     canonical = preprocess(model, quantization=None).graph
     session = Session(roomy_arch(min_pes_for(canonical) + 4))
-    compiled = session.compile(
-        canonical, ScheduleOptions(engine=engine), assume_canonical=True
-    )
+    compiled = session.compile(canonical, assume_canonical=True)
+    if source == "python":
+        schedule = cross_layer_schedule_dynamic(compiled.mapped, compiled.dependencies)
+        compiled = dataclasses.replace(compiled, schedule=schedule)
     report = session.verify(compiled)
     assert report.clean, report.format()

@@ -1,9 +1,9 @@
 """Unit tests for the unified static verifier (repro.verify).
 
 Covers the diagnostics vocabulary, the rule registry, the IR and
-architecture rule packs (including error paths the historical
-validators never had tests for), the placement/sets/duplication rules,
-and the deprecated shims' one-shot warnings and message parity.
+architecture rule packs (including their error paths), the
+placement/sets/duplication rules, and the plain-string and raising
+graph checks (``graph_issues``/``assert_graph``).
 """
 
 import dataclasses
@@ -13,7 +13,6 @@ import pytest
 from repro.arch import paper_case_study
 from repro.arch.memory import DramSpec
 from repro.arch.tile import GpeuSpec
-from repro.exec.runtime import reset_deprecation_warnings
 from repro.frontend import preprocess
 from repro.ir import Graph, GraphBuilder, GraphError, Identity, Input
 from repro.mapping import minimum_pe_requirement
@@ -521,43 +520,21 @@ class TestMappingRules:
 
 
 # ---------------------------------------------------------------------------
-# deprecated shims
+# plain-string and raising graph checks
 # ---------------------------------------------------------------------------
 
 
 class TestShims:
-    def test_validate_graph_parity_and_warning(self):
-        from repro.ir.validate import validate_graph
-
-        reset_deprecation_warnings()
-        g = tiny_graph()
-        with pytest.warns(DeprecationWarning, match="validate_graph"):
-            assert validate_graph(g) == []
-        # one-shot: the second call stays silent
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert validate_graph(g) == []
-
     def test_validate_graph_message_parity(self):
-        from repro.ir.validate import validate_graph
-
-        reset_deprecation_warnings()
         g = Graph("empty")
         g.add(Identity("a", []))
-        with pytest.warns(DeprecationWarning):
-            issues = validate_graph(g)
-        assert issues == graph_issues(g)
+        issues = graph_issues(g)
+        assert sorted(issues) == sorted(d.message for d in verify_graph(g).errors)
         assert any("no Input nodes" in issue for issue in issues)
 
     def test_check_graph_raises(self):
-        from repro.ir.validate import check_graph
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="check_graph"):
-            with pytest.raises(GraphError, match="failed validation"):
-                check_graph(Graph("empty"))
+        with pytest.raises(GraphError, match="failed validation"):
+            assert_graph(Graph("empty"))
 
     def test_assert_graph_no_warning(self):
         import warnings as _warnings
@@ -565,21 +542,3 @@ class TestShims:
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
             assert_graph(tiny_graph())  # the supported path is warning-free
-
-    def test_check_requirements_shim(self):
-        from repro.arch.validate import RequirementReport, check_requirements
-
-        reset_deprecation_warnings()
-        g = tiny_graph()
-        with pytest.warns(DeprecationWarning, match="check_requirements"):
-            report = check_requirements(g, paper_case_study(1), pe_demand=99)
-        assert isinstance(report, RequirementReport)
-        assert not report.satisfied
-        assert any("needs 99 PEs" in issue for issue in report.issues)
-
-    def test_core_validators_warn(self, compiled_tiny):
-        from repro.core import validate_schedule
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="validate_schedule"):
-            validate_schedule(compiled_tiny.schedule, compiled_tiny.dependencies)
