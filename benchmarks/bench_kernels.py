@@ -5,7 +5,7 @@ Measures the Stage IV hot loops of :mod:`repro.core.kernels` (the CSR
 set graph) against the reference schedulers in ``tests/oracles``:
 
 * **single-image** — FINEST-granularity dynamic cross-layer scheduling
-  (what ``schedule_stage`` runs per config point: the scheduler plus
+  (what the ``clsa-cim`` schedule pass runs per config point: the scheduler plus
   its validation pass, for each implementation);
 * **batch** — the pipelined batch scheduler at ``--batch`` inferences,
   measured symmetrically to the single-image workload: each

@@ -23,8 +23,6 @@ from .sweep import (
     SweepResult,
     SweepTask,
     TaskEval,
-    evaluate_task,
-    evaluate_task_full,
     grid_tasks,
 )
 from .tables import duplication_table, format_table, table1, table2
@@ -39,8 +37,6 @@ __all__ = [
     "SweepResult",
     "SweepTask",
     "TaskEval",
-    "evaluate_task",
-    "evaluate_task_full",
     "grid_tasks",
     "critical_layer_summary",
     "critical_path",

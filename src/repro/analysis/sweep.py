@@ -269,33 +269,6 @@ def grid_job(
     )
 
 
-def evaluate_task_full(
-    canonical: Graph,
-    task: SweepTask,
-    options_overrides: Optional[dict] = None,
-    cache: Optional[CompilationCache] = None,
-    pass_manager=None,
-    hooks=(),
-) -> TaskEval:
-    """Compile and score one grid point (metrics plus energy)."""
-    job = _dc_replace(grid_job(task, options_overrides), graph=canonical)
-    return execute_job(job, cache, pass_manager, hooks, capture=False).value
-
-
-def evaluate_task(
-    canonical: Graph,
-    task: SweepTask,
-    options_overrides: Optional[dict] = None,
-    cache: Optional[CompilationCache] = None,
-    pass_manager=None,
-    hooks=(),
-) -> Metrics:
-    """Compile and evaluate one config point (Session / pass pipeline)."""
-    return evaluate_task_full(
-        canonical, task, options_overrides, cache, pass_manager, hooks
-    ).metrics
-
-
 # ---------------------------------------------------------------------------
 # running the grid (behind Session.sweep and Session.map)
 # ---------------------------------------------------------------------------

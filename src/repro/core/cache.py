@@ -160,9 +160,6 @@ class CompilationCache:
         self.max_entries = max_entries
         self.store = store
         self._store: "OrderedDict[CacheKey, Any]" = OrderedDict()
-        #: id(graph) -> (weakref to graph, fingerprint); the weakref
-        #: guards against id reuse after garbage collection.
-        self._fingerprints: dict[int, tuple[weakref.ref, str]] = {}
         self.stats: dict[str, StageStats] = {}
 
     def __len__(self) -> int:
@@ -217,25 +214,16 @@ class CompilationCache:
         return value
 
     def fingerprint(self, graph: Graph) -> str:
-        """:func:`graph_fingerprint`, memoized per live graph object.
+        """The cache-key fingerprint of ``graph``: :func:`graph_fingerprint`.
 
-        Sweeps fingerprint the same canonical graph once per config
-        point; memoization makes repeat lookups O(1) instead of a full
-        serialize-and-hash of the graph.
+        Its one per-graph memo is the module's, so
+        :func:`invalidate_fingerprint` reaches every cache.
         """
-        entry = self._fingerprints.get(id(graph))
-        if entry is not None:
-            ref, cached = entry
-            if ref() is graph:
-                return cached
-        value = graph_fingerprint(graph)
-        self._fingerprints[id(graph)] = (weakref.ref(graph), value)
-        return value
+        return graph_fingerprint(graph)
 
     def clear(self) -> None:
         """Drop all memory-tier values (stats and the store are kept)."""
         self._store.clear()
-        self._fingerprints.clear()
 
     @property
     def hits(self) -> int:

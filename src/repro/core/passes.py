@@ -1,16 +1,17 @@
 """Pass-based compilation: ``CompilationContext`` + ``PassManager``.
 
-The staged functions of :mod:`repro.core.pipeline` are the *mechanism*
-of compilation; this module is the *policy* layer that strings them
-together.  A :class:`CompilationContext` — graph, architecture,
-options, optional cache, per-pass timings, diagnostics — flows through
-an ordered list of :class:`Pass` objects managed by a
+This module *is* the compiler.  A :class:`CompilationContext` — graph,
+architecture, options, optional cache, per-pass timings, diagnostics —
+flows through an ordered list of :class:`Pass` objects managed by a
 :class:`PassManager`.  Each of the paper's stages (``preprocess →
-tile → mapping → place → sets → dependencies → schedule``) is one
-pass, and the string-valued :class:`ScheduleOptions` knobs
-(``mapping="wdup"``, ``scheduling="clsa-cim"``) resolve through the
-:func:`register_mapping` / :func:`register_scheduler` registries, so a
-third-party mapping or scheduler plugs in without touching core code::
+tile → mapping → place → sets → deps → schedule``) is one pass that
+computes its artifact directly, memoized through
+:meth:`CompilationContext.cached` under a key holding exactly the
+inputs the stage depends on.  The string-valued
+:class:`ScheduleOptions` knobs (``mapping="wdup"``,
+``scheduling="clsa-cim"``) resolve through the :func:`register_mapping`
+/ :func:`register_scheduler` registries, so a third-party mapping or
+scheduler plugs in without touching core code::
 
     from repro.core import passes
 
@@ -20,9 +21,10 @@ third-party mapping or scheduler plugs in without touching core code::
     passes.register_scheduler("mine", my_scheduler)
     Session(arch).compile(model, ScheduleOptions(scheduling="mine"))
 
-Builtin rules delegate to the cached stage functions of
-``pipeline.py``, so pass-based compilation produces bit-identical
-results to the historical ``compile_model`` path (asserted in tests).
+:meth:`PassManager.compile` is the one compile path:
+:meth:`repro.session.Session.compile`,
+:func:`repro.core.pipeline.compile_model` and
+:func:`repro.exec.runtime.execute_job` all call it.
 """
 
 from __future__ import annotations
@@ -36,32 +38,34 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    TypeVar,
     runtime_checkable,
 )
 
 from ..arch.config import ArchitectureConfig
 from ..ir.graph import Graph
 from ..ir.tensor import Rect
-from ..mapping.duplication import DuplicationSolution
-from ..mapping.placement import Placement
-from ..mapping.rewrite import RewriteReport
-from ..mapping.tiling import LayerTiling
+from ..mapping.duplication import DuplicationSolution, problem_from_tilings, solve
+from ..mapping.placement import Placement, place_graph
+from ..mapping.rewrite import RewriteReport, apply_duplication
+from ..mapping.tiling import LayerTiling, tile_graph
 from .cache import CacheKey, CompilationCache
-from .dependencies import DependencyGraph
+from .dependencies import DependencyGraph, determine_dependencies
+from .intra_layer import intra_layer_order
+from .kernels import csr_dynamic_schedule, csr_static_schedule
+from .layer_by_layer import layer_by_layer_schedule
 from .pipeline import (
+    MAPPINGS,
+    SCHEDULERS,
     CompiledModel,
     ScheduleOptions,
-    _graph_key,
-    _mapped_key,
-    dependencies_stage,
-    duplication_stage,
-    placement_stage,
     preprocess_stage,
-    schedule_stage,
-    sets_stage,
-    tile_stage,
 )
 from .schedule import Schedule
+from .sets import determine_sets
+
+
+_T = TypeVar("_T")
 
 
 class PassError(RuntimeError):
@@ -90,7 +94,10 @@ class CompilationContext:
     cache: Optional[CompilationCache] = None
     assume_canonical: bool = False
 
-    # artifacts (filled in pass order)
+    # artifacts (filled in pass order).  ``canonical_key``/``mapped_key``
+    # identify ``canonical``/``mapped`` in cache keys; the preprocess and
+    # mapping passes set them whenever a cache is present.  A custom pass
+    # that replaces either graph must set the matching key as well.
     canonical: Optional[Graph] = None
     canonical_key: Optional[CacheKey] = None
     tilings: Optional[dict[str, LayerTiling]] = None
@@ -114,11 +121,14 @@ class CompilationContext:
         """Append a diagnostic line."""
         self.diagnostics.append(message)
 
-    def cached(self, key: CacheKey, compute: Callable[[], Any]) -> Any:
+    def cached(self, key: CacheKey, compute: Callable[[], _T]) -> _T:
         """Run ``compute`` through the context cache when one is set.
 
-        Convenience for custom mapping/scheduler rules that want the
-        same stage-level memoization the builtin rules get.
+        Every builtin pass and rule memoizes its stage this way; custom
+        passes and rules get the same stage-level memoization.  Keys
+        built from ``canonical_key``/``mapped_key`` are only meaningful
+        with a cache (both stay ``None`` without one), so building them
+        never fingerprints a graph on an uncached compile.
         """
         if self.cache is None:
             return compute()
@@ -171,14 +181,20 @@ def _pass_applies(p: Pass, ctx: CompilationContext) -> bool:
     return True if applies is None else bool(applies(ctx))
 
 
-def _guarded(
-    ctx: CompilationContext, event: str, callback: Callable, *args: Any
-) -> None:
-    """Run a hook callback, recording (not raising) its failures."""
-    try:
-        callback(*args)
-    except Exception as exc:
-        ctx.note(f"hook {event} raised {type(exc).__name__}: {exc}")
+def fire_hooks(hooks: Sequence[Any], event: str, sink: list[str], *args: Any) -> None:
+    """Run one hook event on every hook that has it.
+
+    A hook that raises is recorded on ``sink`` (a diagnostics list) and
+    aborts nothing — observation must never change outcomes.
+    """
+    for hook in hooks:
+        callback = getattr(hook, event, None)
+        if callback is None:
+            continue
+        try:
+            callback(*args)
+        except Exception as exc:
+            sink.append(f"hook {event} raised {type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +257,14 @@ def register_scheduler(
 
 def unregister_mapping(name: str) -> None:
     """Remove a registered mapping (builtin names are protected)."""
-    if name in _BUILTIN_MAPPINGS:
+    if name in MAPPINGS:
         raise ValueError(f"cannot unregister builtin mapping {name!r}")
     _MAPPINGS.pop(name, None)
 
 
 def unregister_scheduler(name: str) -> None:
     """Remove a registered scheduler (builtin names are protected)."""
-    if name in _BUILTIN_SCHEDULERS:
+    if name in SCHEDULERS:
         raise ValueError(f"cannot unregister builtin scheduler {name!r}")
     _SCHEDULERS.pop(name, None)
 
@@ -292,31 +308,81 @@ def _mapping_none(ctx: CompilationContext) -> None:
 
 
 def _mapping_wdup(ctx: CompilationContext) -> None:
-    assert ctx.canonical is not None
-    ctx.duplication, ctx.rewrite = duplication_stage(
-        ctx.canonical, ctx.arch, ctx.options, ctx.cache, ctx.canonical_key
+    """Optimization Problem 1 + the Fig. 4 rewrite (Sec. III-C).
+
+    The ``wdup`` and ``wdup+xinf`` configurations at the same PE budget
+    share one solution/rewrite through the cache; the key also
+    identifies the rewritten graph for every later stage.
+    """
+    canonical, arch, options = ctx.canonical, ctx.arch, ctx.options
+    assert canonical is not None
+
+    def compute() -> tuple[DuplicationSolution, RewriteReport]:
+        tilings = ctx.tilings
+        if tilings is None:  # uncached compiles skip the tile pass
+            tilings = tile_graph(canonical, arch.crossbar)
+        problem = problem_from_tilings(
+            tilings,
+            budget=arch.num_pes,
+            d_max_cap=options.d_max_cap,
+            axis=options.duplication_axis,
+        )
+        duplication = solve(problem, options.duplication_solver)
+        return duplication, apply_duplication(
+            canonical, duplication, axis=options.duplication_axis
+        )
+
+    key = (
+        "wdup",
+        ctx.canonical_key,
+        arch.crossbar,
+        arch.num_pes,
+        options.duplication_solver,
+        options.duplication_axis,
+        options.d_max_cap,
     )
+    ctx.duplication, ctx.rewrite = ctx.cached(key, compute)
     ctx.mapped = ctx.rewrite.graph
-    if ctx.cache is not None and ctx.canonical_key is not None:
-        ctx.mapped_key = _mapped_key(ctx.canonical_key, ctx.arch, ctx.options)
+    if ctx.cache is not None:
+        ctx.mapped_key = key
 
 
 def _schedule_layer_by_layer(ctx: CompilationContext) -> Schedule:
-    assert ctx.mapped is not None and ctx.sets is not None
-    return schedule_stage(
-        ctx.mapped, ctx.sets, None, ctx.options, ctx.cache, ctx.mapped_key
+    mapped, sets = ctx.mapped, ctx.sets
+    assert mapped is not None and sets is not None
+    return ctx.cached(
+        ("schedule", ctx.mapped_key, ctx.options.granularity, "layer-by-layer"),
+        lambda: layer_by_layer_schedule(mapped, sets),
     )
 
 
 def _schedule_clsa_cim(ctx: CompilationContext) -> Schedule:
-    assert ctx.mapped is not None and ctx.sets is not None
-    return schedule_stage(
-        ctx.mapped, ctx.sets, ctx.dependencies, ctx.options, ctx.cache, ctx.mapped_key
+    """Stage III–IV on the CSR set graph of Stage II.
+
+    The columnar kernels self-validate with vectorized dependency and
+    resource checks (no per-set Python objects).
+    """
+    sets, dependencies, options = ctx.sets, ctx.dependencies, ctx.options
+    assert sets is not None and dependencies is not None
+
+    def compute() -> Schedule:
+        if options.order_mode == "dynamic":
+            return csr_dynamic_schedule(dependencies.arrays)
+        order = intra_layer_order(sets, options.intra_layer_policy)
+        return csr_static_schedule(dependencies.arrays, order)
+
+    return ctx.cached(
+        (
+            "schedule",
+            ctx.mapped_key,
+            options.granularity,
+            "clsa-cim",
+            options.order_mode,
+            options.intra_layer_policy,
+        ),
+        compute,
     )
 
-
-_BUILTIN_MAPPINGS = ("none", "wdup")
-_BUILTIN_SCHEDULERS = ("layer-by-layer", "clsa-cim")
 
 register_mapping("none", _mapping_none)
 register_mapping("wdup", _mapping_wdup)
@@ -337,22 +403,31 @@ class PreprocessPass:
     def run(self, ctx: CompilationContext) -> None:
         ctx.canonical = preprocess_stage(ctx.graph, ctx.cache, ctx.assume_canonical)
         if ctx.cache is not None:
-            ctx.canonical_key = _graph_key(ctx.canonical, ctx.cache)
+            ctx.canonical_key = ("graph", ctx.cache.fingerprint(ctx.canonical))
 
 
 class TilePass:
-    """Tile every base layer onto crossbars (Eq. 1)."""
+    """Tile every base layer onto crossbars (Eq. 1).
+
+    Tilings depend only on the graph and the crossbar geometry — not
+    the PE budget — so one cache entry serves every ``x`` of a sweep,
+    and the ``wdup`` rule reads them from ``ctx.tilings``.
+    """
 
     name = "tile"
 
     def applies(self, ctx: CompilationContext) -> bool:
-        # Without a cache the tilings would be recomputed by the later
-        # stages anyway; computing them here would be pure waste.
+        # Without a cache only a wdup miss needs the tilings, and it
+        # tiles the graph itself; computing them here would be waste.
         return ctx.cache is not None
 
     def run(self, ctx: CompilationContext) -> None:
-        assert ctx.canonical is not None
-        ctx.tilings = tile_stage(ctx.canonical, ctx.arch, ctx.cache, ctx.canonical_key)
+        canonical = ctx.canonical
+        assert canonical is not None
+        ctx.tilings = ctx.cached(
+            ("tile", ctx.canonical_key, ctx.arch.crossbar),
+            lambda: tile_graph(canonical, ctx.arch.crossbar),
+        )
 
 
 class MappingPass:
@@ -386,8 +461,11 @@ class PlacementPass:
     name = "place"
 
     def run(self, ctx: CompilationContext) -> None:
-        assert ctx.mapped is not None
-        ctx.placement = placement_stage(ctx.mapped, ctx.arch, ctx.cache, ctx.mapped_key)
+        mapped = ctx.mapped
+        assert mapped is not None
+        ctx.placement = ctx.cached(
+            ("place", ctx.mapped_key, ctx.arch), lambda: place_graph(mapped, ctx.arch)
+        )
 
 
 class SetsPass:
@@ -396,9 +474,11 @@ class SetsPass:
     name = "sets"
 
     def run(self, ctx: CompilationContext) -> None:
-        assert ctx.mapped is not None
-        ctx.sets = sets_stage(
-            ctx.mapped, ctx.options.granularity, ctx.cache, ctx.mapped_key
+        mapped, granularity = ctx.mapped, ctx.options.granularity
+        assert mapped is not None
+        ctx.sets = ctx.cached(
+            ("sets", ctx.mapped_key, granularity),
+            lambda: determine_sets(mapped, granularity),
         )
 
 
@@ -411,9 +491,11 @@ class DependenciesPass:
         return resolve_scheduler(ctx.options.scheduling).needs_dependencies
 
     def run(self, ctx: CompilationContext) -> None:
-        assert ctx.mapped is not None and ctx.sets is not None
-        ctx.dependencies = dependencies_stage(
-            ctx.mapped, ctx.sets, ctx.options.granularity, ctx.cache, ctx.mapped_key
+        mapped, sets = ctx.mapped, ctx.sets
+        assert mapped is not None and sets is not None
+        ctx.dependencies = ctx.cached(
+            ("deps", ctx.mapped_key, ctx.options.granularity),
+            lambda: determine_dependencies(mapped, sets),
         )
 
 
@@ -527,18 +609,12 @@ class PassManager:
             if not _pass_applies(p, ctx):
                 ctx.note(f"skipped pass '{p.name}'")
                 continue
-            for hook in hooks:
-                start_cb = getattr(hook, "on_pass_start", None)
-                if start_cb is not None:
-                    _guarded(ctx, "on_pass_start", start_cb, p.name, ctx)
+            fire_hooks(hooks, "on_pass_start", ctx.diagnostics, p.name, ctx)
             started = time.perf_counter()
             p.run(ctx)
             elapsed = time.perf_counter() - started
             ctx.timings[p.name] = ctx.timings.get(p.name, 0.0) + elapsed
-            for hook in hooks:
-                end_cb = getattr(hook, "on_pass_end", None)
-                if end_cb is not None:
-                    _guarded(ctx, "on_pass_end", end_cb, p.name, ctx, elapsed)
+            fire_hooks(hooks, "on_pass_end", ctx.diagnostics, p.name, ctx, elapsed)
             if self.verify == "each_pass":
                 self._run_verify(ctx, after=p.name, cost="cheap")
         if self.verify != "off":
@@ -583,7 +659,13 @@ class PassManager:
         cache: Optional[CompilationCache] = None,
         hooks: Sequence[Any] = (),
     ) -> CompiledModel:
-        """Compile ``graph`` end-to-end and package the result."""
+        """Compile ``graph`` end-to-end and package the result.
+
+        Besides the pass events of :meth:`run`, ``hooks`` may carry
+        ``on_compile_start(ctx)`` and ``on_compile_end(compiled)``,
+        fired around the whole compilation with the same never-abort
+        guarantee.
+        """
         ctx = CompilationContext(
             graph=graph,
             arch=arch,
@@ -591,7 +673,10 @@ class PassManager:
             cache=cache,
             assume_canonical=assume_canonical,
         )
-        return self.run(ctx, hooks).to_compiled()
+        fire_hooks(hooks, "on_compile_start", ctx.diagnostics, ctx)
+        compiled = self.run(ctx, hooks).to_compiled()
+        fire_hooks(hooks, "on_compile_end", compiled.diagnostics, compiled)
+        return compiled
 
 
 def default_pass_manager(verify: str = "off") -> PassManager:

@@ -1,6 +1,6 @@
-"""End-to-end CLSA-CIM compilation pipeline.
+"""End-to-end CLSA-CIM compilation: options, result and entry point.
 
-``compile_model`` chains every stage of the paper:
+Compiling a model chains every stage of the paper:
 
 1. preprocessing into the canonical form (Sec. III-A),
 2. optional weight duplication — Optimization Problem 1 + the Fig. 4
@@ -19,19 +19,16 @@ xinf            ``none``    ``clsa-cim``
 wdup+xinf       ``wdup``    ``clsa-cim``
 =============== =========== ===================
 
-The pipeline is *staged*: each phase (``preprocess → tile →
-duplicate/rewrite → place → sets → dependencies → schedule``) is an
-explicit function that can run standalone, threading an optional
-:class:`~repro.core.cache.CompilationCache` so a sweep over many
-configurations recomputes only what actually changed (see
-``repro.analysis.sweep``).
-
-These stage functions are the *mechanism*; since the Session/PassManager
-redesign the public entry points are :class:`repro.session.Session` and
-:class:`repro.core.passes.PassManager`, which run each stage as a
-registered pass.  :func:`compile_model` remains as a thin
-backward-compatible shim over the default pass manager and produces
-bit-identical results to the Session path (asserted in tests).
+Each stage (``preprocess → tile → mapping → place → sets → deps →
+schedule``) is one pass of :mod:`repro.core.passes`, which memoizes it
+through an optional :class:`~repro.core.cache.CompilationCache` so a
+sweep over many configurations recomputes only what actually changed.
+This module holds what the passes share: :class:`ScheduleOptions`, the
+:class:`CompiledModel` result, :func:`preprocess_stage` (also used by
+the sweep and exploration drivers to canonicalize a model once) and
+:func:`compile_model`, the one-call form of
+``default_pass_manager().compile``.  The public entry point is
+:class:`repro.session.Session`.
 """
 
 from __future__ import annotations
@@ -44,23 +41,20 @@ from ..frontend.partitioning import is_canonical
 from ..frontend.pipeline import preprocess
 from ..ir.graph import Graph
 from ..ir.tensor import Rect
-from ..mapping.duplication import DuplicationSolution, problem_from_tilings, solve
-from ..mapping.placement import Placement, place_graph
-from ..mapping.rewrite import RewriteReport, apply_duplication
-from ..mapping.tiling import LayerTiling, tile_graph
-from .cache import CacheKey, CompilationCache, graph_fingerprint
-from .dependencies import DependencyGraph, determine_dependencies
-from .intra_layer import intra_layer_order
-from .kernels import csr_dynamic_schedule, csr_static_schedule
-from .layer_by_layer import layer_by_layer_schedule
+from ..mapping.duplication import DuplicationSolution
+from ..mapping.placement import Placement
+from ..mapping.rewrite import RewriteReport
+from .cache import CompilationCache
+from .dependencies import DependencyGraph
 from .schedule import Schedule
-from .sets import FINEST, SetGranularity, determine_sets
+from .sets import FINEST, SetGranularity
 
-#: Builtin mapping option names (extensible via
-#: :func:`repro.core.passes.register_mapping`).
+#: Builtin mapping option names, the only list of them (extensible via
+#: :func:`repro.core.passes.register_mapping`; builtins cannot be
+#: unregistered).
 MAPPINGS = ("none", "wdup")
-#: Builtin scheduling option names (extensible via
-#: :func:`repro.core.passes.register_scheduler`).
+#: Builtin scheduling option names, the only list of them (extensible
+#: via :func:`repro.core.passes.register_scheduler`).
 SCHEDULERS = ("layer-by-layer", "clsa-cim")
 
 
@@ -241,22 +235,6 @@ class CompiledModel:
         return load_compiled(path)
 
 
-def _stage_cached(cache, make_key, compute):
-    """Memoize ``compute`` under ``make_key()`` when a cache is present.
-
-    The key is built lazily — key construction may fingerprint a whole
-    graph, which must never happen on uncached compiles.
-    """
-    if cache is None:
-        return compute()
-    return cache.get_or_compute(make_key(), compute)
-
-
-def _key_for(graph: Graph, cache: CompilationCache, key: Optional[CacheKey]) -> CacheKey:
-    """The caller-provided key, or a fresh fingerprint-based one."""
-    return key if key is not None else _graph_key(graph, cache)
-
-
 def preprocess_stage(
     graph: Graph,
     cache: Optional[CompilationCache] = None,
@@ -275,183 +253,6 @@ def preprocess_stage(
     return cache.get_or_compute(
         ("preprocess", cache.fingerprint(graph)),
         lambda: preprocess(graph, quantization=None).graph,
-    )
-
-
-def tile_stage(
-    canonical: Graph,
-    arch: ArchitectureConfig,
-    cache: Optional[CompilationCache] = None,
-    canonical_key: Optional[CacheKey] = None,
-) -> dict[str, LayerTiling]:
-    """Tile every base layer onto crossbars (Eq. 1).
-
-    Tilings depend only on the graph and the crossbar geometry — not
-    the PE budget — so one cache entry serves every ``x`` of a sweep.
-    """
-    return _stage_cached(
-        cache,
-        lambda: ("tile", _key_for(canonical, cache, canonical_key), arch.crossbar),
-        lambda: tile_graph(canonical, arch.crossbar),
-    )
-
-
-def duplication_stage(
-    canonical: Graph,
-    arch: ArchitectureConfig,
-    options: ScheduleOptions,
-    cache: Optional[CompilationCache] = None,
-    canonical_key: Optional[CacheKey] = None,
-) -> tuple[DuplicationSolution, RewriteReport]:
-    """Optimization Problem 1 + the Fig. 4 rewrite (Sec. III-C).
-
-    The ``wdup`` and ``wdup+xinf`` configurations at the same PE budget
-    share one solution/rewrite through the cache.
-    """
-    key = None if cache is None else _key_for(canonical, cache, canonical_key)
-
-    def compute() -> tuple[DuplicationSolution, RewriteReport]:
-        tilings = tile_stage(canonical, arch, cache, key)
-        problem = problem_from_tilings(
-            tilings,
-            budget=arch.num_pes,
-            d_max_cap=options.d_max_cap,
-            axis=options.duplication_axis,
-        )
-        duplication = solve(problem, options.duplication_solver)
-        rewrite = apply_duplication(
-            canonical, duplication, axis=options.duplication_axis
-        )
-        return duplication, rewrite
-
-    return _stage_cached(cache, lambda: _mapped_key(key, arch, options), compute)
-
-
-def placement_stage(
-    mapped: Graph,
-    arch: ArchitectureConfig,
-    cache: Optional[CompilationCache] = None,
-    mapped_key: Optional[CacheKey] = None,
-) -> Placement:
-    """Weight-stationary PE placement of the mapped graph."""
-    return _stage_cached(
-        cache,
-        lambda: ("place", _key_for(mapped, cache, mapped_key), arch),
-        lambda: place_graph(mapped, arch),
-    )
-
-
-def sets_stage(
-    mapped: Graph,
-    granularity: SetGranularity,
-    cache: Optional[CompilationCache] = None,
-    mapped_key: Optional[CacheKey] = None,
-) -> dict[str, list[Rect]]:
-    """Stage I: determine sets."""
-    return _stage_cached(
-        cache,
-        lambda: ("sets", _key_for(mapped, cache, mapped_key), granularity),
-        lambda: determine_sets(mapped, granularity),
-    )
-
-
-def dependencies_stage(
-    mapped: Graph,
-    sets: dict[str, list[Rect]],
-    granularity: SetGranularity,
-    cache: Optional[CompilationCache] = None,
-    mapped_key: Optional[CacheKey] = None,
-) -> DependencyGraph:
-    """Stage II: determine dependencies (columnar, emits the CSR set graph)."""
-    return _stage_cached(
-        cache,
-        lambda: ("deps", _key_for(mapped, cache, mapped_key), granularity),
-        lambda: determine_dependencies(mapped, sets),
-    )
-
-
-def schedule_stage(
-    mapped: Graph,
-    sets: dict[str, list[Rect]],
-    dependencies: Optional[DependencyGraph],
-    options: ScheduleOptions,
-    cache: Optional[CompilationCache] = None,
-    mapped_key: Optional[CacheKey] = None,
-) -> Schedule:
-    """Stage III–IV (or the layer-by-layer baseline): build a schedule.
-
-    Handles the two builtin policies only; registered third-party
-    schedulers run through :class:`repro.core.passes.SchedulePass`.
-    """
-    if options.scheduling not in SCHEDULERS:
-        raise ValueError(
-            f"schedule_stage only builds builtin schedulers {SCHEDULERS}; "
-            f"{options.scheduling!r} must run through the PassManager"
-        )
-
-    if options.scheduling == "layer-by-layer":
-        return _stage_cached(
-            cache,
-            lambda: (
-                "schedule",
-                _key_for(mapped, cache, mapped_key),
-                options.granularity,
-                "layer-by-layer",
-            ),
-            lambda: layer_by_layer_schedule(mapped, sets),
-        )
-
-    assert dependencies is not None, "clsa-cim scheduling requires dependencies"
-
-    def compute() -> Schedule:
-        # The columnar kernels self-validate with vectorized
-        # dependency/resource checks (no per-set Python objects).
-        arrays = dependencies.arrays
-        if options.order_mode == "dynamic":
-            return csr_dynamic_schedule(arrays)
-        order = intra_layer_order(sets, options.intra_layer_policy)
-        return csr_static_schedule(arrays, order)
-
-    return _stage_cached(
-        cache,
-        lambda: (
-            "schedule",
-            _key_for(mapped, cache, mapped_key),
-            options.granularity,
-            "clsa-cim",
-            options.order_mode,
-            options.intra_layer_policy,
-        ),
-        compute,
-    )
-
-
-def _graph_key(graph: Graph, cache: Optional[CompilationCache] = None) -> CacheKey:
-    """Cache-key prefix identifying a graph by structural content.
-
-    Uses the cache's memoized fingerprint when one is available.
-    """
-    if cache is not None:
-        return ("graph", cache.fingerprint(graph))
-    return ("graph", graph_fingerprint(graph))
-
-
-def _mapped_key(
-    canonical_key: CacheKey, arch: ArchitectureConfig, options: ScheduleOptions
-) -> CacheKey:
-    """Cache-key prefix identifying the post-rewrite (mapped) graph.
-
-    Derived from the canonical key plus every option the rewrite
-    depends on — cheaper than fingerprinting the rewritten graph.
-    """
-    return (
-        "wdup",
-        canonical_key,
-        arch.crossbar,
-        arch.num_pes,
-        options.duplication_solver,
-        options.duplication_axis,
-        options.d_max_cap,
     )
 
 
@@ -487,10 +288,9 @@ def compile_model(
 
     Notes
     -----
-    This is a backward-compatible shim over the default
-    :class:`repro.core.passes.PassManager` — the same machinery
-    :class:`repro.session.Session` runs — and produces bit-identical
-    results to the Session path.
+    Runs :meth:`repro.core.passes.PassManager.compile` on the default
+    pass order, the one compile path that :meth:`repro.session.Session.compile`
+    and :func:`repro.exec.runtime.execute_job` take as well.
     """
     from .passes import default_pass_manager
 

@@ -43,6 +43,7 @@ if TYPE_CHECKING:
 
 from ..arch.config import ArchitectureConfig
 from ..core.cache import CompilationCache
+from ..core.passes import default_pass_manager
 from ..ir.graph import Graph
 from .executors import Executor, ExecutorUnavailable, make_executor
 from .faults import FaultPlan, FaultSpec, apply_fault
@@ -208,8 +209,6 @@ def _run_atomic(
     pass_manager: Any,
     hooks: Sequence[Any],
 ) -> tuple[Any, dict[str, float], list[str], _CacheDelta, Any]:
-    from ..session import Session  # runtime import: session imports this module
-
     if not isinstance(job, (CompileJob, EvaluateJob)):
         raise TypeError(f"cannot execute job of kind {job.kind!r} atomically")
     graph = job.graph
@@ -225,13 +224,15 @@ def _run_atomic(
             "a Session (which supplies its own) or set job.arch"
         )
     before = cache.stats_snapshot() if cache is not None else {}
-    session = Session(
+    manager = pass_manager if pass_manager is not None else default_pass_manager()
+    compiled = manager.compile(
+        graph,
         job.arch,
-        cache=cache if cache is not None else False,
+        job.options,
+        assume_canonical=assume_canonical,
+        cache=cache,
         hooks=hooks,
-        pass_manager=pass_manager,
     )
-    compiled = session.compile(graph, job.options, assume_canonical=assume_canonical)
     value: Any = compiled
     if isinstance(job, EvaluateJob):
         energy = None

@@ -20,9 +20,10 @@ import of ``repro.core`` here would be circular.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -158,6 +159,18 @@ def _rect_from_list(values: Any) -> Rect:
     return Rect(int(r0), int(c0), int(r1), int(c1))
 
 
+@contextlib.contextmanager
+def required_fields(record: str, error: type[ValueError] = ValueError) -> Iterator[None]:
+    """Raise a field missing from a decoded ``record`` as ``error`` naming it.
+
+    Usable as a decorator on a whole decoder.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{record} is missing field {exc.args[0]!r}") from None
+
+
 def arch_to_dict(arch: Any) -> dict[str, Any]:
     """Serialize an :class:`~repro.arch.config.ArchitectureConfig`."""
     return {
@@ -178,6 +191,7 @@ def arch_to_dict(arch: Any) -> dict[str, Any]:
     }
 
 
+@required_fields("architecture record")
 def arch_from_dict(record: dict[str, Any]) -> Any:
     """Deserialize an :class:`~repro.arch.config.ArchitectureConfig`."""
     from ..arch.config import ArchitectureConfig
@@ -498,6 +512,7 @@ def compiled_to_dict(
     return record
 
 
+@required_fields("artifact record")
 def compiled_from_dict(record: dict[str, Any]) -> Any:
     """Deserialize a :class:`~repro.core.pipeline.CompiledModel`.
 

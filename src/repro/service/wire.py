@@ -209,8 +209,12 @@ def encode_job(job: Job) -> Dict[str, Any]:
     raise WireError(f"job kind {job.kind!r} is not wire-encodable")
 
 
+@serialize.required_fields("job payload", WireError)
 def decode_job(record: Mapping[str, Any]) -> Job:
-    """Decode one job description from its wire dict."""
+    """Decode one job description from its wire dict.
+
+    A missing field raises :class:`WireError` naming it.
+    """
     version = record.get("version")
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version!r} (want {WIRE_VERSION})")

@@ -35,9 +35,10 @@ accepts raw or canonical graphs; ``evaluate`` accepts a graph or an
 existing :class:`~repro.core.pipeline.CompiledModel`; ``sweep``
 accepts benchmark specs or names.
 
-Compilation itself runs in the :class:`repro.core.passes.PassManager`;
-the legacy free function :func:`repro.core.pipeline.compile_model` is
-a shim over the same machinery.
+Compilation itself is :meth:`repro.core.passes.PassManager.compile`,
+whose passes compute and cache every stage; :meth:`Session.compile`,
+:func:`repro.core.pipeline.compile_model` and every compile or evaluate
+job take that one path.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ if TYPE_CHECKING:  # heavy subsystems: imported for annotations only
 
 from .arch.config import ArchitectureConfig
 from .core.cache import CompilationCache
-from .core.passes import CompilationContext, PassManager, default_pass_manager
+from .core.passes import CompilationContext, PassManager, default_pass_manager, fire_hooks
 from .core.pipeline import CompiledModel, ScheduleOptions
 from .exec.executors import Executor
 from .exec.faults import FaultPlan
@@ -321,17 +322,14 @@ class Session:
         third-party mapping/scheduler names are accepted the same way
         as builtins.
         """
-        ctx = CompilationContext(
-            graph=graph,
-            arch=self.arch,
-            options=options if options is not None else ScheduleOptions(),
-            cache=self.cache,
+        return self.pass_manager.compile(
+            graph,
+            self.arch,
+            options,
             assume_canonical=assume_canonical,
+            cache=self.cache,
+            hooks=self.hooks,
         )
-        self._fire("on_compile_start", ctx, sink=ctx.diagnostics)
-        compiled = self.pass_manager.run(ctx, self.hooks).to_compiled()
-        self._fire("on_compile_end", compiled, sink=compiled.diagnostics)
-        return compiled
 
     # -- evaluate ------------------------------------------------------
 
@@ -393,10 +391,10 @@ class Session:
         :class:`~repro.exec.jobs.JobResult` envelope rather than
         raised (``result.unwrap()`` re-raises).
         """
-        self._fire_job_submit(job)
+        self._fire("on_job_submit", job)
         if isinstance(job, (SweepJob, ExploreJob)):
             result = self._guarded_composite(job)
-            self._fire("on_job_done", result, sink=None)
+            self._fire("on_job_done", result)
             return JobFuture.completed(result, job=job)
         future = self.runtime.submit(job)
         future.job = job
@@ -434,24 +432,24 @@ class Session:
         composite = any(isinstance(job, (SweepJob, ExploreJob)) for job in items)
         if not composite:
             for job in items:
-                self._fire_job_submit(job)
+                self._fire("on_job_submit", job)
             for result in self.runtime.map_jobs(items, ordered=ordered, capture=True):
-                self._fire("on_job_done", result, sink=None)
+                self._fire("on_job_done", result)
                 yield result
             return
         for job in items:
-            self._fire_job_submit(job)
+            self._fire("on_job_submit", job)
             if isinstance(job, SweepJob):
                 yield from self._sweep_job_results(job, ordered)
             elif isinstance(job, ExploreJob):
                 result = self._guarded_composite(job)
-                self._fire("on_job_done", result, sink=None)
+                self._fire("on_job_done", result)
                 yield result
             else:
                 for result in self.runtime.map_jobs(
                     [job], ordered=ordered, capture=True
                 ):
-                    self._fire("on_job_done", result, sink=None)
+                    self._fire("on_job_done", result)
                     yield result
 
     def _sweep_job_results(self, job: SweepJob, ordered: bool) -> Iterator[JobResult]:
@@ -469,7 +467,7 @@ class Session:
             stream = sweep_job_stream(self.runtime, job, ordered=ordered, capture=True)
         except Exception:
             result = self._error_result(key)
-            self._fire("on_job_done", result, sink=None)
+            self._fire("on_job_done", result)
             yield result
             return
         while True:
@@ -479,10 +477,10 @@ class Session:
                 return
             except Exception:
                 result = self._error_result(key)
-                self._fire("on_job_done", result, sink=None)
+                self._fire("on_job_done", result)
                 yield result
                 return
-            self._fire("on_job_done", result, sink=None)
+            self._fire("on_job_done", result)
             yield result
 
     def _composite_key(self, job: Job) -> str:
@@ -700,29 +698,18 @@ class Session:
 
     # -- helpers -------------------------------------------------------
 
-    def _fire_job_submit(self, job: Job) -> None:
-        self._fire("on_job_submit", job, sink=None)
-
     def _job_done_callback(self, future: JobFuture) -> None:
         try:
             result = future.result()
         except Exception:
             return  # pool-level failure; nothing to observe
-        self._fire("on_job_done", result, sink=None)
+        self._fire("on_job_done", result)
 
-    def _fire(self, event: str, payload: Any, sink: Optional[list] = None) -> None:
-        """Invoke one hook event on every hook, never letting it abort.
+    def _fire(self, event: str, payload: Any) -> None:
+        """Invoke one job-level hook event; a hook that raises is ignored.
 
-        A hook that raises is recorded on ``sink`` (a diagnostics
-        list, when the payload carries one) and otherwise swallowed —
-        observation must not change compilation outcomes.
+        (Pass- and compile-level events fire in
+        :meth:`~repro.core.passes.PassManager.compile`, which records
+        hook failures as compile diagnostics.)
         """
-        for hook in self.hooks:
-            callback = getattr(hook, event, None)
-            if callback is None:
-                continue
-            try:
-                callback(payload)
-            except Exception as exc:  # noqa: BLE001 - diagnostics, not control flow
-                if sink is not None:
-                    sink.append(f"hook {event} raised {type(exc).__name__}: {exc}")
+        fire_hooks(self.hooks, event, [], payload)

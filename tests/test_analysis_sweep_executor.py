@@ -6,14 +6,10 @@ import warnings
 import pytest
 
 from repro import Session
-from repro.analysis.sweep import (
-    SweepTask,
-    evaluate_task,
-    grid_tasks,
-)
+from repro.analysis.sweep import SweepTask, grid_job, grid_tasks
 from repro.arch import CrossbarSpec, paper_case_study
 from repro.core import SetGranularity
-from repro.exec import ProcessExecutor, SweepJob
+from repro.exec import ProcessExecutor, SweepJob, execute_job
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import BenchmarkSpec, tiny_dual_head, tiny_sequential
@@ -71,9 +67,9 @@ class TestGrid:
         assert [t.extra_pes for t in tasks] == [0, 0, 4, 4, 8, 8]
 
     def test_evaluate_task_matches_direct_compile(self):
-        spec, graph = small_spec()
+        spec, _ = small_spec()
         task = SweepTask(spec.name, "xinf", "none", "clsa-cim", 0, spec.min_pes)
-        metrics = evaluate_task(graph, task, COARSE)
+        metrics = execute_job(grid_job(task, COARSE)).unwrap().metrics
         assert metrics.config_name == "xinf"
         assert metrics.latency_cycles > 0
 

@@ -153,6 +153,20 @@ class TestArtifactDetails:
         with pytest.raises(ValueError, match="unknown schedule options field.*turbo"):
             CompiledModel.load(str(path))
 
+    def test_missing_artifact_field_named(self, compiled_grid):
+        record = serialize.compiled_to_dict(self._one(compiled_grid))
+        del record["arch"]
+        with pytest.raises(ValueError, match="artifact record is missing field 'arch'"):
+            serialize.compiled_from_dict(record)
+
+    def test_missing_arch_field_named(self, compiled_grid):
+        with pytest.raises(ValueError, match="architecture record .* field 'tile'"):
+            serialize.arch_from_dict({"num_pes": 4})
+        record = serialize.compiled_to_dict(self._one(compiled_grid))
+        del record["arch"]["noc"]
+        with pytest.raises(ValueError, match="architecture record .* field 'noc'"):
+            serialize.compiled_from_dict(record)
+
     def test_options_decoder_defaults_and_names_bad_fields(self):
         defaults = serialize.options_to_dict(ScheduleOptions())
         partial = {"mapping": "none", "order_mode": "static"}

@@ -168,9 +168,9 @@ class TestFingerprintMemo:
         from repro.core import cache as cache_module
 
         calls = []
-        real = cache_module.graph_fingerprint
+        real = cache_module._graph_fingerprint_uncached
         monkeypatch.setattr(
-            cache_module, "graph_fingerprint",
+            cache_module, "_graph_fingerprint_uncached",
             lambda g: calls.append(1) or real(g),
         )
         cache = CompilationCache()
@@ -184,3 +184,29 @@ class TestFingerprintMemo:
         cache = CompilationCache()
         a, b = tiny_sequential(), tiny_sequential()
         assert cache.fingerprint(a) == cache.fingerprint(b)
+
+    def test_invalidate_reaches_a_live_session_cache(self):
+        """``invalidate_fingerprint`` before a mutation, as its docstring
+        asks, makes the next compile in the same session see the new
+        weights instead of a stale ``preprocess`` hit."""
+        import numpy as np
+
+        from repro import Session
+        from repro.core.cache import invalidate_fingerprint
+
+        raw = tiny_sequential()
+        conv = raw[raw.base_layers()[0]]
+        rng = np.random.default_rng(0)
+        conv.weights = rng.normal(size=(*conv.kernel, 3, conv.out_channels))
+        arch = arch_for(preprocess(tiny_sequential(), quantization=None).graph)
+        session = Session(arch)
+        first = session.compile(raw)
+
+        invalidate_fingerprint(raw)
+        conv.weights = conv.weights * 2
+        second = session.compile(raw)
+        fresh = Session(arch).compile(raw)
+
+        assert session.cache.stats["preprocess"].misses == 2
+        assert graph_fingerprint(second.canonical) == graph_fingerprint(fresh.canonical)
+        assert graph_fingerprint(second.canonical) != graph_fingerprint(first.canonical)

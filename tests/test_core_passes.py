@@ -3,9 +3,10 @@
 import pytest
 
 from repro.arch import paper_case_study
-from repro.core import ScheduleOptions, compile_model
-from repro.core import pipeline as pipeline_mod
-from repro.core.cache import CompilationCache
+from repro.core import FINEST, ScheduleOptions, compile_model
+from repro.core import cache as cache_mod
+from repro.core import passes as passes_mod
+from repro.core.cache import CompilationCache, graph_fingerprint
 from repro.core.passes import (
     CompilationContext,
     PassError,
@@ -72,14 +73,21 @@ class TestDefaultPasses:
         assert "deps" not in compiled.timings
         assert "skipped pass 'deps'" in compiled.diagnostics
 
-    def test_cached_run_executes_tile_pass(self, canonical, arch):
+    def test_cached_run_executes_tile_pass(self, canonical, arch, monkeypatch):
+        calls = []
+        real = passes_mod.tile_graph
+        monkeypatch.setattr(
+            passes_mod, "tile_graph", lambda *args: calls.append(1) or real(*args)
+        )
         cache = CompilationCache()
         compiled = default_pass_manager().compile(
             canonical, arch, ScheduleOptions(), assume_canonical=True, cache=cache
         )
         assert "tile" in compiled.timings
-        # The mapping pass re-requests the tilings and must hit.
-        assert cache.stats["tile"].hits >= 1
+        # The wdup rule reads the tile pass's tilings from the context:
+        # one lookup, one tiling.
+        assert cache.stats["tile"].lookups == 1
+        assert calls == [1]
 
     def test_missing_schedule_is_an_error(self, canonical, arch):
         manager = PassManager(default_passes()[:-1])  # drop the schedule pass
@@ -216,11 +224,6 @@ class TestCustomScheduler:
         )
         assert compiled.schedule.policy == "reverse-sequential"
 
-    def test_schedule_stage_rejects_non_builtin(self, canonical, arch, reverse_scheduler):
-        options = ScheduleOptions(mapping="none", scheduling=reverse_scheduler)
-        with pytest.raises(ValueError, match="PassManager"):
-            pipeline_mod.schedule_stage(canonical, {}, None, options)
-
 
 class TestCustomMapping:
     def test_custom_mapping_rule(self, canonical, arch):
@@ -295,36 +298,23 @@ class TestCustomMapping:
 
 
 class TestLazyCacheKeys:
-    """Without a cache no graph fingerprint is ever computed (the old
-    path planted a misleading ``("graph", "")`` placeholder key and the
-    stage functions hashed graphs whose keys were never used)."""
+    """Without a cache no graph fingerprint is ever computed."""
 
     def test_uncached_compile_never_fingerprints(self, canonical, arch, monkeypatch):
         def boom(graph):
             raise AssertionError("graph_fingerprint called without a cache")
 
-        monkeypatch.setattr(pipeline_mod, "graph_fingerprint", boom)
+        monkeypatch.setattr(cache_mod, "graph_fingerprint", boom)
         monkeypatch.setattr(CompilationCache, "fingerprint", lambda self, graph: boom(graph))
-        compiled = compile_model(
-            canonical, arch, ScheduleOptions(), assume_canonical=True
-        )
-        assert compiled.schedule.makespan > 0
-
-    def test_uncached_stage_functions_never_fingerprint(
-        self, canonical, arch, monkeypatch
-    ):
-        def boom(graph):
-            raise AssertionError("graph_fingerprint called without a cache")
-
-        monkeypatch.setattr(pipeline_mod, "graph_fingerprint", boom)
-        tilings = pipeline_mod.tile_stage(canonical, arch)
-        assert tilings
-        placement = pipeline_mod.placement_stage(canonical, arch)
-        options = ScheduleOptions(mapping="none", scheduling="layer-by-layer")
-        sets = pipeline_mod.sets_stage(canonical, options.granularity)
-        deps = pipeline_mod.dependencies_stage(canonical, sets, options.granularity)
-        schedule = pipeline_mod.schedule_stage(canonical, sets, deps, options)
-        assert placement.pes_used > 0 and schedule.makespan > 0
+        for mapping in ("none", "wdup"):
+            for scheduling in ("layer-by-layer", "clsa-cim"):
+                compiled = compile_model(
+                    canonical,
+                    arch,
+                    ScheduleOptions(mapping=mapping, scheduling=scheduling),
+                    assume_canonical=True,
+                )
+                assert compiled.schedule.makespan > 0
 
     def test_cached_and_uncached_results_identical(self, canonical, arch):
         cache = CompilationCache()
@@ -332,6 +322,52 @@ class TestLazyCacheKeys:
         cached = compile_model(canonical, arch, assume_canonical=True, cache=cache)
         assert uncached.schedule.tasks == cached.schedule.tasks
         assert uncached.placement.pe_ranges == cached.placement.pe_ranges
+
+
+class TestStageKeys:
+    """The exact cache key of every stage.
+
+    Persistent store entries are addressed by these tuples, so a
+    refactor that changes one orphans every stored entry of that stage.
+    """
+
+    def compile_keys(self, options):
+        raw = build("tiny_sequential")
+        canonical = preprocess(build("tiny_sequential"), quantization=None).graph
+        arch = _arch_with_extra(canonical, 4)
+        cache = CompilationCache()
+        compile_model(raw, arch, options, cache=cache)
+        graph_key = ("graph", graph_fingerprint(canonical))
+        return cache, raw, arch, graph_key
+
+    def test_wdup_clsa_cim_keys(self):
+        options = ScheduleOptions(mapping="wdup", scheduling="clsa-cim")
+        cache, raw, arch, graph_key = self.compile_keys(options)
+        wdup_key = ("wdup", graph_key, arch.crossbar, arch.num_pes, "dp", "width", None)
+        expected = [
+            ("preprocess", graph_fingerprint(raw)),
+            ("tile", graph_key, arch.crossbar),
+            wdup_key,
+            ("place", wdup_key, arch),
+            ("sets", wdup_key, FINEST),
+            ("deps", wdup_key, FINEST),
+            ("schedule", wdup_key, FINEST, "clsa-cim", "dynamic", "row_major"),
+        ]
+        assert [key in cache for key in expected] == [True] * len(expected)
+        assert len(cache) == len(expected)
+
+    def test_none_layer_by_layer_keys(self):
+        options = ScheduleOptions(mapping="none", scheduling="layer-by-layer")
+        cache, raw, arch, graph_key = self.compile_keys(options)
+        expected = [
+            ("preprocess", graph_fingerprint(raw)),
+            ("tile", graph_key, arch.crossbar),
+            ("place", graph_key, arch),
+            ("sets", graph_key, FINEST),
+            ("schedule", graph_key, FINEST, "layer-by-layer"),
+        ]
+        assert [key in cache for key in expected] == [True] * len(expected)
+        assert len(cache) == len(expected)
 
 
 class TestContext:

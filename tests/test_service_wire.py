@@ -148,6 +148,16 @@ class TestJobCodecs:
         with pytest.raises(WireError, match="version"):
             decode_job(record)
 
+    def test_missing_field_named(self, arch):
+        with pytest.raises(WireError, match="job payload is missing field 'graph'"):
+            decode_job({"version": WIRE_VERSION, "kind": "compile"})
+        with pytest.raises(WireError, match="job payload is missing field 'benchmarks'"):
+            decode_job({"version": WIRE_VERSION, "kind": "sweep"})
+        record = roundtrip(encode_job(EvaluateJob("tinyyolov3", arch=arch)))
+        del record["arch"]["tile"]
+        with pytest.raises(ValueError, match="architecture record .* field 'tile'"):
+            decode_job(record)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(WireError, match="unknown job kind"):
             decode_job({"version": WIRE_VERSION, "kind": "teleport"})
