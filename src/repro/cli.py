@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the compile service (HTTP job queue over a shared "
-             "store and an async executor)",
+             "store and a bounded thread pool)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",

@@ -30,6 +30,7 @@ scheduler plugs in without touching core code::
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -181,11 +182,15 @@ def _pass_applies(p: Pass, ctx: CompilationContext) -> bool:
     return True if applies is None else bool(applies(ctx))
 
 
-def fire_hooks(hooks: Sequence[Any], event: str, sink: list[str], *args: Any) -> None:
+def fire_hooks(
+    hooks: Sequence[Any], event: str, sink: Optional[list[str]], *args: Any
+) -> None:
     """Run one hook event on every hook that has it.
 
-    A hook that raises is recorded on ``sink`` (a diagnostics list) and
-    aborts nothing — observation must never change outcomes.
+    A hook that raises aborts nothing — observation must never change
+    outcomes.  Its failure is recorded on ``sink`` (a compile's
+    diagnostics list) or, with ``sink=None`` (job-level events, which
+    have no compile to record on), emitted as one ``RuntimeWarning``.
     """
     for hook in hooks:
         callback = getattr(hook, event, None)
@@ -194,7 +199,11 @@ def fire_hooks(hooks: Sequence[Any], event: str, sink: list[str], *args: Any) ->
         try:
             callback(*args)
         except Exception as exc:
-            sink.append(f"hook {event} raised {type(exc).__name__}: {exc}")
+            note = f"hook {event} raised {type(exc).__name__}: {exc}"
+            if sink is None:
+                warnings.warn(note, RuntimeWarning, stacklevel=2)
+            else:
+                sink.append(note)
 
 
 # ---------------------------------------------------------------------------

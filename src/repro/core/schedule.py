@@ -5,22 +5,15 @@ time in cycles (one cycle = one ``t_MVM``, Sec. III-B).  Each base
 layer owns its PEs exclusively (weight-stationary mapping), so the
 per-layer timeline doubles as the per-PE timeline of that layer's PEs.
 
-Two storage forms coexist behind one API:
-
-* **Row form** — a list of :class:`SetTask` dataclasses, appended by
-  row-at-a-time schedulers (plugins, the cost-model simulator).
-* **Columnar form** — a :class:`ScheduleColumns` structure-of-arrays
-  (int64/int32 NumPy columns), produced by the CSR kernels in
-  :mod:`repro.core.kernels`.  ``tasks`` materializes the row form
-  lazily on first access, so downstream consumers written against
-  :class:`SetTask` keep working unchanged while the aggregate queries
-  (``makespan``, ``busy_cycles``, ``layer_span``,
-  ``validate_intra_layer_order``) run vectorized.
-
-All derived queries are cached per layer and invalidated on any
-mutation of ``tasks`` (the historical implementations rescanned the
-full task list per call, which made ``simulate()``'s stall computation
-O(L·n)).
+A :class:`Schedule` stores one :class:`ScheduleColumns`
+structure-of-arrays (int64/int32 NumPy columns), the form the CSR
+kernels in :mod:`repro.core.kernels` emit, and answers every query
+(``makespan``, ``busy_cycles``, ``layer_span``,
+``validate_intra_layer_order``...) from it.  Row producers (plugin
+schedulers, the cost-model simulator) build a schedule once from a
+list of :class:`SetTask` rows, ``Schedule(policy, tasks=rows)``, which
+converts them to columns.  ``tasks`` is the read-only row form: the
+given rows, or a tuple materialized from the columns on first access.
 """
 
 from __future__ import annotations
@@ -138,7 +131,6 @@ class ScheduleColumns:
         """Build columns from row form (layers in first-appearance order)."""
         layers: list[str] = []
         layer_ids: dict[str, int] = {}
-        n = len(tasks) if hasattr(tasks, "__len__") else None
         rows: list[tuple[int, int, int, int, int, int, int, int, int]] = []
         for task in tasks:
             lid = layer_ids.get(task.layer)
@@ -159,7 +151,7 @@ class ScheduleColumns:
                     rect.c1,
                 )
             )
-        data = np.asarray(rows, dtype=np.int64).reshape(n or len(rows), 9)
+        data = np.asarray(rows, dtype=np.int64).reshape(len(rows), 9)
         return ScheduleColumns(
             layers=tuple(layers),
             layer_id=np.ascontiguousarray(data[:, 0], dtype=np.int32),
@@ -199,70 +191,6 @@ class ScheduleColumns:
         ]
 
 
-class _TaskList(list):
-    """Task list that invalidates the owning schedule's caches on mutation."""
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "Schedule", iterable: Iterable[SetTask] = ()) -> None:
-        super().__init__(iterable)
-        self._owner = owner
-
-    def _touch(self) -> None:
-        self._owner._invalidate()
-
-    def append(self, item):  # noqa: D102
-        super().append(item)
-        self._touch()
-
-    def extend(self, iterable):  # noqa: D102
-        super().extend(iterable)
-        self._touch()
-
-    def insert(self, index, item):  # noqa: D102
-        super().insert(index, item)
-        self._touch()
-
-    def pop(self, index=-1):  # noqa: D102
-        value = super().pop(index)
-        self._touch()
-        return value
-
-    def remove(self, item):  # noqa: D102
-        super().remove(item)
-        self._touch()
-
-    def clear(self):  # noqa: D102
-        super().clear()
-        self._touch()
-
-    def sort(self, **kwargs):  # noqa: D102
-        super().sort(**kwargs)
-        self._touch()
-
-    def reverse(self):  # noqa: D102
-        super().reverse()
-        self._touch()
-
-    def __setitem__(self, index, value):
-        super().__setitem__(index, value)
-        self._touch()
-
-    def __delitem__(self, index):
-        super().__delitem__(index)
-        self._touch()
-
-    def __iadd__(self, other):
-        result = super().__iadd__(other)
-        self._touch()
-        return result
-
-    def __imul__(self, factor):
-        result = super().__imul__(factor)
-        self._touch()
-        return result
-
-
 class Schedule:
     """A complete schedule of one model on one architecture.
 
@@ -272,10 +200,11 @@ class Schedule:
         Human-readable scheduling policy name (``'layer-by-layer'`` or
         ``'clsa-cim'``).
     tasks:
-        All scheduled sets (materialized lazily for columnar schedules).
+        All scheduled sets as a read-only tuple (materialized on first
+        access when the schedule was built from columns).
     """
 
-    __slots__ = ("policy", "_tasks", "_columns", "_cache")
+    __slots__ = ("policy", "_tasks", "_columns")
 
     def __init__(
         self,
@@ -283,72 +212,35 @@ class Schedule:
         tasks: Optional[Iterable[SetTask]] = None,
         columns: Optional[ScheduleColumns] = None,
     ) -> None:
+        if tasks is not None and columns is not None:
+            raise ValueError("Schedule takes tasks= or columns=, not both")
         self.policy = policy
-        self._columns = columns
-        self._tasks: Optional[_TaskList] = None
-        if tasks is not None or columns is None:
-            self._tasks = _TaskList(self, tasks or ())
-        self._cache: dict = {}
-
-    # -- storage management --------------------------------------------
-
-    def _invalidate(self) -> None:
-        """Drop derived caches (and stale columns) after a mutation."""
-        self._cache.clear()
-        if self._tasks is not None:
-            self._columns = None
+        self._tasks = None if tasks is None else tuple(tasks)
+        self._columns = (
+            columns
+            if columns is not None
+            else ScheduleColumns.from_tasks(self._tasks or ())
+        )
 
     @property
-    def tasks(self) -> list[SetTask]:
-        """The row form; materialized from columns on first access."""
+    def tasks(self) -> tuple[SetTask, ...]:
+        """The row form; materialized from the columns on first access."""
         if self._tasks is None:
-            assert self._columns is not None
-            self._tasks = _TaskList(self, self._columns.to_tasks())
+            self._tasks = tuple(self._columns.to_tasks())
         return self._tasks
-
-    @tasks.setter
-    def tasks(self, value: Iterable[SetTask]) -> None:
-        self._tasks = _TaskList(self, value)
-        self._columns = None
-        self._cache.clear()
-
-    @property
-    def has_columns(self) -> bool:
-        """Whether this schedule is natively columnar (kernel-built)."""
-        return self._columns is not None
 
     @property
     def num_tasks(self) -> int:
         """Number of scheduled sets (no row materialization)."""
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self.tasks)
+        return len(self._columns)
 
     def columns(self) -> ScheduleColumns:
-        """The columnar form; built from the row form when needed."""
-        if self._columns is not None:
-            return self._columns
-        cols = self._cache.get("columns")
-        if cols is None:
-            cols = self._cache["columns"] = ScheduleColumns.from_tasks(self.tasks)
-        return cols
+        """The columnar form."""
+        return self._columns
 
-    def __getstate__(self) -> dict:
-        """Pickle the row form as a plain list (caches are dropped)."""
-        return {
-            "policy": self.policy,
-            "tasks": list(self._tasks) if self._tasks is not None else None,
-            "columns": self._columns,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.policy = state["policy"]
-        self._columns = state["columns"]
-        tasks = state["tasks"]
-        self._tasks = None if tasks is None else _TaskList(self, tasks)
-        if self._tasks is None and self._columns is None:
-            self._tasks = _TaskList(self)
-        self._cache = {}
+    def __reduce__(self) -> tuple:
+        """Pickle the columns only; rows re-materialize on demand."""
+        return (Schedule, (self.policy, None, self._columns))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):
@@ -358,111 +250,66 @@ class Schedule:
     def __repr__(self) -> str:
         return f"Schedule(policy={self.policy!r}, tasks=<{self.num_tasks} sets>)"
 
-    # -- cached per-layer index ------------------------------------------
-
-    def _layer_index(self) -> dict[str, list[SetTask]]:
-        """Per-layer task buckets (append order), built in one pass."""
-        index = self._cache.get("layer_index")
-        if index is None:
-            index = {}
-            for task in self.tasks:
-                bucket = index.get(task.layer)
-                if bucket is None:
-                    bucket = index[task.layer] = []
-                bucket.append(task)
-            self._cache["layer_index"] = index
-        return index
-
     # -- queries ----------------------------------------------------------
 
     @property
     def makespan(self) -> int:
         """Total inference latency in cycles (``t_NN``)."""
-        if self._columns is not None:
-            end = self._columns.end
-            return int(end.max()) if len(end) else 0
-        value = self._cache.get("makespan")
-        if value is None:
-            value = self._cache["makespan"] = max(
-                (task.end for task in self.tasks), default=0
-            )
-        return value
+        end = self._columns.end
+        return int(end.max()) if len(end) else 0
 
     def tasks_of(self, layer: str) -> list[SetTask]:
         """Tasks of one layer, in set order."""
-        by_layer = self._cache.setdefault("tasks_of", {})
-        tasks = by_layer.get(layer)
-        if tasks is None:
-            bucket = self._layer_index().get(layer, [])
-            tasks = by_layer[layer] = sorted(bucket, key=lambda t: t.set_index)
-        return list(tasks)
+        cols = self._columns
+        if layer not in cols.layers:
+            return []
+        rows = np.flatnonzero(cols.layer_id == cols.layers.index(layer))
+        rows = rows[np.argsort(cols.set_index[rows], kind="stable")]
+        tasks = self.tasks
+        return [tasks[row] for row in rows.tolist()]
 
     def layers(self) -> list[str]:
         """Distinct layer names in first-appearance order."""
-        if self._columns is not None and self._tasks is None:
-            layer_id = self._columns.layer_id
-            if not len(layer_id):
-                return []
-            _, first = np.unique(layer_id, return_index=True)
-            return [self._columns.layers[layer_id[i]] for i in np.sort(first)]
-        return list(self._layer_index())
+        layer_id = self._columns.layer_id
+        if not len(layer_id):
+            return []
+        _, first = np.unique(layer_id, return_index=True)
+        return [self._columns.layers[layer_id[i]] for i in np.sort(first)]
 
     def busy_cycles(self) -> dict[str, int]:
         """Per-layer busy cycles (sum of set durations)."""
-        if self._columns is not None and self._tasks is None:
-            cols = self._columns
-            if not len(cols):
-                return {}
-            num_layers = len(cols.layers)
-            totals = np.bincount(
-                cols.layer_id, weights=(cols.end - cols.start), minlength=num_layers
-            ).astype(np.int64)
-            counts = np.bincount(cols.layer_id, minlength=num_layers)
-            return {
-                layer: int(totals[lid])
-                for lid, layer in enumerate(cols.layers)
-                if counts[lid]
-            }
-        totals: dict[str, int] = {}
-        for layer, bucket in self._layer_index().items():
-            totals[layer] = sum(task.duration for task in bucket)
-        return totals
+        cols = self._columns
+        num_layers = len(cols.layers)
+        totals = np.bincount(
+            cols.layer_id, weights=(cols.end - cols.start), minlength=num_layers
+        ).astype(np.int64)
+        counts = np.bincount(cols.layer_id, minlength=num_layers)
+        return {
+            layer: int(totals[lid]) for lid, layer in enumerate(cols.layers) if counts[lid]
+        }
 
     def per_layer_stats(self) -> dict[str, tuple[int, int, int]]:
         """Per layer ``(span start, span end, busy cycles)`` in one pass.
 
         The single-pass form of ``layer_span`` + ``busy_cycles`` for
         callers that need both for every layer (e.g. the simulator's
-        stall computation, historically O(L·n)).
+        stall computation).
         """
-        stats = self._cache.get("per_layer_stats")
-        if stats is not None:
-            return dict(stats)
-        if self._columns is not None and self._tasks is None:
-            cols = self._columns
-            num_layers = len(cols.layers)
-            starts = np.full(num_layers, np.iinfo(np.int64).max, dtype=np.int64)
-            ends = np.zeros(num_layers, dtype=np.int64)
-            np.minimum.at(starts, cols.layer_id, cols.start)
-            np.maximum.at(ends, cols.layer_id, cols.end)
-            busy = np.bincount(
-                cols.layer_id, weights=(cols.end - cols.start), minlength=num_layers
-            ).astype(np.int64)
-            counts = np.bincount(cols.layer_id, minlength=num_layers)
-            stats = {
-                layer: (int(starts[lid]), int(ends[lid]), int(busy[lid]))
-                for lid, layer in enumerate(cols.layers)
-                if counts[lid]
-            }
-        else:
-            stats = {}
-            for layer, bucket in self._layer_index().items():
-                start = min(task.start for task in bucket)
-                end = max(task.end for task in bucket)
-                busy = sum(task.duration for task in bucket)
-                stats[layer] = (start, end, busy)
-        self._cache["per_layer_stats"] = stats
-        return dict(stats)
+        cols = self._columns
+        num_layers = len(cols.layers)
+        starts = np.full(num_layers, np.iinfo(np.int64).max, dtype=np.int64)
+        ends = np.zeros(num_layers, dtype=np.int64)
+        np.minimum.at(starts, cols.layer_id, cols.start)
+        np.maximum.at(ends, cols.layer_id, cols.end)
+        busy = np.bincount(
+            cols.layer_id, weights=(cols.end - cols.start), minlength=num_layers
+        ).astype(np.int64)
+        counts = np.bincount(cols.layer_id, minlength=num_layers)
+        return {
+            layer: (int(starts[lid]), int(ends[lid]), int(busy[lid]))
+            for lid, layer in enumerate(cols.layers)
+            if counts[lid]
+        }
 
     def layer_span(self, layer: str) -> tuple[int, int]:
         """Earliest start and latest end of one layer's tasks."""
@@ -478,18 +325,7 @@ class Schedule:
         resource dependencies of Fig. 5(b)) and must run sequentially —
         in whatever execution order the scheduler chose.
         """
-        if self._columns is not None and self._tasks is None:
-            cols = self._columns
-            check_layer_exclusivity(
-                cols.layer_id, cols.start, cols.end, cols.set_index, cols.layers
-            )
-            return
-        for layer, bucket in self._layer_index().items():
-            tasks = sorted(bucket, key=lambda task: task.start)
-            for earlier, later in zip(tasks, tasks[1:]):
-                if later.start < earlier.end:
-                    raise AssertionError(
-                        f"resource violation in '{layer}': set "
-                        f"{later.set_index} starts at {later.start} before set "
-                        f"{earlier.set_index} ends at {earlier.end}"
-                    )
+        cols = self._columns
+        check_layer_exclusivity(
+            cols.layer_id, cols.start, cols.end, cols.set_index, cols.layers
+        )

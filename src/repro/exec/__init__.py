@@ -28,7 +28,6 @@ from .executors import (
     executor_names,
     make_executor,
     register_executor,
-    resolve_executor,
     unregister_executor,
 )
 from .faults import FaultPlan, FaultSpec, InjectedFault, TransientFault
@@ -94,6 +93,5 @@ __all__ = [
     "job_key",
     "make_executor",
     "register_executor",
-    "resolve_executor",
     "unregister_executor",
 ]

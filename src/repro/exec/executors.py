@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from concurrent import futures
-from typing import Any, Callable, Iterator, Mapping, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Mapping, Optional, Protocol, runtime_checkable
 
 from ..ir.graph import Graph
 from .futures import JobFuture
@@ -47,7 +47,6 @@ __all__ = [
     "executor_names",
     "make_executor",
     "register_executor",
-    "resolve_executor",
 ]
 
 
@@ -64,8 +63,7 @@ class Executor(Protocol):
     """The submission surface every backend implements.
 
     ``submit`` schedules one callable and returns a
-    :class:`~repro.exec.futures.JobFuture`; ``map`` is the streaming
-    convenience over many argument tuples; ``shutdown`` releases any
+    :class:`~repro.exec.futures.JobFuture`; ``shutdown`` releases any
     pooled resources.  ``crosses_process`` tells the runtime whether
     submitted callables leave this interpreter (and therefore must be
     picklable and cannot share hooks, pass managers, or caches).
@@ -79,32 +77,7 @@ class Executor(Protocol):
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> JobFuture: ...
 
-    def map(
-        self,
-        fn: Callable[..., Any],
-        argslist: Sequence[Sequence[Any]],
-        *,
-        ordered: bool = True,
-    ) -> Iterator[Any]: ...
-
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None: ...
-
-
-def _map_via_submit(
-    executor: "Executor",
-    fn: Callable[..., Any],
-    argslist: Sequence[Sequence[Any]],
-    ordered: bool,
-) -> Iterator[Any]:
-    """Default ``map``: fan out through ``submit`` and stream results."""
-    submitted = [executor.submit(fn, *args) for args in argslist]
-    if ordered:
-        for handle in submitted:
-            yield handle.raw.result()
-        return
-    raws = {handle.raw: handle for handle in submitted}
-    for done in futures.as_completed(raws):
-        yield done.result()
 
 
 class InlineExecutor:
@@ -121,16 +94,6 @@ class InlineExecutor:
         except Exception as exc:
             raw.set_exception(exc)
         return JobFuture(raw)
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        argslist: Sequence[Sequence[Any]],
-        *,
-        ordered: bool = True,
-    ) -> Iterator[Any]:
-        for args in argslist:
-            yield fn(*args)
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         """Nothing to release."""
@@ -156,15 +119,6 @@ class ThreadExecutor:
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> JobFuture:
         return JobFuture(self._ensure_pool().submit(fn, *args))
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        argslist: Sequence[Sequence[Any]],
-        *,
-        ordered: bool = True,
-    ) -> Iterator[Any]:
-        return _map_via_submit(self, fn, argslist, ordered)
 
     def reset(self) -> None:
         """Drop the worker pool (cancelling queued work); lazily rebuilt."""
@@ -315,15 +269,6 @@ class ProcessExecutor:
         assert self._pool is not None
         return JobFuture(self._pool.submit(fn, *args))
 
-    def map(
-        self,
-        fn: Callable[..., Any],
-        argslist: Sequence[Sequence[Any]],
-        *,
-        ordered: bool = True,
-    ) -> Iterator[Any]:
-        return _map_via_submit(self, fn, argslist, ordered)
-
     def reset(self) -> None:
         """Drop the live pool (cancelling queued work); lazily rebuilt."""
         if self._pool is not None:
@@ -416,17 +361,6 @@ def make_executor(
     return spec
 
 
-#: Public alias: resolve a backend name/instance to an executor.
-resolve_executor = make_executor
-
-
-def _make_async(jobs: Optional[int]) -> Executor:
-    # Imported lazily: repro.service depends on this module.
-    from ..service.async_executor import AsyncExecutor
-
-    return AsyncExecutor(jobs)
-
-
 def _make_remote(jobs: Optional[int]) -> Executor:
     # Reads $REPRO_SERVER_URL; raises ValueError without a server URL.
     from ..service.client import RemoteExecutor
@@ -437,5 +371,4 @@ def _make_remote(jobs: Optional[int]) -> Executor:
 register_executor("inline", lambda jobs: InlineExecutor())
 register_executor("thread", lambda jobs: ThreadExecutor(jobs))
 register_executor("process", lambda jobs: ProcessExecutor(jobs))
-register_executor("async", _make_async)
 register_executor("remote", _make_remote)

@@ -40,7 +40,7 @@ import random
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .resilience import WorkerCrashError, check_deadline
 

@@ -3,9 +3,7 @@
 A thin, backend-agnostic wrapper over :class:`concurrent.futures.Future`
 that always resolves to a :class:`~repro.exec.jobs.JobResult`.  Inline
 execution wraps an already-completed future; thread and process
-backends wrap live pool futures — process futures additionally carry a
-``transform`` turning the worker's wire payload into the final result
-on the caller's side.
+backends wrap live pool futures.
 """
 
 from __future__ import annotations
@@ -33,11 +31,9 @@ class JobFuture:
         raw: "futures.Future[Any]",
         *,
         job: Optional[Job] = None,
-        transform: Optional[Callable[[Any], JobResult]] = None,
     ) -> None:
         self.raw = raw
         self.job = job
-        self._transform = transform
         self._result: Optional[JobResult] = None
 
     @classmethod
@@ -73,9 +69,9 @@ class JobFuture:
         up, or a resilient submit whose driver thread has started)
         keeps computing and its eventual result is discarded.  Note
         the raw ``Future.cancel`` return value alone is optimistic for
-        wrapped futures — a cached or transformed result can exist
-        even when the raw state says cancelled — so the true state is
-        re-read instead of trusted.
+        wrapped futures — a cached result can exist even when the raw
+        state says cancelled — so the true state is re-read instead of
+        trusted.
         """
         if self._result is not None:
             return False
@@ -89,10 +85,7 @@ class JobFuture:
     def result(self, timeout: Optional[float] = None) -> JobResult:
         """Block for (at most ``timeout`` seconds) and return the result."""
         if self._result is None:
-            payload = self.raw.result(timeout)
-            self._result = (
-                self._transform(payload) if self._transform is not None else payload
-            )
+            self._result = self.raw.result(timeout)
         return self._result
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:

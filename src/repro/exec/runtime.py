@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 
 from ..arch.config import ArchitectureConfig
 from ..core.cache import CompilationCache
-from ..core.passes import default_pass_manager
+from ..core.passes import default_pass_manager, fire_hooks
 from ..ir.graph import Graph
 from .executors import Executor, ExecutorUnavailable, make_executor
 from .faults import FaultPlan, FaultSpec, apply_fault
@@ -461,21 +461,6 @@ class JobRuntime:
     def _store_root(self) -> Optional[str]:
         return self.store.root if self.store is not None else None
 
-    def _fire_retry(self, event: RetryEvent) -> None:
-        """Best-effort ``on_job_retry`` dispatch over the hook list."""
-        for hook in self.hooks:
-            callback = getattr(hook, "on_job_retry", None)
-            if callback is None:
-                continue
-            try:
-                callback(event)
-            except Exception as exc:  # hooks must never kill the driver
-                warnings.warn(
-                    f"on_job_retry hook failed: {exc!r}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-
     def _execute_local(
         self,
         entry: _Prepared,
@@ -515,8 +500,11 @@ class JobRuntime:
                     return result
                 kind, message = result.error.kind, result.error.message
             backoff = policy.backoff(key, attempt)
-            self._fire_retry(
-                RetryEvent(key, attempt, attempt + 1, kind, message, backoff, backend)
+            fire_hooks(
+                self.hooks,
+                "on_job_retry",
+                None,
+                RetryEvent(key, attempt, attempt + 1, kind, message, backoff, backend),
             )
             if backoff > 0:
                 time.sleep(backoff)
@@ -903,7 +891,10 @@ class JobRuntime:
 
         def schedule_retry(flight: _Flight, kind: str, message: str) -> None:
             backoff = policy.backoff(flight.key, flight.attempt)
-            self._fire_retry(
+            fire_hooks(
+                self.hooks,
+                "on_job_retry",
+                None,
                 RetryEvent(
                     flight.key,
                     flight.attempt,

@@ -289,45 +289,26 @@ _SCHEDULE_COLUMNS = (
 def schedule_to_dict(schedule: Any) -> dict[str, Any]:
     """Serialize a :class:`~repro.core.schedule.Schedule`.
 
-    Natively columnar schedules (built by the CSR kernels) are
-    stored in columnar form — one list per column plus the layer-name
-    table — which round-trips without materializing any
-    :class:`~repro.core.schedule.SetTask`.  Row-form schedules keep the
-    historical per-task record.
+    The record is columnar: one list per column plus the layer-name
+    table, which round-trips without materializing any
+    :class:`~repro.core.schedule.SetTask`.
     """
-    if getattr(schedule, "has_columns", False):
-        cols = schedule.columns()
-        return {
-            "policy": schedule.policy,
-            "columns": {
-                "layers": list(cols.layers),
-                **{
-                    name: getattr(cols, name).tolist()
-                    for name in _SCHEDULE_COLUMNS
-                },
-            },
-        }
+    cols = schedule.columns()
     return {
         "policy": schedule.policy,
-        "tasks": [
-            [
-                task.layer,
-                task.set_index,
-                _rect_to_list(task.rect),
-                task.start,
-                task.end,
-                task.image,
-            ]
-            for task in schedule.tasks
-        ],
+        "columns": {
+            "layers": list(cols.layers),
+            **{name: getattr(cols, name).tolist() for name in _SCHEDULE_COLUMNS},
+        },
     }
 
 
 def schedule_from_dict(record: dict[str, Any]) -> Any:
     """Deserialize a :class:`~repro.core.schedule.Schedule`.
 
-    Accepts both the columnar and the per-task record; columnar input
-    reconstructs a columnar schedule (tasks stay lazy).
+    Accepts the columnar record and the per-task record, which
+    version-1 artifacts and earlier releases' row-built schedules hold;
+    per-task input is converted to columns once.
     """
     from ..core.schedule import Schedule, ScheduleColumns, SetTask
 

@@ -1,4 +1,4 @@
-"""Compile-as-a-service: job-queue HTTP service, async executor, client.
+"""Compile-as-a-service: job-queue HTTP service and client.
 
 The service layer turns the library into a shared daemon::
 
@@ -13,24 +13,19 @@ The service layer turns the library into a shared daemon::
     handle = client.sweep(["tinyyolov3"], xs=(4, 8))
     results = handle.result().unwrap()       # list[SweepResult]
 
-Two executors register on import of :mod:`repro.exec`:
-
-``async``
-    :class:`AsyncExecutor` — an asyncio event loop multiplexing many
-    queued jobs over a bounded worker pool (the server's engine).
-``remote``
-    :class:`RemoteExecutor` — offloads submitted jobs to a running
-    server (``Session(executor="remote")`` with ``$REPRO_SERVER_URL``).
+The server runs jobs on a bounded thread pool (``--jobs`` slots, any
+number queued).  The ``remote`` executor, registered on import of
+:mod:`repro.exec`, is :class:`RemoteExecutor`: it offloads submitted
+jobs to a running server (``Session(executor="remote")`` with
+``$REPRO_SERVER_URL``).
 """
 
-from .async_executor import AsyncExecutor
 from .client import Client, RemoteError, RemoteExecutor, RemoteJobHandle
 from .manager import JobManager, JobRecord, JobState, TERMINAL_STATES
 from .server import CompileServer
 from .wire import WIRE_VERSION, WireError, decode_job, decode_result, encode_job, encode_result
 
 __all__ = [
-    "AsyncExecutor",
     "Client",
     "CompileServer",
     "JobManager",

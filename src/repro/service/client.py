@@ -25,7 +25,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent import futures as cf
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from ..exec.futures import JobFuture
 from ..exec.jobs import (
@@ -288,17 +288,6 @@ class RemoteExecutor:
                 )
                 self._poller.start()
         return JobFuture(raw)
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        argslist: Sequence[Sequence[Any]],
-        *,
-        ordered: bool = True,
-    ) -> Iterator[Any]:
-        from ..exec.executors import _map_via_submit
-
-        return _map_via_submit(self, fn, argslist, ordered)
 
     # -- polling ------------------------------------------------------
 

@@ -2,12 +2,12 @@
 
 Every submitted job gets a :class:`JobRecord` — a uuid, the state
 machine ``queued → running → done/failed/cancelled``, and eventually
-the :class:`~repro.exec.jobs.JobResult` envelope — and executes on an
-:class:`~repro.service.async_executor.AsyncExecutor` (bounded
-concurrency, unbounded queue).  Execution itself goes through a
-per-job :class:`~repro.session.Session`, so the service inherits the
-whole resilience stack (retry budgets, cooperative job timeouts,
-captured error envelopes) without reimplementing any of it.
+the :class:`~repro.exec.jobs.JobResult` envelope — and executes on a
+:class:`~repro.exec.executors.ThreadExecutor` (bounded concurrency,
+unbounded queue, cancellable queued jobs).  Execution itself goes
+through a per-job :class:`~repro.session.Session`, so the service
+inherits the whole resilience stack (retry budgets, cooperative job
+timeouts, captured error envelopes) without reimplementing any of it.
 
 Caching is two-tier exactly like the library: with a persistent
 :class:`~repro.store.disk.ArtifactStore` every job compiles through a
@@ -30,11 +30,11 @@ from typing import Any, Dict, Optional, Union
 
 from ..arch.presets import paper_case_study
 from ..core.cache import CompilationCache
+from ..exec.executors import ThreadExecutor
 from ..exec.futures import JobFuture
 from ..exec.jobs import COMPOSITE_KINDS, Job, JobError, JobResult, job_key
 from ..exec.resilience import RetryPolicy
 from ..session import Session
-from .async_executor import AsyncExecutor
 
 __all__ = ["JobManager", "JobRecord", "JobState", "TERMINAL_STATES"]
 
@@ -104,13 +104,14 @@ class JobRecord:
 
 
 class JobManager:
-    """Thread-safe in-memory job registry over an async executor.
+    """Thread-safe in-memory job registry over a thread pool.
 
     Parameters
     ----------
     jobs:
         Concurrency limit of the underlying
-        :class:`~repro.service.async_executor.AsyncExecutor`.
+        :class:`~repro.exec.executors.ThreadExecutor` (``None`` = one
+        per CPU).
     store:
         Shared persistent :class:`~repro.store.disk.ArtifactStore`
         (``None`` = in-memory caching only).
@@ -134,7 +135,7 @@ class JobManager:
         result_ttl: float = 3600.0,
         arch: Optional[Any] = None,
     ) -> None:
-        self._executor = AsyncExecutor(jobs)
+        self._executor = ThreadExecutor(jobs)
         self._store = store
         self._retry = retry
         self._job_timeout = job_timeout
@@ -321,7 +322,7 @@ class JobManager:
             stats: Dict[str, Any] = {
                 "jobs": by_state,
                 "total_submitted": self._counter,
-                "executor": {"name": self._executor.name, "jobs": self._executor.jobs},
+                "executor": {"name": self._executor.name, "jobs": self._executor.max_workers},
                 "cache": dict(self.cache_totals),
             }
             if self._store is not None:

@@ -29,7 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Union
 
 from ..exec.resilience import RetryPolicy
-from .manager import JobManager, JobRecord
+from .manager import JobManager
 from .wire import WireError, decode_job, encode_result
 
 __all__ = ["CompileServer"]

@@ -518,8 +518,12 @@ def encode_result(kind: str, result: JobResult) -> Dict[str, Any]:
     }
 
 
+@serialize.required_fields("result envelope", WireError)
 def decode_result(record: Mapping[str, Any]) -> JobResult:
-    """Decode one result envelope from its wire dict."""
+    """Decode one result envelope from its wire dict.
+
+    A missing field raises :class:`WireError` naming it.
+    """
     version = record.get("version")
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version!r} (want {WIRE_VERSION})")

@@ -29,8 +29,9 @@ knob picks the backend — ``inline`` (default), ``thread``,
 
 Repeated compiles through one session share stage results via the
 session cache (preprocessing, tiling, duplication rewrites...), and
-hooks observe every pass and job as it runs; a hook that raises is
-recorded as a diagnostic and never aborts the work.  ``compile``
+hooks observe every pass and job as it runs; a hook that raises never
+aborts the work (a pass or compile hook failure becomes a compile
+diagnostic, a job hook failure a ``RuntimeWarning``).  ``compile``
 accepts raw or canonical graphs; ``evaluate`` accepts a graph or an
 existing :class:`~repro.core.pipeline.CompiledModel`; ``sweep``
 accepts benchmark specs or names.
@@ -106,9 +107,11 @@ class SessionHooks:
     attempt, the triggering error, and the backoff before the next
     try.
 
-    Exceptions raised inside a hook are caught and recorded as a
-    diagnostic on the context/result being observed — user telemetry
-    must never abort a compile.  Pass- and compile-level hooks cannot
+    Exceptions raised inside a hook are caught — user telemetry must
+    never abort a compile or a job.  A failing pass- or compile-level
+    hook is recorded as a diagnostic of that compile; a failing
+    job-level hook (submit/done/retry) emits one ``RuntimeWarning``
+    naming the event.  Pass- and compile-level hooks cannot
     cross a process boundary (the ``process`` executor degrades such
     sessions to thread workers with a warning); job-level hooks
     (submit/done/retry) always fire driver-side and work with every
@@ -706,10 +709,10 @@ class Session:
         self._fire("on_job_done", result)
 
     def _fire(self, event: str, payload: Any) -> None:
-        """Invoke one job-level hook event; a hook that raises is ignored.
+        """Invoke one job-level hook event; a hook that raises warns.
 
         (Pass- and compile-level events fire in
         :meth:`~repro.core.passes.PassManager.compile`, which records
         hook failures as compile diagnostics.)
         """
-        fire_hooks(self.hooks, event, [], payload)
+        fire_hooks(self.hooks, event, None, payload)

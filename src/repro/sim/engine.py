@@ -103,7 +103,7 @@ def simulate(
     layer_busy: dict[str, bool] = {layer: False for layer in sets}
     data_ready_at: dict[SetRef, int] = {ref: 0 for ref in remaining}
     events: list[tuple[int, str, int]] = []
-    schedule = Schedule(policy=compiled.schedule.policy)
+    tasks: list[SetTask] = []
     total_edge_delay = 0
     events_processed = 0
 
@@ -114,7 +114,7 @@ def simulate(
         rect = sets[layer][set_index]
         start = max(now, layer_free[layer], arrival)
         end = start + rect.area
-        schedule.tasks.append(
+        tasks.append(
             SetTask(layer=layer, set_index=set_index, rect=rect, start=start, end=end)
         )
         layer_busy[layer] = True
@@ -148,12 +148,13 @@ def simulate(
                 try_start(consumer_ref[0], now)
         try_start(layer, now)
 
-    if len(schedule.tasks) != dependency_graph.num_sets():  # pragma: no cover
+    if len(tasks) != dependency_graph.num_sets():  # pragma: no cover
         raise AssertionError(
-            f"simulation completed {len(schedule.tasks)} of "
+            f"simulation completed {len(tasks)} of "
             f"{dependency_graph.num_sets()} sets"
         )
 
+    schedule = Schedule(policy=compiled.schedule.policy, tasks=tasks)
     stalls = {
         layer: (span_end - span_start) - busy
         for layer, (span_start, span_end, busy) in schedule.per_layer_stats().items()

@@ -651,7 +651,7 @@ def assert_batch_arrays_schedule(
 
 
 def assert_schedule(schedule: "Schedule", dependency_graph: "DependencyGraph") -> None:
-    """Assert a row-form schedule against its dependency graph.
+    """Assert a schedule, row by row, against its dependency graph.
 
     Checks intra-layer order first ("resource violation"), then
     missing sets, then data dependencies.

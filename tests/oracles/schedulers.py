@@ -54,7 +54,7 @@ def cross_layer_schedule(
     """
     sets = dependency_graph.sets
     end_of: dict[SetRef, int] = {}
-    schedule = Schedule(policy="clsa-cim")
+    tasks: list[SetTask] = []
     for layer in graph.base_layers():
         pe_free_at = 0  # the layer's PEs become available at this cycle
         for position, set_index in enumerate(order[layer]):
@@ -69,7 +69,7 @@ def cross_layer_schedule(
                 data_ready = max(data_ready, end_of[ref])
             start = max(pe_free_at, data_ready)
             end = start + rect.area
-            schedule.tasks.append(
+            tasks.append(
                 SetTask(
                     layer=layer,
                     set_index=set_index,
@@ -80,7 +80,7 @@ def cross_layer_schedule(
             )
             end_of[(layer, set_index)] = end
             pe_free_at = end
-    return schedule
+    return Schedule(policy="clsa-cim", tasks=tasks)
 
 
 def cross_layer_schedule_dynamic(
@@ -115,7 +115,7 @@ def cross_layer_schedule_dynamic(
     layer_free: dict[str, int] = {layer: 0 for layer in sets}
     layer_busy: dict[str, bool] = {layer: False for layer in sets}
     events: list[tuple[int, str, int]] = []  # (end time, layer, set index)
-    schedule = Schedule(policy="clsa-cim")
+    tasks: list[SetTask] = []
 
     def try_start(layer: str, now: int) -> None:
         if layer_busy[layer] or not ready[layer]:
@@ -124,7 +124,7 @@ def cross_layer_schedule_dynamic(
         rect = sets[layer][set_index]
         start = max(now, layer_free[layer])
         end = start + rect.area
-        schedule.tasks.append(
+        tasks.append(
             SetTask(layer=layer, set_index=set_index, rect=rect, start=start, end=end)
         )
         layer_busy[layer] = True
@@ -147,14 +147,14 @@ def cross_layer_schedule_dynamic(
                 try_start(consumer[0], now)
         try_start(layer, now)
 
-    scheduled = len(schedule.tasks)
+    scheduled = len(tasks)
     total = dependency_graph.num_sets()
     if scheduled != total:  # pragma: no cover - guards dependency cycles
         raise AssertionError(
             f"dynamic scheduler placed {scheduled} of {total} sets; "
             "the set dependency graph is cyclic or disconnected"
         )
-    return schedule
+    return Schedule(policy="clsa-cim", tasks=tasks)
 
 
 def reference_batch_schedule(
@@ -188,7 +188,7 @@ def reference_batch_schedule(
     layer_free: dict[str, int] = {layer: 0 for layer in sets}
     layer_busy: dict[str, bool] = {layer: False for layer in sets}
     events: list[tuple[int, int, str, int]] = []  # (end, image, layer, set)
-    schedule = Schedule(policy=f"clsa-cim-batch{batch_size}")
+    tasks: list[SetTask] = []
 
     def try_start(layer: str, now: int) -> None:
         if layer_busy[layer] or not ready[layer]:
@@ -197,7 +197,7 @@ def reference_batch_schedule(
         rect = sets[layer][set_index]
         start = max(now, layer_free[layer])
         end = start + rect.area
-        schedule.tasks.append(
+        tasks.append(
             SetTask(
                 layer=layer,
                 set_index=set_index,
@@ -228,20 +228,19 @@ def reference_batch_schedule(
         try_start(layer, now)
 
     expected = dependency_graph.num_sets() * batch_size
-    if len(schedule.tasks) != expected:  # pragma: no cover - cycle guard
-        raise AssertionError(
-            f"batch scheduler placed {len(schedule.tasks)} of {expected} sets"
-        )
+    if len(tasks) != expected:  # pragma: no cover - cycle guard
+        raise AssertionError(f"batch scheduler placed {len(tasks)} of {expected} sets")
 
     first = [None] * batch_size
     last = [0] * batch_size
-    for task in schedule.tasks:  # one pass over all images' tasks
+    for task in tasks:  # one pass over all images' tasks
         image = task.image
         if first[image] is None or task.start < first[image]:
             first[image] = task.start
         if task.end > last[image]:
             last[image] = task.end
     spans = list(zip(first, last))
+    schedule = Schedule(policy=f"clsa-cim-batch{batch_size}", tasks=tasks)
     result = BatchScheduleResult(
         schedule=schedule,
         batch_size=batch_size,

@@ -111,13 +111,14 @@ class TestBatchScheduling:
             (t for t in result.schedule.tasks if t.layer == "c1" and t.image == 1),
             key=lambda t: t.start,
         )
-        from repro.core import SetTask
+        from repro.core import Schedule, SetTask
 
         victim = tasks[-1]
-        result.schedule.tasks.remove(victim)
-        result.schedule.tasks.append(
+        rows = [t for t in result.schedule.tasks if t != victim]
+        rows.append(
             SetTask(victim.layer, victim.set_index, victim.rect, 0,
                     victim.rect.area, image=victim.image)
         )
+        result.schedule = Schedule(result.schedule.policy, tasks=rows)
         with pytest.raises(AssertionError):
             assert_batch_schedule(result, deps)

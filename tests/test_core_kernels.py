@@ -314,15 +314,15 @@ class TestColumnarSchedule:
 
     def both_forms(self):
         tasks = self.reference()
-        row = Schedule(policy="p", tasks=list(tasks))
+        row = Schedule(policy="p", tasks=tasks)
         col = Schedule(policy="p", columns=ScheduleColumns.from_tasks(tasks))
         return row, col
 
     def test_lazy_materialization_round_trips(self):
         row, col = self.both_forms()
-        assert col.has_columns and not row.has_columns
-        assert col.num_tasks == 3
-        assert col.tasks == row.tasks  # materializes SetTask objects
+        assert col.num_tasks == row.num_tasks == 3
+        assert col.tasks == row.tasks == tuple(self.reference())
+        assert col.tasks is col.tasks  # materialized once
 
     def test_queries_agree(self):
         row, col = self.both_forms()
@@ -342,28 +342,18 @@ class TestColumnarSchedule:
         with pytest.raises(AssertionError, match="resource violation"):
             col.validate_intra_layer_order()
 
-    def test_mutation_invalidates_columns_and_caches(self):
-        _, col = self.both_forms()
-        assert col.makespan == 8
-        col.tasks.append(SetTask("b", 1, Rect(1, 0, 2, 2), 8, 10))
-        assert not col.has_columns  # stale columns dropped
-        assert col.makespan == 10
-        assert col.busy_cycles() == {"a": 8, "b": 4}
-        # rebuilt columns reflect the mutation
-        assert len(col.columns()) == 4
-
-    def test_tasks_assignment_resets(self):
-        row, _ = self.both_forms()
-        row.tasks = self.reference()[:1]
-        assert row.makespan == 4
-        assert row.layers() == ["a"]
-
-    def test_append_invalidates_cached_index(self):
-        row, _ = self.both_forms()
-        assert row.layers() == ["a", "b"]
-        row.tasks.append(SetTask("c", 0, Rect(0, 0, 1, 1), 0, 1))
-        assert row.layers() == ["a", "b", "c"]
-        assert row.tasks_of("c")[0].set_index == 0
+    def test_tasks_read_only(self):
+        rows = self.reference()
+        row = Schedule(policy="p", tasks=rows)
+        rows.append(SetTask("c", 0, Rect(0, 0, 1, 1), 8, 9))
+        assert row.num_tasks == len(row.tasks) == 3  # built once, not aliased
+        for schedule in self.both_forms():
+            with pytest.raises(AttributeError):
+                schedule.tasks.append(SetTask("c", 0, Rect(0, 0, 1, 1), 8, 9))
+            with pytest.raises(AttributeError):
+                schedule.tasks = []
+        with pytest.raises(ValueError, match="not both"):
+            Schedule(policy="p", tasks=rows, columns=ScheduleColumns.from_tasks(rows))
 
     def test_empty_schedule(self):
         empty = Schedule(policy="empty")
@@ -384,16 +374,14 @@ class TestColumnarSchedule:
         col2 = Schedule(policy="other", columns=col.columns())
         assert row != col2
 
-    def test_pickle_round_trip_keeps_mutation_tracking(self):
+    def test_pickle_round_trip(self):
         import pickle
 
-        row, col = self.both_forms()
-        for schedule in (row, col):
+        for schedule in self.both_forms():
             clone = pickle.loads(pickle.dumps(schedule))
             assert clone == schedule
             assert clone.makespan == 8
-            clone.tasks.append(SetTask("c", 0, Rect(0, 0, 1, 1), 100, 101))
-            assert clone.makespan == 101  # caches invalidate after unpickle
+            assert clone.busy_cycles() == {"a": 8, "b": 2}
 
 
 class TestColumnarSerialization:
@@ -401,22 +389,22 @@ class TestColumnarSerialization:
         from repro.core import CompiledModel
 
         csr, _ = compiled_pair(branchy_model())
-        assert csr.schedule.has_columns
         path = tmp_path / "columnar.json"
         csr.save(str(path))
         loaded = CompiledModel.load(str(path))
-        assert loaded.schedule.has_columns  # stays lazy after loading
         assert loaded.schedule.policy == csr.schedule.policy
         assert task_keys(loaded.schedule) == task_keys(csr.schedule)
 
     def test_row_form_schedule_dict_still_loads(self):
         from repro.ir.serialize import schedule_from_dict, schedule_to_dict
 
-        tasks = [SetTask("a", 0, Rect(0, 0, 1, 4), 0, 4)]
-        row = Schedule(policy="p", tasks=tasks)
-        record = schedule_to_dict(row)
-        assert "tasks" in record and "columns" not in record
-        assert schedule_from_dict(record) == row
+        record = {"policy": "p", "tasks": [["a", 0, [0, 0, 1, 4], 0, 4, 0]]}
+        loaded = schedule_from_dict(record)
+        row = Schedule(policy="p", tasks=[SetTask("a", 0, Rect(0, 0, 1, 4), 0, 4)])
+        assert loaded == row
+        resaved = schedule_to_dict(loaded)  # the writer is columnar-only
+        assert "columns" in resaved and "tasks" not in resaved
+        assert schedule_from_dict(resaved) == row
 
     def test_columnar_schedule_dict_shape(self):
         from repro.ir.serialize import schedule_from_dict, schedule_to_dict
@@ -428,5 +416,4 @@ class TestColumnarSerialization:
         assert record["columns"]["layers"] == ["a"]
         assert record["columns"]["image"] == [2]
         back = schedule_from_dict(record)
-        assert back.has_columns
         assert back == col

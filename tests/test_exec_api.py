@@ -37,7 +37,7 @@ from repro.exec import (
 )
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
-from repro.models import BenchmarkSpec, build, tiny_sequential
+from repro.models import BenchmarkSpec, tiny_sequential
 
 #: Coarse granularity keeps these sweeps fast.
 COARSE = {"granularity": SetGranularity(rows_per_set=4)}
@@ -74,6 +74,17 @@ class TestExecutorRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown executor"):
             make_executor("warp-drive")
+
+    def test_remote_registered(self):
+        assert "remote" in executor_names()
+
+    def test_unknown_name_lists_registered_backends(self):
+        with pytest.raises(KeyError, match="unknown executor") as excinfo:
+            make_executor("warp-drive")
+        message = str(excinfo.value)
+        for name in ("inline", "thread", "process", "remote"):
+            assert name in message
+        assert "register_executor" in message
 
     def test_instances_pass_through(self):
         backend = InlineExecutor()
@@ -505,10 +516,22 @@ class TestHookExceptionGuard:
             raise RuntimeError("boom")
 
         session = Session(arch, hooks=SessionHooks(on_job_submit=explode))
-        result = session.submit(
-            EvaluateJob(canonical, COARSE_OPTIONS, assume_canonical=True)
-        ).result()
+        with pytest.warns(RuntimeWarning, match="on_job_submit"):
+            result = session.submit(
+                EvaluateJob(canonical, COARSE_OPTIONS, assume_canonical=True)
+            ).result()
         assert result.ok
+
+    def test_job_done_hook_exception_warns(self, canonical, arch):
+        def explode(result):
+            raise RuntimeError("boom")
+
+        session = Session(arch, hooks=SessionHooks(on_job_done=explode))
+        with pytest.warns(RuntimeWarning, match="on_job_done raised RuntimeError"):
+            results = list(
+                session.map([EvaluateJob(canonical, COARSE_OPTIONS, assume_canonical=True)])
+            )
+        assert [result.ok for result in results] == [True]
 
 
 class TestSessionExecutorKnob:

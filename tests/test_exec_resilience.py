@@ -238,6 +238,19 @@ class TestInlineRetry:
             ("pt", 1, "TransientFault")
         ]
 
+    def test_raising_retry_hook_warns(self, canonical, arch):
+        def explode(event):
+            raise RuntimeError("boom")
+
+        plan = FaultPlan({("pt", 1): FaultSpec("raise", transient=True)})
+        hooks = SessionHooks(on_job_retry=explode)
+        session = Session(arch, hooks=hooks, retry=3, fault_plan=plan)
+        with pytest.warns(RuntimeWarning, match="hook on_job_retry raised RuntimeError: boom"):
+            result = session.submit(
+                EvaluateJob(canonical, COARSE_OPTIONS, assume_canonical=True, key="pt")
+            ).result()
+        assert result.ok and result.attempts == 2
+
     def test_fatal_fault_fails_fast(self, canonical, arch):
         plan = FaultPlan({("pt", 1): FaultSpec("raise", transient=False)})
         session = Session(arch, retry=3, fault_plan=plan)

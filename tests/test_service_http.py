@@ -115,7 +115,7 @@ class TestRoutes:
         handle.result(timeout=120)
         assert handle.id in [job["id"] for job in client.jobs()]
         stats = client.stats()
-        assert stats["executor"]["name"] == "async"
+        assert stats["executor"]["name"] == "thread"
         assert stats["jobs"]["done"] >= 1
         assert "store" in stats and "session" in stats["store"]
 

@@ -55,6 +55,25 @@ class _BlockingManager(JobManager):
         return JobResult(key=record.key, value=None)
 
 
+class _CountingManager(JobManager):
+    """Replaces real execution with a short sleep, counting overlap."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gauge = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def _execute(self, record):
+        with self.gauge:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(0.05)
+        with self.gauge:
+            self.active -= 1
+        return JobResult(key=record.key, value=None)
+
+
 class TestLifecycle:
     def test_evaluate_job_runs_to_done(self, canonical, arch):
         manager = JobManager(1)
@@ -90,6 +109,17 @@ class TestLifecycle:
             )
             wait_terminal(manager, good)
             assert good.state == JobState.DONE
+        finally:
+            manager.shutdown(grace=0)
+
+    def test_jobs_bounds_concurrency(self):
+        manager = _CountingManager(2)
+        try:
+            records = [manager.submit(EvaluateJob("tiny_sequential")) for _ in range(6)]
+            for record in records:
+                wait_terminal(manager, record)
+            assert [record.state for record in records] == [JobState.DONE] * 6
+            assert 1 <= manager.peak <= 2
         finally:
             manager.shutdown(grace=0)
 
@@ -183,7 +213,7 @@ class TestTtlAndStats:
             stats = manager.stats()
             assert stats["jobs"]["done"] == 1
             assert stats["total_submitted"] == 1
-            assert stats["executor"] == {"name": "async", "jobs": 2}
+            assert stats["executor"] == {"name": "thread", "jobs": 2}
             assert set(stats["cache"]) == {"memory_hits", "store_hits", "misses"}
             assert "store" not in stats
         finally:

@@ -186,6 +186,16 @@ class TestResultCodecs:
         assert decoded.attempts == evaluate_envelope.attempts
         assert decoded.backend == evaluate_envelope.backend
 
+    def test_missing_field_named(self, evaluate_envelope):
+        with pytest.raises(WireError, match="result envelope is missing field 'key'"):
+            decode_result({"version": WIRE_VERSION})
+        record = roundtrip(encode_result("evaluate", evaluate_envelope))
+        del record["value"]["evaluation"]
+        with pytest.raises(
+            WireError, match="result envelope is missing field 'evaluation'"
+        ):
+            decode_result(record)
+
     def test_compile_envelope_roundtrip(self, canonical, arch):
         session = Session(arch)
         result = session.submit(
