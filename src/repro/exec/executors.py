@@ -109,8 +109,11 @@ class ThreadExecutor:
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers if max_workers else (os.cpu_count() or 1)
         self._pool: Optional[futures.ThreadPoolExecutor] = None
+        self._closed = False
 
     def _ensure_pool(self) -> futures.ThreadPoolExecutor:
+        if self._closed:
+            raise RuntimeError("ThreadExecutor is shut down")
         if self._pool is None:
             self._pool = futures.ThreadPoolExecutor(
                 max_workers=self.max_workers, thread_name_prefix="repro-exec"
@@ -127,6 +130,8 @@ class ThreadExecutor:
         self._pool = None
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Release the pool for good: a later :meth:`submit` raises."""
+        self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
         self._pool = None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 from typing import Any, Iterator, Optional
 
@@ -49,6 +50,12 @@ _SUPPORTED_ARTIFACT_VERSIONS = (1, 2)
 ARTIFACT_FORMAT = "clsa-cim-compiled"
 
 
+@functools.cache
+def _field_table(cls: type) -> dict[str, dataclasses.Field]:
+    """Name → field of one op class, in declaration order (built once per class)."""
+    return {field.name: field for field in dataclasses.fields(cls)}
+
+
 def op_to_dict(op: Op, include_params: bool = False) -> dict[str, Any]:
     """Serialize one operator to a JSON-compatible dict."""
     record: dict[str, Any] = {
@@ -57,13 +64,13 @@ def op_to_dict(op: Op, include_params: bool = False) -> dict[str, Any]:
         "inputs": list(op.inputs),
         "attrs": {},
     }
-    for field in dataclasses.fields(op):
-        if field.name in ("name", "inputs", "is_base"):
+    for name in _field_table(type(op)):
+        if name in ("name", "inputs", "is_base"):
             continue
-        value = getattr(op, field.name)
-        if field.name in _PARAM_FIELDS:
+        value = getattr(op, name)
+        if name in _PARAM_FIELDS:
             if include_params and value is not None:
-                record["attrs"][field.name] = {
+                record["attrs"][name] = {
                     "dtype": str(np.asarray(value).dtype),
                     "shape": list(np.asarray(value).shape),
                     "data": np.asarray(value).reshape(-1).tolist(),
@@ -73,7 +80,7 @@ def op_to_dict(op: Op, include_params: bool = False) -> dict[str, Any]:
             value = list(value.hwc)
         elif isinstance(value, tuple):
             value = list(value)
-        record["attrs"][field.name] = value
+        record["attrs"][name] = value
     return record
 
 
@@ -84,7 +91,7 @@ def op_from_dict(record: dict[str, Any]) -> Op:
         raise ValueError(f"unknown op type {op_type!r}")
     cls = OP_TYPES[op_type]
     kwargs: dict[str, Any] = {}
-    field_types = {field.name: field for field in dataclasses.fields(cls)}
+    field_types = _field_table(cls)
     for key, value in record.get("attrs", {}).items():
         if key not in field_types:
             raise ValueError(f"op type {op_type!r} has no attribute {key!r}")

@@ -235,6 +235,8 @@ class Session:
         self._custom_pass_manager = pass_manager is not None
         self.pass_manager = pass_manager if pass_manager is not None else default_pass_manager()
         self._executor_spec = executor
+        #: The owned backend of the last closed runtime (see :meth:`close`).
+        self._closed_executor: Optional[Executor] = None
         self._retry = retry
         self._job_timeout = job_timeout
         self._fault_plan = fault_plan
@@ -259,8 +261,13 @@ class Session:
     def runtime(self) -> JobRuntime:
         """The lazily-created job runtime behind submit/map/sweep."""
         if self._runtime is None:
+            spec = (
+                self._closed_executor
+                if self._closed_executor is not None
+                else self._executor_spec
+            )
             self._runtime = JobRuntime(
-                self._executor_spec if self._executor_spec is not None else "inline",
+                spec if spec is not None else "inline",
                 use_cache=self.cache is not None,
                 cache=self.cache,
                 pass_manager=self.pass_manager if self._custom_pass_manager else None,
@@ -271,6 +278,8 @@ class Session:
                 job_timeout=self._job_timeout,
                 fault_plan=self._fault_plan,
             )
+            if self._closed_executor is not None:
+                self._runtime.owns_executor = True
         return self._runtime
 
     def close(self, grace: Optional[float] = 5.0) -> None:
@@ -282,7 +291,9 @@ class Session:
         whatever is still pending afterwards is cancelled.  Then any
         still-live pool workers are reaped (SIGKILL) before the pool
         shuts down, so a Ctrl-C'd sweep never leaves orphaned worker
-        processes behind.  A second ``close()`` is a no-op.
+        processes behind.  A second ``close()`` is a no-op.  The closed
+        backend stays this session's: a later :meth:`submit` to a thread
+        or remote backend raises ``RuntimeError``.
         """
         with self._inflight_lock:
             pending = [f for f in self._inflight if not f.done()]
@@ -301,6 +312,10 @@ class Session:
                 future.cancel()
         if self._runtime is not None:
             self._runtime.close()
+            if self._runtime.owns_executor:
+                # Later runtimes wrap (and own) this closed backend
+                # instead of starting a pool that nothing shuts down.
+                self._closed_executor = self._runtime.executor
             self._runtime = None
 
     def __enter__(self) -> "Session":

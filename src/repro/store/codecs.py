@@ -1,18 +1,33 @@
-"""Per-stage artifact codecs over the versioned serialization vocabulary.
+"""Per-stage codecs of the artifact store's entries.
 
-Every pipeline stage the store can persist gets one :class:`StageCodec`
-pairing an ``encode`` (stage value → JSON-compatible payload) with a
-``decode``.  The payload formats ride the existing
-:mod:`repro.ir.serialize` vocabulary wherever one exists (graphs,
-architectures, sets, schedules, duplication solutions, rewrites); the
-two stage values that format never stored standalone — per-layer
-tilings and placements — get small codecs here.  Placements store
-their tilings explicitly: unlike the compiled-artifact loader, a store
-decode has no mapped graph in hand to recompute them from.
+Every pipeline stage the store can persist gets one :class:`StageCodec`.
+``encode(value)`` splits a stage value into ``(meta, blocks)``: a small
+JSON-compatible ``meta`` record and named NumPy array ``blocks``, which
+:class:`~repro.store.disk.ArtifactStore` writes as raw little-endian
+bytes after the meta.  ``decode(meta, blocks)`` rebuilds the value from
+the same pair; the blocks it is handed are read-only views of the
+entry's bytes, which matches the cache's contract that cached values
+are immutable.
+
+* ``preprocess``, ``tile``, ``wdup`` and ``place`` hold a JSON record
+  and no blocks.  The records ride the :mod:`repro.ir.serialize`
+  vocabulary (graphs, architectures, duplication solutions, rewrites);
+  per-layer tilings and placements get small records here.  Placements
+  store their tilings explicitly: unlike the compiled-artifact loader,
+  a store decode has no mapped graph in hand to recompute them from.
+* ``sets`` holds the layer names, a ``counts`` block and an ``(n, 4)``
+  ``rects`` block; ``deps`` holds the same plus the CSR ``indptr`` and
+  ``indices``; ``schedule`` holds the policy and the layer names plus
+  the nine :class:`~repro.core.schedule.ScheduleColumns` arrays.  Each
+  block keeps the dtype its stage computed, so decoded dtypes equal
+  computed ones, and each decoder checks that its blocks agree with
+  each other before it builds anything.
 
 Each codec carries a ``version`` that is folded into the entry's
 content address (see :func:`repro.store.keys.key_digest`), so bumping
-a codec orphans only that stage's entries.
+a codec orphans only that stage's entries.  It also names its blocks in
+layout order; the store rejects an entry whose block table names
+anything else.
 
 Stages without a codec here (third-party mapping rules keyed through
 ``ctx.cached``) simply stay memory-only.
@@ -25,32 +40,50 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..ir.ops import rect_columns
 from ..ir.serialize import (
+    _SCHEDULE_COLUMNS,
     _duplication_from_dict,
     _duplication_to_dict,
     _rewrite_from_dict,
     _rewrite_to_dict,
-    _sets_from_dict,
-    _sets_to_dict,
     arch_from_dict,
     arch_to_dict,
     graph_from_dict,
     graph_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
 )
+from ..ir.tensor import Rect
 
 __all__ = ["CODECS", "StageCodec", "codec_for"]
+
+#: The JSON-compatible part of an entry.
+Meta = dict[str, Any]
+#: The array part of an entry, by block name.
+Blocks = dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
 class StageCodec:
-    """(encode, decode, version) of one persistable pipeline stage."""
+    """(encode, decode, version, block names) of one persistable stage."""
 
     stage: str
     version: int
-    encode: Callable[[Any], dict[str, Any]]
-    decode: Callable[[dict[str, Any]], Any]
+    encode: Callable[[Any], tuple[Meta, Blocks]]
+    decode: Callable[[Meta, Blocks], Any]
+    #: Names of the blocks ``encode`` returns, in layout order.
+    blocks: tuple[str, ...] = ()
+
+
+def _meta_only(
+    stage: str,
+    version: int,
+    encode: Callable[[Any], Meta],
+    decode: Callable[[Meta], Any],
+) -> StageCodec:
+    """A codec whose entries hold a JSON record and no array blocks."""
+    return StageCodec(
+        stage, version, lambda value: (encode(value), {}), lambda meta, _blocks: decode(meta)
+    )
 
 
 # -- graphs (preprocess) ----------------------------------------------------
@@ -151,95 +184,149 @@ def _decode_placement(payload: dict[str, Any]) -> Any:
     )
 
 
-# -- Stage I sets (sets) ----------------------------------------------------
-
-
-def _encode_sets(value: Any) -> dict[str, Any]:
-    return {"sets": _sets_to_dict(value)}
-
-
-def _decode_sets(payload: dict[str, Any]) -> Any:
-    return _sets_from_dict(payload["sets"])
-
-
-# -- Stage II dependencies (deps) -------------------------------------------
+# -- Stage I sets (sets) and Stage II dependencies (deps) -------------------
 #
-# Version 2 stores the CSR set graph as flat int lists: the layers with
-# their set counts, every set rectangle as ``r0, c0, r1, c1`` in set-id
-# order, and ``indptr``/``indices``.  Neither side builds the ``deps``
-# dict view.  Version 1 entries (that dict as lists of set refs) are
-# orphaned by the content address and left to ``ArtifactStore.gc``.
+# Both store the layer names as meta, the set count of every layer as
+# ``counts`` and every set rectangle as one ``(n, 4)`` ``rects`` row
+# ``r0, c0, r1, c1``, in set-id order, in the int32 of the set graph's
+# rect columns.  ``deps`` adds the CSR ``indptr`` and ``indices`` over
+# the same set ids; neither side builds the ``deps`` dict view.
 
 
-def _encode_deps(value: Any) -> dict[str, Any]:
+def _encode_sets(value: Any) -> tuple[Meta, Blocks]:
+    counts = np.fromiter(map(len, value.values()), dtype=np.int64, count=len(value))
+    coords = rect_columns([rect for rects in value.values() for rect in rects])
+    return {"layers": list(value)}, {"counts": counts, "rects": coords.T.astype(np.int32)}
+
+
+def _layer_names(meta: Meta) -> list[str]:
+    """The distinct layer names of ``meta`` (``ValueError`` otherwise)."""
+    layers = meta["layers"]
+    if (
+        not isinstance(layers, list)
+        or not all(isinstance(layer, str) for layer in layers)
+        or len(set(layers)) != len(layers)
+    ):
+        raise ValueError("entry meta has no list of distinct layer names")
+    return layers
+
+
+def _decode_set_blocks(
+    meta: Meta, blocks: Blocks
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, list[Rect]]]:
+    """Layers, set-id offsets and per-layer sets of a sets/deps entry.
+
+    Each distinct per-layer rect block becomes :class:`Rect` objects
+    once; layers with equal blocks get their own lists of the shared
+    rectangles, as :func:`~repro.core.sets.determine_sets` builds them.
+    """
+    from ..core.kernels import set_offsets
+
+    layers = _layer_names(meta)
+    counts, rects = blocks["counts"], blocks["rects"]
+    if (
+        counts.shape != (len(layers),)
+        or (counts < 0).any()
+        or rects.shape[1:] != (4,)
+        or sum(counts.tolist()) != len(rects)
+    ):
+        raise ValueError("inconsistent sets payload")
+    offsets = set_offsets(counts)
+    bounds = offsets.tolist()
+    shared: dict[bytes, list[Rect]] = {}
+    sets: dict[str, list[Rect]] = {}
+    for lid, layer in enumerate(layers):
+        block = rects[bounds[lid] : bounds[lid + 1]]
+        key = block.tobytes()
+        rects_of = shared.get(key)
+        if rects_of is None:
+            rects_of = shared[key] = [Rect(*row) for row in block.tolist()]
+        sets[layer] = list(rects_of)
+    return tuple(layers), offsets, sets
+
+
+def _decode_sets(meta: Meta, blocks: Blocks) -> Any:
+    return _decode_set_blocks(meta, blocks)[2]
+
+
+def _encode_deps(value: Any) -> tuple[Meta, Blocks]:
     arrays = value.arrays
-    return {
-        "layers": list(arrays.layers),
-        "counts": np.diff(arrays.offsets).tolist(),
-        "rects": np.stack([arrays.r0, arrays.c0, arrays.r1, arrays.c1], axis=1)
-        .ravel()
-        .tolist(),
-        "indptr": arrays.indptr.tolist(),
-        "indices": arrays.indices.tolist(),
+    return {"layers": list(arrays.layers)}, {
+        "counts": np.diff(arrays.offsets),
+        "rects": np.stack([arrays.r0, arrays.c0, arrays.r1, arrays.c1], axis=1),
+        "indptr": arrays.indptr,
+        "indices": arrays.indices,
     }
 
 
-def _decode_deps(payload: dict[str, Any]) -> Any:
+def _decode_deps(meta: Meta, blocks: Blocks) -> Any:
     from ..core.dependencies import DependencyGraph
-    from ..core.kernels import SetGraphArrays, set_offsets
-    from ..ir.tensor import Rect
+    from ..core.kernels import SetGraphArrays
 
-    layers = [str(layer) for layer in payload["layers"]]
-    counts = np.asarray(payload["counts"], dtype=np.int64)
-    coords = np.asarray(payload["rects"], dtype=np.int64)
-    indptr = np.asarray(payload["indptr"], dtype=np.int64)
-    indices = np.asarray(payload["indices"], dtype=np.int64)
-    offsets = set_offsets(counts)
+    layers, offsets, sets = _decode_set_blocks(meta, blocks)
     n = int(offsets[-1])
+    indptr, indices = blocks["indptr"], blocks["indices"]
     if (
-        len(counts) != len(layers)
-        or (counts < 0).any()
-        or coords.shape != (4 * n,)
-        or len(indptr) != n + 1
+        indptr.shape != (n + 1,)
         or indptr[0] != 0
         or (np.diff(indptr) < 0).any()
-        or indptr[-1] != len(indices)
+        or indices.shape != (int(indptr[-1]),)
         or (len(indices) and (indices.min() < 0 or indices.max() >= n))
     ):
         raise ValueError("inconsistent deps payload")
-    rects = coords.tolist()
-    sets = {
-        layer: [Rect(*rects[i : i + 4]) for i in range(4 * lo, 4 * hi, 4)]
-        for layer, lo, hi in zip(layers, offsets[:-1].tolist(), offsets[1:].tolist())
-    }
-    arrays = SetGraphArrays.from_csr(
-        tuple(layers), offsets, coords.reshape(n, 4).T, indptr, indices
-    )
+    # int64 coordinates, as Stage II passes them: ``area`` derives from them.
+    coords = blocks["rects"].T.astype(np.int64)
+    arrays = SetGraphArrays.from_csr(layers, offsets, coords, indptr, indices)
     return DependencyGraph(sets=sets, arrays=arrays)
 
 
 # -- schedule ---------------------------------------------------------------
+#
+# The policy and the layer names as meta, one block per column of
+# ``ScheduleColumns`` in its own dtype.
 
 
-def _encode_schedule(value: Any) -> dict[str, Any]:
-    return {"schedule": schedule_to_dict(value)}
+def _encode_schedule(value: Any) -> tuple[Meta, Blocks]:
+    cols = value.columns()
+    return (
+        {"policy": value.policy, "layers": list(cols.layers)},
+        {name: getattr(cols, name) for name in _SCHEDULE_COLUMNS},
+    )
 
 
-def _decode_schedule(payload: dict[str, Any]) -> Any:
-    return schedule_from_dict(payload["schedule"])
+def _decode_schedule(meta: Meta, blocks: Blocks) -> Any:
+    from ..core.schedule import Schedule, ScheduleColumns
+
+    policy, layers = meta["policy"], _layer_names(meta)
+    layer_id = blocks["layer_id"]
+    n = layer_id.size
+    if (
+        not isinstance(policy, str)
+        or any(blocks[name].shape != (n,) for name in _SCHEDULE_COLUMNS)
+        or (n and (layer_id.min() < 0 or layer_id.max() >= len(layers)))
+    ):
+        raise ValueError("inconsistent schedule payload")
+    return Schedule(
+        policy=policy,
+        columns=ScheduleColumns(
+            layers=tuple(layers), **{name: blocks[name] for name in _SCHEDULE_COLUMNS}
+        ),
+    )
 
 
 #: Stage name → codec, for every stage the pipeline caches.
 CODECS: dict[str, StageCodec] = {
     codec.stage: codec
     for codec in (
-        StageCodec("preprocess", 1, _encode_graph, _decode_graph),
-        StageCodec("tile", 1, _encode_tilings, _decode_tilings),
-        StageCodec("wdup", 1, _encode_wdup, _decode_wdup),
-        StageCodec("place", 1, _encode_placement, _decode_placement),
-        StageCodec("sets", 1, _encode_sets, _decode_sets),
-        StageCodec("deps", 2, _encode_deps, _decode_deps),
-        StageCodec("schedule", 1, _encode_schedule, _decode_schedule),
+        _meta_only("preprocess", 1, _encode_graph, _decode_graph),
+        _meta_only("tile", 1, _encode_tilings, _decode_tilings),
+        _meta_only("wdup", 1, _encode_wdup, _decode_wdup),
+        _meta_only("place", 1, _encode_placement, _decode_placement),
+        StageCodec("sets", 2, _encode_sets, _decode_sets, ("counts", "rects")),
+        StageCodec(
+            "deps", 3, _encode_deps, _decode_deps, ("counts", "rects", "indptr", "indices")
+        ),
+        StageCodec("schedule", 2, _encode_schedule, _decode_schedule, _SCHEDULE_COLUMNS),
     )
 }
 

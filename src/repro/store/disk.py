@@ -17,6 +17,25 @@ key (:func:`repro.store.keys.key_digest`) — the same
 in-memory :class:`~repro.core.cache.CompilationCache` uses — so any
 process that builds the same key reads the same file.
 
+Entry format (schema 2).  An entry is one JSON header line, then a
+binary body::
+
+    {"format", "schema", "stage", "codec", "sha256", "meta_bytes",
+     "blocks": [[name, dtype, shape, offset], ...]}   + padding + "\n"
+    <meta JSON> <block> <block> ...
+
+The body is the stage codec's JSON ``meta`` (``meta_bytes`` long),
+then its array blocks as raw little-endian ``<i4``/``<i8`` bytes, each
+at an offset (from the body's start) that is a multiple of 8; the
+header line is padded so the body is 8-aligned in the file too.
+``sha256`` covers the body exactly as written, so a read hashes the
+bytes once, parses the small meta, and maps every block with
+``np.frombuffer`` — nothing is re-encoded (see
+:mod:`repro.store.codecs`).  A schema-1 entry (one JSON document) is
+never read: the schema is folded into every digest.  Its header line
+is the whole entry, so :meth:`ArtifactStore.stats` still names its
+stage, and :meth:`ArtifactStore.gc` reclaims it.
+
 Crash safety and concurrency:
 
 * **Atomic publish**: entries are written to a unique file under
@@ -26,8 +45,10 @@ Crash safety and concurrency:
 * **Advisory locking**: an ``flock`` on ``store.lock`` serializes
   publishes, manifest appends, GC, and ``clear`` between concurrent
   writers; reads are lock-free.
-* **Integrity on read**: every entry embeds the SHA-256 of its
-  payload, verified before decoding; undecodable or mismatching
+* **Integrity on read**: the body's SHA-256 is verified before
+  decoding, and the block table must lay the blocks out exactly as a
+  writer does (known dtypes, in-bounds, no overlap, no trailing
+  bytes) before any block is mapped; undecodable or mismatching
   entries are moved to ``quarantine/`` and treated as a miss — a
   corrupt store never crashes a compile, it recompiles.
 * **LRU + size budget**: reads touch the entry mtime; :meth:`gc`
@@ -41,12 +62,16 @@ store is an accelerator, never a correctness dependency.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional
 
-from .codecs import codec_for
+import numpy as np
+
+from .codecs import StageCodec, codec_for
 from .keys import STORE_SCHEMA_VERSION, key_digest
 from .locks import FileLock
 
@@ -59,15 +84,102 @@ ENTRY_FORMAT = "clsa-cim-store-entry"
 #: tmp files older than this (seconds) are crash litter and GC-swept.
 _TMP_MAX_AGE_S = 3600.0
 
+#: Block dtypes an entry may hold, with their item sizes.
+_BLOCK_DTYPES = {"<i4": 4, "<i8": 8}
 
-def _canonical_payload(payload: dict[str, Any]) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+#: Blocks start at multiples of this many bytes from the body's start.
+_ALIGN = 8
 
 
-def _payload_sha256(payload: dict[str, Any]) -> str:
-    import hashlib
+def _pack_entry(stage: str, codec: StageCodec, value: Any) -> bytes:
+    """The bytes of one entry: the header line, then meta and blocks."""
+    meta, arrays = codec.encode(value)
+    if tuple(arrays) != codec.blocks:
+        raise ValueError(f"{stage} codec returned blocks {tuple(arrays)}")
+    # No sort_keys: meta dicts keyed by layer name carry topological
+    # order that decoding must see again.
+    parts = [json.dumps(meta, separators=(",", ":")).encode("utf-8")]
+    size = len(parts[0])
+    table: list[list[Any]] = []
+    for name, array in arrays.items():
+        block = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+        if block.dtype.str not in _BLOCK_DTYPES:
+            raise ValueError(f"block {name!r} has unsupported dtype {block.dtype}")
+        pad = -size % _ALIGN
+        parts.append(bytes(pad))
+        size += pad
+        table.append([name, block.dtype.str, list(block.shape), size])
+        parts.append(block.tobytes())
+        size += block.nbytes
+    body = b"".join(parts)
+    header = json.dumps(
+        {
+            "format": ENTRY_FORMAT,
+            "schema": STORE_SCHEMA_VERSION,
+            "stage": stage,
+            "codec": codec.version,
+            "sha256": hashlib.sha256(body).hexdigest(),
+            "meta_bytes": len(parts[0]),
+            "blocks": table,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    # Pad the header line so the body starts 8-aligned in the file.
+    return header + b" " * (-(len(header) + 1) % _ALIGN) + b"\n" + body
 
-    return hashlib.sha256(_canonical_payload(payload)).hexdigest()
+
+def _unpack_entry(raw: bytes, stage: str, codec: StageCodec) -> Any:
+    """Decode the bytes of one entry; raises on any mismatch or damage.
+
+    The block table is checked against the layout :func:`_pack_entry`
+    writes before any block is mapped, with sizes in Python ints, so a
+    damaged or forged table can never map past the file.
+    """
+    split = raw.index(b"\n")
+    header = json.loads(raw[:split])
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != ENTRY_FORMAT
+        or header.get("schema") != STORE_SCHEMA_VERSION
+        or header.get("stage") != stage
+        or header.get("codec") != codec.version
+    ):
+        raise ValueError("entry header mismatch")
+    body = memoryview(raw)[split + 1 :]
+    if header.get("sha256") != hashlib.sha256(body).hexdigest():
+        raise ValueError("entry body digest mismatch")
+    end, table = header["meta_bytes"], header["blocks"]
+    if (
+        type(end) is not int
+        or not 0 <= end <= len(body)
+        or not isinstance(table, list)
+        or [entry[0] for entry in table] != list(codec.blocks)
+    ):
+        raise ValueError("entry layout mismatch")
+    meta = json.loads(raw[split + 1 : split + 1 + end])
+    if not isinstance(meta, dict):
+        raise ValueError("entry meta is not a record")
+    blocks: dict[str, np.ndarray] = {}
+    for name, dtype, shape, offset in table:
+        itemsize = _BLOCK_DTYPES.get(dtype) if isinstance(dtype, str) else None
+        if (
+            itemsize is None
+            or not isinstance(shape, list)
+            or not all(type(dim) is int and dim >= 0 for dim in shape)
+            or type(offset) is not int
+            or offset != end + (-end % _ALIGN)
+        ):
+            raise ValueError(f"entry block {name!r} is malformed")
+        count = math.prod(shape)
+        end = offset + count * itemsize
+        if end > len(body):
+            raise ValueError(f"entry block {name!r} runs past the entry")
+        blocks[name] = np.frombuffer(body, dtype=dtype, count=count, offset=offset).reshape(
+            shape
+        )
+    if end != len(body):
+        raise ValueError("entry has trailing bytes")
+    return codec.decode(meta, blocks)
 
 
 @dataclass(frozen=True)
@@ -212,19 +324,7 @@ class ArtifactStore:
             self.misses += 1
             return False, None
         try:
-            record = json.loads(raw)
-            if (
-                not isinstance(record, dict)
-                or record.get("format") != ENTRY_FORMAT
-                or record.get("schema") != STORE_SCHEMA_VERSION
-                or record.get("stage") != stage
-                or record.get("codec") != codec.version
-            ):
-                raise ValueError("entry header mismatch")
-            payload = record["payload"]
-            if record.get("sha256") != _payload_sha256(payload):
-                raise ValueError("payload digest mismatch")
-            value = codec.decode(payload)
+            value = _unpack_entry(raw, stage, codec)
         except Exception:
             self._quarantine_entry(path, digest)
             self.corrupt += 1
@@ -268,33 +368,21 @@ class ArtifactStore:
         if os.path.exists(path):
             return True
         try:
-            payload = codec.encode(value)
-            record = {
-                "format": ENTRY_FORMAT,
-                "schema": STORE_SCHEMA_VERSION,
-                "stage": stage,
-                "codec": codec.version,
-                "sha256": _payload_sha256(payload),
-                "payload": payload,
-            }
-            # No sort_keys here: payload dicts keyed by layer name carry
-            # topological order that decoding must see again.  The
-            # integrity digest canonicalizes independently.
-            text = json.dumps(record, separators=(",", ":"))
+            data = _pack_entry(stage, codec, value)
         except Exception:
             return False
         tmp_path = os.path.join(
             self._tmp, f"{digest}.{os.getpid()}.{os.urandom(4).hex()}"
         )
         try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with open(tmp_path, "wb") as handle:
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with self._lock():
                 os.replace(tmp_path, path)
-                self._append_manifest(digest, stage, len(text))
+                self._append_manifest(digest, stage, len(data))
         except OSError:
             try:
                 os.remove(tmp_path)
@@ -302,7 +390,7 @@ class ArtifactStore:
                 pass
             return False
         self.writes += 1
-        self._after_publish(len(text))
+        self._after_publish(len(data))
         return True
 
     def _append_manifest(self, digest: str, stage: str, size: int) -> None:
@@ -382,13 +470,16 @@ class ArtifactStore:
         return entries
 
     def _entry_stage(self, path: str) -> str:
-        """The stage recorded in one entry (``"?"`` when unreadable)."""
+        """The stage in one entry's header line (``"?"`` when unreadable).
+
+        A schema-1 entry is one JSON line, so its stage reads the same way.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-            return str(record.get("stage", "?"))
+            with open(path, "rb") as handle:
+                record = json.loads(handle.readline())
         except (OSError, ValueError):
             return "?"
+        return str(record.get("stage", "?")) if isinstance(record, dict) else "?"
 
     def stats(self) -> StoreStats:
         """Current disk state plus this process's read counters."""

@@ -36,7 +36,7 @@ __all__ = ["STORE_SCHEMA_VERSION", "UnstableKeyError", "encode_key", "key_digest
 #: Version of the store's key encoding and on-disk entry layout.
 #: Folded into every digest: bumping it orphans (never corrupts) all
 #: previously-published entries.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 
 class UnstableKeyError(TypeError):

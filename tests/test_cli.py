@@ -330,8 +330,12 @@ class TestCacheCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] > 0
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert "schedule" in payload["per_stage"]
+        # Every header line reads: no entry is listed under stage "?".
+        from repro.store import CODECS
+
+        assert set(payload["per_stage"]) <= set(CODECS)
 
     def test_cache_gc_and_clear(self, capsys, tmp_path):
         store = self._warm(tmp_path)

@@ -120,6 +120,14 @@ class TestExecutorRegistry:
         assert backend.submit(lambda: 2).raw.result() == 2
         backend.shutdown()
 
+    def test_thread_executor_shutdown_is_final(self):
+        backend = ThreadExecutor(1)
+        assert backend.submit(lambda: 1).raw.result() == 1
+        backend.shutdown()
+        with pytest.raises(RuntimeError, match="shut down"):
+            backend.submit(lambda: 2)
+        assert backend._pool is None
+
 
 class TestSubmit:
     def test_compile_job_matches_session_compile(self, canonical, arch):
@@ -667,6 +675,21 @@ class TestSessionCloseDrain:
         future = session.submit(CompileJob("tiny_sequential", COARSE_OPTIONS))
         session.close(grace=0)
         assert future.cancelled()
+
+    def test_submit_after_close_raises_and_starts_no_pool(self, arch):
+        session = Session(arch, executor="thread")
+        session.submit(CompileJob("tiny_sequential", COARSE_OPTIONS)).result()
+        session.close()
+        with pytest.raises(RuntimeError, match="shut down"):
+            session.submit(CompileJob("tiny_sequential", COARSE_OPTIONS))
+        assert session.executor._pool is None
+        # A batch degrades to inline execution, as on any failed pool.
+        jobs = [CompileJob("tiny_sequential", COARSE_OPTIONS, key=k) for k in "ab"]
+        with pytest.warns(RuntimeWarning, match="shut down"):
+            results = list(session.map(jobs))
+        assert [r.backend for r in results] == ["inline", "inline"]
+        assert session.executor._pool is None
+        session.close()
 
     def test_close_twice_after_drain_is_noop(self, canonical, arch):
         session = Session(arch, executor="thread")

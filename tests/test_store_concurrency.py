@@ -170,12 +170,10 @@ class TestCorruptionAcrossProcesses:
         paths = [path for path, _s, _m in store._scan_entries()]
         assert paths
         for path in paths:
-            with open(path, "r+") as handle:
-                record = json.load(handle)
-                record["payload"] = {"tampered": True}
-                handle.seek(0)
-                json.dump(record, handle)
-                handle.truncate()
+            with open(path, "rb") as handle:
+                header = handle.readline()  # keeps the stale body digest
+            with open(path, "wb") as handle:
+                handle.write(header + json.dumps({"tampered": True}).encode())
 
         # A fresh child recompiles (exit 0) instead of crashing...
         results = _run_children([_COMPILE_CHILD.format(root=root)])

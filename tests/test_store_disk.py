@@ -1,10 +1,15 @@
 """The disk-backed artifact store: publish, integrity, GC, stats."""
 
+import hashlib
 import json
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import paper_case_study
 from repro.core import ScheduleOptions, determine_dependencies, determine_sets
@@ -12,8 +17,9 @@ from repro.core.cache import CompilationCache, graph_fingerprint
 from repro.core.pipeline import compile_model
 from repro.frontend import preprocess
 from repro.models import tiny_sequential
-from repro.store import CODECS, ArtifactStore, StageCodec, codec_for
-from repro.store.keys import key_digest
+from repro.store import CODECS, ArtifactStore, codec_for
+from repro.store.disk import _pack_entry, _unpack_entry
+from repro.store.keys import encode_key, key_digest
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +36,26 @@ def _graph_key(canonical):
     return ("preprocess", graph_fingerprint(canonical))
 
 
+def _split_entry(path):
+    """(header record, body bytes) of one format-2 entry file."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    line, body = raw.split(b"\n", 1)
+    return json.loads(line), body
+
+
+def _write_entry(path, header, body):
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header).encode() + b"\n" + body)
+
+
 class TestLayout:
     def test_directories_and_meta_created(self, store):
         for name in ("objects", "tmp", "quarantine"):
             assert os.path.isdir(os.path.join(store.root, name))
         with open(os.path.join(store.root, "meta.json")) as handle:
             meta = json.load(handle)
-        assert meta == {"format": "clsa-cim-store", "schema": 1}
+        assert meta == {"format": "clsa-cim-store", "schema": 2}
 
     def test_path_alias(self, store):
         assert store.path == store.root
@@ -146,12 +165,10 @@ class TestIntegrity:
 
     def test_corrupted_payload_quarantined(self, store, canonical):
         key, path = self._entry_path(store, canonical)
-        with open(path, "r+") as handle:
-            record = json.load(handle)
-            record["payload"]["ops"] = []
-            handle.seek(0)
-            json.dump(record, handle)
-            handle.truncate()
+        header, body = _split_entry(path)
+        meta = json.loads(body)
+        meta["graph"]["nodes"] = []
+        _write_entry(path, header, json.dumps(meta).encode())
         assert store.get("preprocess", key) == (False, None)
         assert store.corrupt == 1
         assert not os.path.exists(path)
@@ -168,12 +185,9 @@ class TestIntegrity:
 
     def test_wrong_stage_header_quarantined(self, store, canonical):
         key, path = self._entry_path(store, canonical)
-        with open(path, "r+") as handle:
-            record = json.load(handle)
-            record["stage"] = "schedule"
-            handle.seek(0)
-            json.dump(record, handle)
-            handle.truncate()
+        header, body = _split_entry(path)
+        header["stage"] = "schedule"
+        _write_entry(path, header, body)  # the body digest still matches
         assert store.get("preprocess", key) == (False, None)
         assert store.corrupt == 1
 
@@ -267,7 +281,7 @@ class TestManifestAndStats:
         with open(os.path.join(store.root, "manifest.jsonl")) as handle:
             lines = handle.read().splitlines()
         header = json.loads(lines[0])
-        assert header == {"format": "clsa-cim-store", "schema": 1}
+        assert header == {"format": "clsa-cim-store", "schema": 2}
         record = json.loads(lines[1])
         assert record["stage"] == "preprocess"
         assert record["bytes"] > 0
@@ -307,7 +321,7 @@ class TestManifestAndStats:
 
 
 class TestDepsCodec:
-    """Version 2 of the ``deps`` codec: the CSR set graph as flat ints."""
+    """Version 3 of the ``deps`` codec: the CSR set graph as array blocks."""
 
     @pytest.fixture
     def dependencies(self, canonical):
@@ -315,10 +329,11 @@ class TestDepsCodec:
 
     def test_round_trip_never_builds_the_dict_view(self, dependencies):
         codec = codec_for("deps")
-        assert codec.version == 2
-        payload = json.loads(json.dumps(codec.encode(dependencies)))
-        assert sorted(payload) == ["counts", "indices", "indptr", "layers", "rects"]
-        back = codec.decode(payload)
+        assert codec.version == 3
+        meta, blocks = codec.encode(dependencies)
+        assert sorted(meta) == ["layers"]
+        assert tuple(blocks) == ("counts", "rects", "indptr", "indices")
+        back = _unpack_entry(_pack_entry("deps", codec, dependencies), "deps", codec)
         assert dependencies._deps is None and back._deps is None
         assert back.sets == dependencies.sets
         for name in ("offsets", "indptr", "indices", "r0", "c0", "r1", "c1"):
@@ -328,39 +343,56 @@ class TestDepsCodec:
 
     def test_inconsistent_payload_rejected(self, dependencies):
         codec = codec_for("deps")
-        payload = codec.encode(dependencies)
-        payload["indices"] = payload["indices"][:-1]
+        meta, blocks = codec.encode(dependencies)
+        blocks["indices"] = blocks["indices"][:-1]
         with pytest.raises(ValueError):
-            codec.decode(payload)
+            codec.decode(meta, blocks)
 
     def test_v1_entry_never_served_and_gc_reclaims_it(
-        self, store, canonical, dependencies, monkeypatch, capsys
+        self, store, canonical, dependencies, capsys
     ):
+        """A schema-1 entry, as the previous release wrote it (one JSON
+        document, deps codec 2), sits at its own digest: reads never see
+        it, stats still name its stage, and gc reclaims it."""
         from repro.cli import main
-        from repro.ir.serialize import (
-            _dependencies_from_list,
-            _dependencies_to_list,
-            _sets_from_dict,
-            _sets_to_dict,
-        )
-
-        def encode_v1(value):
-            return {"sets": _sets_to_dict(value.sets), "deps": _dependencies_to_list(value)}
-
-        def decode_v1(payload):
-            return _dependencies_from_list(payload["deps"], _sets_from_dict(payload["sets"]))
 
         key = ("deps", graph_fingerprint(canonical), "finest")
-        with monkeypatch.context() as patch:
-            patch.setitem(CODECS, "deps", StageCodec("deps", 1, encode_v1, decode_v1))
-            assert store.put("deps", key, dependencies)
-        v1_path = store._entry_path(key_digest(key, 1))
-        assert os.path.exists(v1_path)
+        arrays = dependencies.arrays
+        payload = {
+            "layers": list(arrays.layers),
+            "counts": np.diff(arrays.offsets).tolist(),
+            "rects": np.stack([arrays.r0, arrays.c0, arrays.r1, arrays.c1], axis=1)
+            .ravel()
+            .tolist(),
+            "indptr": arrays.indptr.tolist(),
+            "indices": arrays.indices.tolist(),
+        }
+        canonical_payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        record = {
+            "format": "clsa-cim-store-entry",
+            "schema": 1,
+            "stage": "deps",
+            "codec": 2,
+            "sha256": hashlib.sha256(canonical_payload.encode()).hexdigest(),
+            "payload": payload,
+        }
+        v1_material = json.dumps(
+            {"schema": 1, "codec": 2, "key": encode_key(key)},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        v1_path = store._entry_path(hashlib.sha256(v1_material.encode()).hexdigest())
+        os.makedirs(os.path.dirname(v1_path), exist_ok=True)
+        with open(v1_path, "w") as handle:
+            handle.write(json.dumps(record, separators=(",", ":")))
 
         assert store.get("deps", key) == (False, None)
         assert os.path.exists(v1_path)  # never read, so never quarantined
+        assert store.corrupt == 0
+        assert store.stats().per_stage == {"deps": (1, os.path.getsize(v1_path))}
         assert store.put("deps", key, dependencies)
-        v2_path = store._entry_path(key_digest(key, 2))
+        v2_path = store._entry_path(key_digest(key, 3))
+        assert v2_path != v1_path
         hit, value = store.get("deps", key)
         assert hit and value.arrays.num_edges == dependencies.edge_count()
 
@@ -371,3 +403,251 @@ class TestDepsCodec:
         assert not os.path.exists(v1_path)
         assert os.path.exists(v2_path)
         assert store.get("deps", key)[0]
+
+
+# ---------------------------------------------------------------------------
+# format 2: real entries of every stage, damaged and forged
+
+
+@pytest.fixture(scope="module")
+def real_entries(tmp_path_factory, canonical):
+    """Stage → ``(key, entry bytes)`` of one published entry per codec."""
+    store = ArtifactStore(str(tmp_path_factory.mktemp("real") / "store"))
+    keys = {}
+    put = store.put
+
+    def recording_put(stage, key, value):
+        keys.setdefault(stage, key)
+        return put(stage, key, value)
+
+    store.put = recording_put
+    store.put("preprocess", _graph_key(canonical), canonical)
+    compile_model(
+        canonical,
+        paper_case_study(40),
+        ScheduleOptions(),
+        cache=CompilationCache(store=store),
+        assume_canonical=True,
+    )
+    assert sorted(keys) == sorted(CODECS)
+    entries = {}
+    for stage, key in keys.items():
+        with open(store._entry_path(key_digest(key, codec_for(stage).version)), "rb") as fh:
+            entries[stage] = (key, fh.read())
+    return entries
+
+
+@pytest.fixture(scope="module")
+def fuzz_store(tmp_path_factory):
+    return ArtifactStore(str(tmp_path_factory.mktemp("fuzz") / "store"))
+
+
+def _assert_quarantined(store, stage, key, data):
+    """Reading ``data`` as the entry of ``key`` misses and quarantines it,
+    without raising and without allocating much beyond the file."""
+    path = store._entry_path(key_digest(key, codec_for(stage).version))
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(data)
+    corrupt = store.corrupt
+    tracemalloc.start()
+    try:
+        result = store.get(stage, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (False, None)
+    assert store.corrupt == corrupt + 1
+    assert not os.path.exists(path)
+    quarantined = os.path.join(store.root, "quarantine", os.path.basename(path))
+    assert os.path.exists(quarantined)
+    os.remove(quarantined)
+    assert peak < 4 * len(data) + (1 << 20)
+
+
+def _sections(data):
+    """Byte offsets where the sections of one entry begin and end."""
+    split = data.index(b"\n")
+    header = json.loads(data[:split])
+    body = split + 1
+    bounds = {0, split, body, body + header["meta_bytes"], len(data)}
+    for _name, dtype, shape, offset in header["blocks"]:
+        bounds.add(body + offset)
+        bounds.add(body + offset + math.prod(shape) * int(dtype[2:]))
+    return sorted(bounds)
+
+
+STAGES = sorted(CODECS)
+
+#: Forged values for one field of one block-table entry.
+FORGERIES = st.one_of(
+    st.tuples(
+        st.just("shape"),
+        st.sampled_from(
+            [
+                [-1], [2**24], [2**20, 4], [2**62], [2**64 + 1], [10**30, 4],
+                [1, -4], [1.5], [True], "8", None,
+            ]
+        ),
+    ),
+    st.tuples(
+        st.just("dtype"),
+        st.sampled_from(["|O", "O", "<f8", "<f4", ">i8", "<u8", "<i2", "<i16", 8, None]),
+    ),
+    st.tuples(
+        st.just("offset"),
+        st.sampled_from(["past_end", "overlap", "gap", "negative", "huge", "float"]),
+    ),
+    st.tuples(st.just("name"), st.sampled_from(["swap", "renamed", ""])),
+)
+
+
+class TestEntryFuzz:
+    """Damaged or forged entries are a quarantined miss, never an error."""
+
+    def test_real_entries_read_back(self, real_entries, fuzz_store):
+        for stage, (key, data) in real_entries.items():
+            path = fuzz_store._entry_path(key_digest(key, codec_for(stage).version))
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(data)
+            assert fuzz_store.get(stage, key)[0], stage
+            os.remove(path)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_truncation_at_every_section_boundary(self, real_entries, fuzz_store, stage):
+        key, data = real_entries[stage]
+        cuts = {cut + delta for cut in _sections(data) for delta in (-1, 0, 1)}
+        for cut in sorted(c for c in cuts if 0 <= c < len(data)):
+            _assert_quarantined(fuzz_store, stage, key, data[:cut])
+
+    @settings(max_examples=150)
+    @given(stage=st.sampled_from(STAGES), data=st.data())
+    def test_bit_flips(self, real_entries, fuzz_store, stage, data):
+        key, entry = real_entries[stage]
+        bit = data.draw(st.integers(0, 8 * len(entry) - 1))
+        flipped = bytearray(entry)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        _assert_quarantined(fuzz_store, stage, key, bytes(flipped))
+
+    @settings(max_examples=150)
+    @given(stage=st.sampled_from(STAGES), data=st.data(), forgery=FORGERIES)
+    def test_forged_block_tables(self, real_entries, fuzz_store, stage, data, forgery):
+        key, entry = real_entries[stage]
+        split = entry.index(b"\n")
+        header, body = json.loads(entry[:split]), entry[split + 1 :]
+        table = header["blocks"]
+        if not table:  # meta-only stage: forge an extra block
+            meta_bytes = header["meta_bytes"]
+            table.append(["extra", "<i8", [0], meta_bytes + (-meta_bytes % 8)])
+        index = data.draw(st.integers(0, len(table) - 1))
+        field, value = forgery
+        if field == "name" and value == "swap":
+            # Same layout, two blocks' names exchanged (e.g. two
+            # schedule columns of one dtype and length).
+            other = index - 1 if index else min(1, len(table) - 1)
+            value = table[other][0]
+            table[other][0] = table[index][0]
+        elif field == "offset":
+            offset = table[index][3]
+            value = {
+                "past_end": len(body) + 8,
+                "overlap": table[index - 1][3] if index else 0,
+                "gap": offset + 8,
+                "negative": -8,
+                "huge": 2**70,
+                "float": float(offset),
+            }[value]
+        table[index][{"name": 0, "dtype": 1, "shape": 2, "offset": 3}[field]] = value
+        forged = json.dumps(header).encode() + b"\n" + body
+        _assert_quarantined(fuzz_store, stage, key, forged)
+
+    @settings(max_examples=50)
+    @given(stage=st.sampled_from(STAGES), tail=st.binary(min_size=1, max_size=64))
+    def test_trailing_bytes(self, real_entries, fuzz_store, stage, tail):
+        key, entry = real_entries[stage]
+        _assert_quarantined(fuzz_store, stage, key, entry + tail)
+
+
+# ---------------------------------------------------------------------------
+# format 2: decoded arrays are the computed ones
+
+
+def _round_trip(stage, value):
+    codec = codec_for(stage)
+    return _unpack_entry(_pack_entry(stage, codec, value), stage, codec)
+
+
+class TestDecodedArrays:
+    @pytest.fixture(scope="class")
+    def compiled(self, canonical):
+        return {
+            name: compile_model(
+                canonical, paper_case_study(40), options, assume_canonical=True
+            )
+            for name, options in {
+                "dynamic": ScheduleOptions(),
+                "static": ScheduleOptions(order_mode="static"),
+                "layer-by-layer": ScheduleOptions(scheduling="layer-by-layer"),
+            }.items()
+        }
+
+    @pytest.mark.parametrize("policy", ["dynamic", "static", "layer-by-layer", "batch"])
+    def test_schedule_columns_match_in_dtype_and_row_order(self, compiled, policy):
+        from repro.core.batch import cross_layer_schedule_batch
+
+        if policy == "batch":
+            model = compiled["dynamic"]
+            schedule = cross_layer_schedule_batch(model.mapped, model.dependencies, 3).schedule
+        else:
+            schedule = compiled[policy].schedule
+        back = _round_trip("schedule", schedule)
+        assert back.policy == schedule.policy
+        want, got = schedule.columns(), back.columns()
+        assert got.layers == want.layers
+        for name in (
+            "layer_id", "set_index", "start", "end", "image", "r0", "c0", "r1", "c1"
+        ):
+            column = getattr(got, name)
+            assert column.dtype == getattr(want, name).dtype, name
+            np.testing.assert_array_equal(column, getattr(want, name))
+            assert not column.flags.writeable  # cached values are immutable
+
+    def test_set_graph_arrays_match_in_dtype(self, compiled):
+        dependencies = compiled["dynamic"].dependencies
+        back = _round_trip("deps", dependencies)
+        want, got = dependencies.arrays, back.arrays
+        assert got.layers == want.layers
+        for name in (
+            "offsets", "layer_of", "set_index", "area", "r0", "c0", "r1", "c1",
+            "indptr", "indices", "rindptr", "rindices", "lex_rank",
+        ):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("stage", ["sets", "deps"])
+    def test_sets_share_rects_per_distinct_block(self, compiled, stage):
+        model = compiled["dynamic"]
+        value = model.sets if stage == "sets" else model.dependencies
+        back = _round_trip(stage, value)
+        sets = back if stage == "sets" else back.sets
+        assert sets == model.sets and list(sets) == list(model.sets)
+        by_block = {}
+        for rects in sets.values():
+            first = by_block.setdefault(tuple(rects), rects)
+            assert all(a is b for a, b in zip(rects, first))  # shared Rects
+        lists = list(sets.values())
+        assert len({id(rects) for rects in lists}) == len(lists)  # own lists
+
+    def test_decoders_reject_inconsistent_blocks(self, compiled):
+        model = compiled["dynamic"]
+        for stage, value, block in (
+            ("sets", model.sets, "counts"),
+            ("deps", model.dependencies, "rects"),
+            ("schedule", model.schedule, "start"),
+        ):
+            codec = codec_for(stage)
+            meta, blocks = codec.encode(value)
+            blocks[block] = blocks[block][:-1]
+            with pytest.raises(ValueError):
+                codec.decode(meta, blocks)
