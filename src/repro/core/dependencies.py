@@ -20,9 +20,11 @@ from typing import Optional
 import numpy as np
 
 from ..ir.graph import Graph
-from ..ir.ops import Input, empty_columns, rect_columns
+from ..ir.ops import Input, empty_columns
 from ..ir.tensor import Rect
-from .kernels import SetGraphArrays, gid_columns, lower_dependencies, set_offsets
+from .kernels import (
+    SetGraphArrays, gid_columns, layer_rect_columns, lower_dependencies, set_offsets,
+)
 
 #: A (layer name, set index) pair identifying one scheduling set.
 SetRef = tuple[str, int]
@@ -287,7 +289,7 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
         )
     shapes = graph.infer_shapes()
     offsets = set_offsets(map(len, sets.values()))
-    coords = rect_columns([rect for rects in sets.values() for rect in rects])
+    coords = layer_rect_columns(sets.values())
     layer_id = {layer: lid for lid, layer in enumerate(layers)}
     # Per path, in path order within each layer: the gids of the sets
     # it carries, its producer layer id and its region block.

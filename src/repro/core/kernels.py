@@ -15,7 +15,7 @@ This module holds the set-level problem as flat NumPy arrays, the
   ``set_index`` / ``area`` / rect-coordinate columns;
 * a **CSR encoding** of the set dependencies (``indptr`` / ``indices``
   over predecessor gids) plus the **reverse CSR** (``rindptr`` /
-  ``rindices`` over consumer gids) for event-driven wake-ups.
+  ``rindices`` over consumer gids) for the batch kernel's wake-ups.
 
 Stage II (:func:`repro.core.dependencies.determine_dependencies`)
 emits these arrays directly and the
@@ -30,10 +30,21 @@ simulator replay schedules here.  The pure-Python reference schedulers
 they must match row for row live with the tests (``tests/oracles``);
 the kernels self-validate with vectorized dependency/resource checks.
 
-Event-ordering note: ties in the event heaps break by *layer name*
-(string comparison), as in the reference schedulers.  The kernels order
-on each layer's lexicographic rank (``lex_rank``), so even tie-heavy
-schedules match the reference set-for-set.
+Release keys.  Ready order is defined by the reference event loop:
+completions pop in ``(end, layer name)`` order, each waking its
+consumers in gid order (one whose layer is idle starts at once) before
+its own layer starts its lowest-indexed ready set.  With ``L`` layers,
+a completion's key ``end * L + lex_rank[layer]`` orders those pops, and
+a set is released by its predecessors' largest key (-1 with none).  So
+Stage IV schedules one layer at a time, in topological order: the
+row-major recurrence ``end_i = max(end_{i-1}, ready_i) + a_i`` is the
+layer's ready order when its sets' release keys are non-decreasing;
+otherwise a heap over the layer's own sets decides.  One stable sort
+of the sets (-2 if started before any event, ``2 * done + 1`` if
+started when the layer's previous set completed with key ``done``,
+``2 * key`` if started on release) gives the loop's rows.  Keys assume
+that every set ends after it starts, so ready order needs empty sets
+isolated, as Stage II leaves them.
 """
 
 from __future__ import annotations
@@ -41,6 +52,8 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
+from operator import is_
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -161,11 +174,11 @@ class SetGraphArrays:
         return int(self.offsets[self.layers.index(layer)]) + set_index
 
     def as_lists(self) -> dict[str, list]:
-        """Plain-list views of the hot columns (memoized).
+        """Plain-list views of the hot columns (memoized), for the batch kernel.
 
-        The event-driven kernels index per element, where Python lists
-        beat NumPy scalar indexing by an order of magnitude; the
-        conversion is done once per lowering, not per schedule.
+        Its event loop indexes per element, where Python lists beat
+        NumPy scalar indexing by an order of magnitude; the conversion
+        is done once per lowering, not per schedule.
         """
         cached = getattr(self, "_lists", None)
         if cached is None:
@@ -202,6 +215,24 @@ def gid_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return layer_of, set_index.astype(np.int32)
 
 
+def layer_rect_columns(per_layer: Iterable[list["Rect"]]) -> np.ndarray:
+    """Rect columns of every layer's sets, concatenated in layer order.
+
+    Stage I gives layers of one OFM shape lists of the same ``Rect``
+    objects, so each distinct list is converted once: a list reuses an
+    earlier conversion only if it holds the very same rect objects.
+    """
+    converted: dict[tuple[int, int], tuple[list["Rect"], np.ndarray]] = {}
+    blocks = [np.empty((4, 0), dtype=np.int64)]
+    for rects in per_layer:
+        key = (len(rects), id(rects[0]) if rects else 0)
+        seen = converted.get(key)  # holds its rects, so their ids stay unique
+        if seen is None or not all(map(is_, seen[0], rects)):
+            seen = converted[key] = (rects, rect_columns(rects))
+        blocks.append(seen[1])
+    return np.concatenate(blocks, axis=1)
+
+
 def lower_dependencies(
     sets: dict[str, list["Rect"]], deps: dict["SetRef", list["SetRef"]]
 ) -> SetGraphArrays:
@@ -222,11 +253,8 @@ def lower_dependencies(
             indices_list.extend(base[ref_layer] + ref_si for ref_layer, ref_si in refs)
             indptr_list.append(len(indices_list))
     return SetGraphArrays.from_csr(
-        layers,
-        offsets,
-        rect_columns([rect for rects in sets.values() for rect in rects]),
-        np.asarray(indptr_list, dtype=np.int64),
-        np.asarray(indices_list, dtype=np.int64),
+        layers, offsets, layer_rect_columns(sets.values()),
+        np.asarray(indptr_list, dtype=np.int64), np.asarray(indices_list, dtype=np.int64),
     )
 
 
@@ -270,7 +298,7 @@ def _columns_from(
 
 
 # ---------------------------------------------------------------------------
-# Stage IV: static (fixed Stage III order) scheduler
+# Stage IV: one pass per layer, in topological layer order
 # ---------------------------------------------------------------------------
 
 
@@ -280,66 +308,9 @@ def csr_static_schedule(
     policy: str = "clsa-cim",
     validate: bool = True,
 ) -> Schedule:
-    """Vectorized earliest-feasible-start schedule (static Stage III order).
-
-    The per-layer recurrence ``end_i = max(end_{i-1}, ready_i) + a_i``
-    unrolls to a prefix form: with ``S_i = sum_{k<=i} a_k``,
-
-    ``end_i = S_i + cummax_i(ready_i - S_{i-1})``
-
-    so each layer is one gather (predecessor ends), one segmented max
-    (``maximum.reduceat`` over the CSR), a permutation into Stage III
-    order, and a ``cumsum`` + ``cummax`` — no Python-level inner loop.
-    """
-    n = arrays.num_sets
-    start = np.zeros(n, dtype=np.int64)
-    end = np.full(n, -1, dtype=np.int64)
-    emit = np.empty(n, dtype=np.int64)
-    offsets = arrays.offsets
-    indptr = arrays.indptr
-    indices = arrays.indices
-    pos = 0
-    for lid, layer in enumerate(arrays.layers):
-        lo = int(offsets[lid])
-        hi = int(offsets[lid + 1])
-        if lo == hi:
-            continue
-        k = hi - lo
-        edge_lo = int(indptr[lo])
-        edge_hi = int(indptr[hi])
-        ready = np.zeros(k, dtype=np.int64)
-        if edge_hi > edge_lo:
-            pred_end = end[indices[edge_lo:edge_hi]]
-            if pred_end.min() < 0:
-                raise AssertionError(
-                    f"a dependency of layer {layer!r} is not yet scheduled; "
-                    "the set graph is not in topological layer order"
-                )
-            local_ptr = indptr[lo:hi] - edge_lo
-            seg_counts = np.diff(np.append(local_ptr, edge_hi - edge_lo))
-            bounded = np.minimum(local_ptr, pred_end.size - 1)
-            ready = np.where(
-                seg_counts > 0, np.maximum.reduceat(pred_end, bounded), 0
-            )
-        perm = np.asarray(order[layer], dtype=np.int64)
-        areas = arrays.area[lo:hi][perm]
-        cum = np.cumsum(areas)
-        layer_end = cum + np.maximum.accumulate(ready[perm] - (cum - areas))
-        gids = lo + perm
-        end[gids] = layer_end
-        start[gids] = layer_end - areas
-        emit[pos : pos + k] = gids
-        pos += k
-    if validate:
-        from ..verify.hazards import assert_arrays_schedule
-
-        assert_arrays_schedule(arrays, start, end)
+    """Earliest-feasible-start schedule; sets and rows in Stage III order."""
+    start, end, emit = _schedule_layers(arrays, order, validate)
     return Schedule(policy=policy, columns=_columns_from(arrays, emit, start, end))
-
-
-# ---------------------------------------------------------------------------
-# Stage IV: dynamic (ready-order) list scheduler
-# ---------------------------------------------------------------------------
 
 
 def csr_dynamic_schedule(
@@ -347,120 +318,142 @@ def csr_dynamic_schedule(
     policy: str = "clsa-cim",
     validate: bool = True,
 ) -> Schedule:
-    """Event-driven list scheduling over integer heaps (ready order).
+    """List scheduling in ready order, one layer at a time (release keys).
 
     Each layer greedily executes whichever of its sets has all data
     dependencies satisfied, lowest set index first.  With weight
     duplication a producer's stripes emit rows in parallel; ready-order
     sequencing rate-matches producer and consumer and realizes the
-    paper's *maximum achievable* utilization (Sec. V).  Runs on flat
-    int lists indexed by gid; consumer wake-ups walk the reverse CSR.
+    paper's *maximum achievable* utilization (Sec. V).
     """
-    columns, start, end, _ = _run_dynamic(arrays)
+    start, end, emit = _schedule_layers(arrays, None, validate)
+    return Schedule(policy=policy, columns=_columns_from(arrays, emit, start, end))
+
+
+def _schedule_layers(
+    arrays: SetGraphArrays, order: dict[str, list[int]] | None, validate: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, end, emit)`` of every set: Stage III ``order``, or ready order.
+
+    Per layer, one gather of the predecessors' completion keys and one
+    segmented max give the release keys; the recurrence runs in prefix
+    form, ``end_i = S_i + cummax_i(ready_i - S_{i-1})``, ``S_i`` being
+    the sum of the first ``i + 1`` areas in sequence.
+    """
+    n, num_layers = arrays.num_sets, arrays.num_layers
+    offsets, indptr, indices = arrays.offsets, arrays.indptr, arrays.indices
+    bounds, counts = offsets.tolist(), np.diff(offsets)
+    _check_set_graph(arrays, ready_order=order is None)
+    if order is None:
+        seq = np.arange(n, dtype=np.int64)
+    else:
+        local = chain.from_iterable(order[layer] for layer in arrays.layers)
+        seq = np.fromiter(local, dtype=np.int64, count=n) + np.repeat(offsets[:-1], counts)
+    # In a layer with edges, a set without predecessors reads slot n (key -1).
+    fan_in = np.diff(indptr)
+    lonely = (fan_in == 0) & np.repeat(np.diff(indptr[offsets]) > 0, counts)
+    if lonely.any():
+        indices = np.insert(indices, indptr[:-1][lonely], n)
+        indptr = np.concatenate(([0], np.cumsum(fan_in + lonely)))
+    edge_bounds = indptr[offsets].tolist()
+    heads = indptr[:-1] - np.repeat(indptr[offsets[:-1]], counts)
+    areas = arrays.area[seq]
+    work = np.concatenate(([0], np.cumsum(areas, dtype=np.int64)))
+    before = work[:-1] - np.repeat(work[offsets[:-1]], counts)  # S_{i-1}
+    # ``S_i * L + lex``: a set's completion key if its layer never waits.
+    base = (before + areas) * num_layers + arrays.lex_rank[arrays.layer_of]
+    tag = np.full(n + 1, -1, dtype=np.int64)  # completion keys by gid
+    keys = np.full(n, -1, dtype=np.int64)  # release keys by gid
+    for lid in range(num_layers):
+        lo, hi = bounds[lid], bounds[lid + 1]
+        if lo == hi:
+            continue
+        if edge_bounds[lid] == edge_bounds[lid + 1]:
+            key = keys[lo:hi]
+        else:
+            key = keys[lo:hi] = np.maximum.reduceat(
+                tag[indices[edge_bounds[lid] : edge_bounds[lid + 1]]], heads[lo:hi]
+            )
+        if order is not None:
+            key = key[seq[lo:hi] - lo]
+        elif np.count_nonzero(key[1:] < key[:-1]):  # released out of row-major order
+            perm, dones = _ready_order(
+                key.tolist(), areas[lo:hi].tolist(), int(arrays.lex_rank[lid]), num_layers
+            )
+            seq[lo:hi] = lo + np.asarray(perm, dtype=np.int64)
+            tag[seq[lo:hi]] = dones
+            continue
+        lag = key // num_layers - before[lo:hi]
+        if lag[0] < 0:  # a set without predecessors is ready at 0
+            lag[0] = 0
+        tag[seq[lo:hi]] = base[lo:hi] + np.maximum.accumulate(lag) * num_layers
+    end = tag[:n] // max(num_layers, 1)
+    start = end - arrays.area
     if validate:
         from ..verify.hazards import assert_arrays_schedule
 
         assert_arrays_schedule(arrays, start, end)
-    return Schedule(policy=policy, columns=columns)
+    if order is not None:
+        return start, end, seq
+    # Each set's layer predecessor in sequence completed with key ``due``.
+    due = np.empty(n, dtype=np.int64)
+    due[seq[1:]] = tag[seq[:-1]]
+    due[seq[offsets[:-1][counts > 0]]] = -1
+    rank = np.where(keys < due, 2 * due + 1, 2 * keys)
+    return start, end, seq[np.argsort(rank[seq], kind="stable")]
 
 
-def _run_dynamic(
-    arrays: SetGraphArrays,
-) -> tuple[ScheduleColumns, np.ndarray, np.ndarray, np.ndarray]:
-    """The shared dynamic event loop; returns (columns, start, end, emit).
+def _ready_order(
+    keys: list[int], areas: list[int], lex: int, num_layers: int
+) -> tuple[list[int], list[int]]:
+    """``(order, completion keys)`` of one layer, from a heap over its sets.
 
-    Hot-loop notes: event tuples are ``(end, lex_rank, gid)`` — at most
-    one event per layer is ever outstanding, so ``(end, lex_rank)`` is
-    unique among live events and orders pops exactly like the reference
-    scheduler's ``(end, layer_name, set_index)`` heap; the gid rides
-    along as payload so nothing is re-derived on pop.  Starts are
-    inlined; outside the wake loop every layer with a non-empty ready
-    queue is busy (each push is followed by a start attempt), so a
-    newly ready set whose layer is idle with an empty queue starts
-    directly, skipping both ready-heap operations.
+    When a set completes, the lowest index released before that
+    completion starts next; if there is none, the next set released
+    starts when it is.
     """
-    lists = arrays.as_lists()
-    n = arrays.num_sets
-    num_layers = arrays.num_layers
-    offsets = lists["offsets"]
-    layer_of = lists["layer_of"]
-    set_of = lists["set_index"]
-    area = lists["area"]
-    remaining = lists["indegree"].copy()
-    consumers = lists["consumers"]
-    lex = lists["lex"]
-
-    ready: list[list[int]] = [[] for _ in range(num_layers)]
-    layer_free = [0] * num_layers
-    layer_busy = [False] * num_layers
-    start = [0] * n
-    end = [0] * n
-    emit: list[int] = []
-    emit_append = emit.append
-    events: list[tuple[int, int, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    for gid in range(n):
-        if remaining[gid] == 0:
-            heappush(ready[layer_of[gid]], set_of[gid])
-    for lid in range(num_layers):
-        queue = ready[lid]
-        if queue:
-            si = heappop(queue)
-            gid = offsets[lid] + si
-            e = area[gid]
-            end[gid] = e
-            emit_append(gid)
-            layer_busy[lid] = True
-            layer_free[lid] = e
-            heappush(events, (e, lex[lid], gid))
-
-    while events:
-        now, rank, gid = heappop(events)
-        lid = layer_of[gid]
-        for consumer in consumers[gid]:
-            left = remaining[consumer] - 1
-            remaining[consumer] = left
-            if left == 0:
-                clid = layer_of[consumer]
-                if layer_busy[clid]:
-                    heappush(ready[clid], set_of[consumer])
-                else:
-                    free = layer_free[clid]
-                    s = now if now > free else free
-                    e = s + area[consumer]
-                    start[consumer] = s
-                    end[consumer] = e
-                    emit_append(consumer)
-                    layer_busy[clid] = True
-                    layer_free[clid] = e
-                    heappush(events, (e, lex[clid], consumer))
-        queue = ready[lid]
-        if queue:
-            nsi = heappop(queue)
-            ngid = offsets[lid] + nsi
-            free = layer_free[lid]
-            s = now if now > free else free
-            e = s + area[ngid]
-            start[ngid] = s
-            end[ngid] = e
-            emit_append(ngid)
-            layer_free[lid] = e
-            heappush(events, (e, rank, ngid))
+    released = sorted(range(len(keys)), key=keys.__getitem__)  # by (key, index)
+    queued: list[int] = []
+    order: list[int] = []
+    dones: list[int] = []
+    done, end, nxt = -1, 0, 0
+    for _ in released:
+        while nxt < len(released) and keys[released[nxt]] < done:
+            heapq.heappush(queued, released[nxt])
+            nxt += 1
+        if queued:
+            i = heapq.heappop(queued)
         else:
-            layer_busy[lid] = False
+            i, nxt = released[nxt], nxt + 1
+            end = max(end, keys[i] // num_layers)
+        end += areas[i]
+        done = end * num_layers + lex
+        order.append(i)
+        dones.append(done)
+    return order, dones
 
-    if len(emit) != n:  # pragma: no cover - guards dependency cycles
+
+def _check_set_graph(arrays: SetGraphArrays, ready_order: bool) -> None:
+    """Edges must point to earlier layers (``AssertionError``) and, in
+    ready order, empty sets must have none (``ValueError``)."""
+    edge_lo = arrays.indptr[arrays.offsets]
+    has = np.flatnonzero(edge_lo[1:] > edge_lo[:-1])
+    late = has[np.maximum.reduceat(arrays.indices, edge_lo[has]) >= arrays.offsets[has]]
+    if len(late):
         raise AssertionError(
-            f"dynamic kernel placed {len(emit)} of {n} sets; "
-            "the set dependency graph is cyclic or disconnected"
+            f"a dependency of layer {arrays.layers[late[0]]!r} is not yet "
+            "scheduled; the set graph is not in topological layer order"
         )
-    start_arr = np.asarray(start, dtype=np.int64)
-    end_arr = np.asarray(end, dtype=np.int64)
-    emit_arr = np.asarray(emit, dtype=np.int64)
-    columns = _columns_from(arrays, emit_arr, start_arr, end_arr)
-    return columns, start_arr, end_arr, emit_arr
+    if ready_order and not arrays.area.all():
+        fan = np.diff(arrays.indptr) + np.diff(arrays.rindptr)
+        linked = np.flatnonzero((arrays.area == 0) & (fan > 0))
+        if len(linked):
+            gid = int(linked[0])
+            raise ValueError(
+                f"set ({arrays.layers[arrays.layer_of[gid]]!r}, "
+                f"{int(arrays.set_index[gid])}) is empty but has dependency "
+                "edges; ready order needs empty sets isolated"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +659,21 @@ def csr_batch_schedule(
 def csr_replay(
     arrays: SetGraphArrays, policy: str
 ) -> tuple[Schedule, dict[str, int], int]:
-    """Zero-cost discrete-event replay on the columnar arrays.
+    """Zero-cost replay on the columnar arrays.
 
     Returns ``(schedule, per_layer_stall, events_processed)``.  With
-    free forwarding the replay is the dynamic list scheduler; stalls
-    are computed in one vectorized pass over the layer-contiguous gid
-    slices.
+    free forwarding the replay is the ready-order schedule of
+    :func:`csr_dynamic_schedule` (one completion event per set); a
+    layer's stall is its idle time inside its busy span.
     """
-    columns, start, end, _ = _run_dynamic(arrays)
-    stalls: dict[str, int] = {}
-    offsets = arrays.offsets
-    for lid, layer in enumerate(arrays.layers):
-        lo = int(offsets[lid])
-        hi = int(offsets[lid + 1])
-        if lo == hi:
-            continue
-        busy = int(arrays.area[lo:hi].sum())
-        stalls[layer] = int(end[lo:hi].max()) - int(start[lo:hi].min()) - busy
+    start, end, emit = _schedule_layers(arrays, None)
+    filled = np.flatnonzero(np.diff(arrays.offsets))
+    heads = arrays.offsets[filled]
+    idle = (
+        np.maximum.reduceat(end, heads)
+        - np.minimum.reduceat(start, heads)
+        - np.add.reduceat(arrays.area, heads)
+    )
+    stalls = dict(zip([arrays.layers[lid] for lid in filled.tolist()], idle.tolist()))
+    columns = _columns_from(arrays, emit, start, end)
     return Schedule(policy=policy, columns=columns), stalls, arrays.num_sets

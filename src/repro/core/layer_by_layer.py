@@ -14,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..ir.graph import Graph
-from ..ir.ops import rect_columns
 from ..ir.tensor import Rect
 from .dependencies import layer_level_dependencies
-from .kernels import gid_columns, set_offsets
+from .kernels import gid_columns, layer_rect_columns, set_offsets
 from .schedule import Schedule, ScheduleColumns
 
 
@@ -50,7 +49,7 @@ def layer_by_layer_schedule(
         sets[layer] if sets is not None else [shapes[layer].full_rect()] for layer in layers
     ]
     offsets = set_offsets(map(len, per_layer))
-    coords = rect_columns([rect for rects in per_layer for rect in rects])
+    coords = layer_rect_columns(per_layer)
     area = (coords[2] - coords[0]) * (coords[3] - coords[1])
     done = np.concatenate(([0], np.cumsum(area)))  # work before each row
     layer_end: dict[str, int] = {}

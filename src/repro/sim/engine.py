@@ -6,9 +6,8 @@ engine *executes* schedules as a discrete-event simulation, serving two
 purposes:
 
 1. **Validation** — replaying a schedule with zero transfer costs must
-   reproduce the analytical makespan exactly (asserted in tests),
-   confirming that the one-pass schedulers and the event-driven
-   semantics agree.
+   reproduce the analytical makespan exactly (asserted in tests, row
+   for row against the event-driven reference of ``tests/oracles``).
 2. **Cost-model ablation** — with a :class:`~repro.sim.noc_cost.NocCostModel`,
    dependency edges acquire transfer delays and the engine re-schedules
    dynamically, quantifying the paper's future-work concern that data
@@ -65,8 +64,8 @@ def simulate(
     set completes).
 
     Without a cost model the replay runs on the columnar CSR kernels
-    (:func:`~repro.core.kernels.csr_replay`: the dynamic list scheduler
-    over integer heaps).  A cost model prices every edge, so the event
+    (:func:`~repro.core.kernels.csr_replay`: the dynamic list scheduler,
+    one layer at a time).  A cost model prices every edge, so the event
     loop below serves it: ready sets are served in data-arrival order
     (FIFO forwarding), tie-broken by set index.
     """

@@ -40,7 +40,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..ir.ops import rect_columns
 from ..ir.serialize import (
     _SCHEDULE_COLUMNS,
     _duplication_from_dict,
@@ -194,8 +193,10 @@ def _decode_placement(payload: dict[str, Any]) -> Any:
 
 
 def _encode_sets(value: Any) -> tuple[Meta, Blocks]:
+    from ..core.kernels import layer_rect_columns
+
     counts = np.fromiter(map(len, value.values()), dtype=np.int64, count=len(value))
-    coords = rect_columns([rect for rects in value.values() for rect in rects])
+    coords = layer_rect_columns(value.values())
     return {"layers": list(value)}, {"counts": counts, "rects": coords.T.astype(np.int32)}
 
 

@@ -9,6 +9,8 @@ through the Schedule API and the artifact serializer.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     cross_layer_schedule,
     cross_layer_schedule_dynamic,
@@ -27,14 +29,17 @@ from repro.core import (
     cross_layer_schedule_batch,
     csr_batch_schedule,
     csr_dynamic_schedule,
+    csr_replay,
     csr_static_schedule,
     determine_dependencies,
     determine_sets,
     intra_layer_order,
 )
 from repro.core.dependencies import DependencyGraph
+from repro.core.kernels import layer_rect_columns
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect
+from repro.ir.ops import rect_columns
 from repro.mapping import minimum_pe_requirement
 from repro.sim import simulate
 from repro.verify import (
@@ -263,6 +268,123 @@ class TestZooRowOrder:
                 slow = reference_batch_schedule(compiled.mapped, deps, 3)
                 assert task_keys(fast.schedule) == task_keys(slow.schedule)
                 assert fast.image_spans == slow.image_spans
+
+
+@st.composite
+def layered_dags(draw):
+    """A hand-built positive-area set graph: 2-6 layers in topological
+    order, with names shuffled against it (so the layer-name tie-break
+    differs from layer order), 1-8 sets each of area 1-4, and random
+    edges to sets of earlier layers."""
+    num_layers = draw(st.integers(2, 6))
+    names = draw(st.permutations([f"l{i}" for i in range(num_layers)]))
+    sets: dict = {}
+    deps: dict = {}
+    for lid, name in enumerate(names):
+        heights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+        sets[name] = [Rect(si, 0, si + h, 1) for si, h in enumerate(heights)]
+        earlier = [(pred, pi) for pred in names[:lid] for pi in range(len(sets[pred]))]
+        for si in range(len(heights)):
+            deps[(name, si)] = (
+                draw(st.lists(st.sampled_from(earlier), unique=True, max_size=4))
+                if earlier
+                else []
+            )
+    return DependencyGraph(sets, deps)
+
+
+def assert_ready_order_matches_oracle(dependencies):
+    """The dynamic kernel and the replay equal the oracle row for row,
+    and the replay's stalls are the oracle's idle cycles per layer;
+    returns the rows."""
+    arrays = dependencies.arrays
+    # The oracle's event loop reads only the set graph.
+    reference = cross_layer_schedule_dynamic(None, dependencies)
+    replay, stalls, _ = csr_replay(arrays, "clsa-cim")
+    rows = task_keys(reference)
+    assert task_keys(csr_dynamic_schedule(arrays)) == rows
+    assert task_keys(replay) == rows
+    assert stalls == {
+        layer: (end - start) - busy
+        for layer, (start, end, busy) in reference.per_layer_stats().items()
+    }
+    return rows
+
+
+class TestReadyOrderPerLayer:
+    """The per-layer dynamic kernel against the global event-loop oracle,
+    including layers whose ready order is not row-major (the heap
+    fallback) and empty sets."""
+
+    def test_fallback_layer_pinned(self):
+        """Height-axis duplication splits c1 into two row stripes that
+        finish rows in parallel, so c2 runs its sets out of row-major
+        order: no row-major recurrence produces this order."""
+        b = GraphBuilder("stripes")
+        x = b.input((16, 16, 2), name="in")
+        x = b.conv2d(x, 2, kernel=3, padding="same", use_bias=False, name="c1")
+        b.conv2d(x, 2, kernel=1, strides=2, padding="valid", use_bias=False, name="c2")
+        canonical = preprocess(b.graph, quantization=None).graph
+        min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
+        assert min_pes + 1 == 3
+        options = ScheduleOptions(mapping="wdup", duplication_axis="height")
+        compiled = compile_model(
+            canonical, paper_case_study(min_pes + 1), options, assume_canonical=True
+        )
+        assert compiled.mapped.base_layers() == ["c1/dup0", "c1/dup1", "c2"]
+        c2 = [t.set_index for t in compiled.schedule.tasks if t.layer == "c2"]
+        assert c2 == [0, 4, 1, 5, 2, 6, 3, 7]
+        reference = cross_layer_schedule_dynamic(compiled.mapped, compiled.dependencies)
+        assert task_keys(compiled.schedule) == task_keys(reference)
+        assert task_keys(simulate(compiled).schedule) == task_keys(reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dependencies=layered_dags())
+    def test_random_dags_match_oracle(self, dependencies):
+        assert_ready_order_matches_oracle(dependencies)
+
+    def test_isolated_empty_set_matches_oracle(self):
+        sets = {
+            "b": [Rect(0, 0, 2, 2), Rect(2, 0, 2, 2), Rect(2, 0, 4, 2)],
+            "a": [Rect(0, 0, 0, 3), Rect(0, 0, 1, 3), Rect(1, 0, 2, 3)],
+        }
+        deps = {
+            ("b", 0): [], ("b", 1): [], ("b", 2): [],
+            ("a", 0): [], ("a", 1): [("b", 2)], ("a", 2): [("b", 0)],
+        }
+        rows = assert_ready_order_matches_oracle(DependencyGraph(sets, deps))
+        assert ("b", 1, 0, 4, 4, Rect(2, 0, 2, 2)) in rows
+
+    def test_empty_set_with_edge_rejected(self):
+        sets = {"a": [Rect(0, 0, 1, 2)], "b": [Rect(0, 0, 0, 2), Rect(0, 0, 1, 2)]}
+        deps = {("a", 0): [], ("b", 0): [("a", 0)], ("b", 1): [("a", 0)]}
+        arrays = DependencyGraph(sets, deps).arrays
+        with pytest.raises(ValueError, match=r"\('b', 0\) is empty"):
+            csr_dynamic_schedule(arrays)
+        with pytest.raises(ValueError, match=r"\('b', 0\) is empty"):
+            csr_replay(arrays, "clsa-cim")
+        # The static order needs no release keys.
+        csr_static_schedule(arrays, {"a": [0], "b": [0, 1]})
+
+    def test_edge_to_later_layer_rejected(self):
+        sets = {"a": [Rect(0, 0, 1, 2)], "b": [Rect(0, 0, 1, 2)]}
+        deps = {("a", 0): [("b", 0)], ("b", 0): []}
+        arrays = DependencyGraph(sets, deps).arrays
+        with pytest.raises(AssertionError, match="topological layer order"):
+            csr_dynamic_schedule(arrays)
+        with pytest.raises(AssertionError, match="topological layer order"):
+            csr_static_schedule(arrays, {"a": [0], "b": [0]})
+
+    def test_layer_rect_columns(self):
+        shared = [Rect(0, 0, 1, 4), Rect(1, 0, 2, 4)]
+        twin = [Rect(0, 0, 1, 4), Rect(1, 0, 2, 4)]  # equal values, own objects
+        other = [Rect(0, 0, 3, 3)]
+        per_layer = [shared, list(shared), twin, other, [], list(other)]
+        flat = [rect for rects in per_layer for rect in rects]
+        columns = layer_rect_columns(per_layer)
+        assert columns.dtype == np.int64
+        assert np.array_equal(columns, rect_columns(flat))
+        assert layer_rect_columns([]).shape == (4, 0)
 
 
 class TestVectorizedValidation:

@@ -10,7 +10,9 @@ them:
 * CLSA-CIM never loses to layer-by-layer;
 * busy cycles (total work) are conserved across configurations;
 * the duplication rewrite preserves numerical semantics;
-* Eq. 3 links utilizations and speedups exactly.
+* Eq. 3 links utilizations and speedups exactly;
+* the per-layer dynamic kernel matches the event-loop oracle on sets
+  of mixed stripe heights.
 """
 
 import numpy as np
@@ -24,7 +26,16 @@ from oracles import (
 )
 
 from repro.arch import CrossbarSpec, paper_case_study
-from repro.core import ScheduleOptions, compile_model, intra_layer_order
+from repro.core import (
+    ScheduleOptions,
+    SetGranularity,
+    compile_model,
+    csr_dynamic_schedule,
+    csr_replay,
+    determine_dependencies,
+    intra_layer_order,
+    partition_ofm,
+)
 from repro.frontend import preprocess
 from repro.ir import Executor, GraphBuilder
 from repro.mapping import minimum_pe_requirement
@@ -175,6 +186,45 @@ def test_property_csr_and_python_engines_identical(model, batch_size):
     replay = simulate(compiled)
     assert replay.finish_cycles == compiled.schedule.makespan
     assert rows(replay.schedule) == rows(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=random_models(),
+    mapping=st.sampled_from(["none", "wdup"]),
+    axis=st.sampled_from(["width", "height"]),
+    data=st.data(),
+)
+def test_property_dynamic_kernel_mixed_stripes(model, mapping, axis, data):
+    """Ready order per layer equals the global event loop, row for row.
+
+    Each layer gets its own stripe height, so producers and consumers
+    release sets at different rates; height-axis duplication runs one
+    layer's stripes in parallel.  Both put some layers' ready order out
+    of row-major order, which the kernel's heap fallback must follow.
+    """
+    canonical = preprocess(model, quantization=None).graph
+    min_pes = minimum_pe_requirement(canonical, CrossbarSpec())
+    options = ScheduleOptions(mapping=mapping, duplication_axis=axis)
+    mapped = compile_model(
+        canonical, paper_case_study(min_pes + 4), options, assume_canonical=True
+    ).mapped
+    shapes = mapped.infer_shapes()
+    sets = {
+        layer: partition_ofm(
+            shapes[layer],
+            SetGranularity(rows_per_set=data.draw(st.sampled_from([1, 2, 3, 5, 16]))),
+        )
+        for layer in mapped.base_layers()
+    }
+    deps = determine_dependencies(mapped, sets)
+
+    def rows(schedule):
+        return [(t.layer, t.set_index, t.start, t.end, t.rect) for t in schedule.tasks]
+
+    reference = rows(cross_layer_schedule_dynamic(mapped, deps))
+    assert rows(csr_dynamic_schedule(deps.arrays)) == reference
+    assert rows(csr_replay(deps.arrays, "clsa-cim")[0]) == reference
 
 
 @settings(max_examples=15, deadline=None)
