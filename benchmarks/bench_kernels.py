@@ -19,9 +19,9 @@ scheduled set; at batch 32 that is hundreds of thousands of objects)
 never inflates the other's collection pauses.  Within a process the
 timing is best-of-``--repeats`` with a collection before each run.
 
-Lowering a ``deps`` dict to the CSR set graph (``lower_dependencies``,
-plus the plain-list views the batch kernel reads) is timed separately
-(``csr_build_s``), from a dict built before the clock starts.
+Lowering a ``deps`` dict to the CSR set graph (``lower_dependencies``)
+is timed separately (``csr_build_s``), from a dict built before the
+clock starts.
 Stage II emits the CSR directly, so a compile never pays this cost; the
 static/dynamic/batch schedulers and the simulator replay share the
 arrays.  The headline ``speedup`` compares steady-state scheduling work
@@ -112,8 +112,6 @@ def run_worker(spec: dict) -> None:
         deps = dependencies.deps  # the dict view is built outside the clock
         started = time.perf_counter()
         arrays = lower_dependencies(dependencies.sets, deps)
-        if spec["workload"] == "batch":
-            arrays.as_lists()  # the batch kernel's event loop reads plain lists
         result["build_s"] = time.perf_counter() - started
         if spec["workload"] == "single":
             fn = lambda: csr_dynamic_schedule(arrays)  # noqa: E731

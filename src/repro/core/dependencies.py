@@ -14,7 +14,6 @@ multiple IFM sets and vice versa) without a separate forward pass.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional
 
 import numpy as np
@@ -28,59 +27,6 @@ from .kernels import (
 
 #: A (layer name, set index) pair identifying one scheduling set.
 SetRef = tuple[str, int]
-
-
-class RectIndex:
-    """Row-interval index over one layer's disjoint set rectangles.
-
-    Stage I emits row-major stripes/grids, so any set intersecting a
-    query region must *start* within ``max_rows - 1`` rows above it.
-    Sorting the sets by ``r0`` and bisecting turns the naive all-pairs
-    intersection scan of Stage II into an ``O(log n + k)`` range query
-    — the difference between minutes and seconds on deep ResNets at
-    FINEST granularity.
-    """
-
-    __slots__ = ("_starts", "_entries", "_max_rows", "_presorted")
-
-    def __init__(self, rects: list[Rect]) -> None:
-        entries = sorted(
-            (rect.r0, rect.c0, index, rect)
-            for index, rect in enumerate(rects)
-            if not rect.is_empty()  # empty rects intersect nothing
-        )
-        self._entries = entries
-        self._starts = [entry[0] for entry in entries]
-        self._max_rows = max((entry[3].r1 - entry[3].r0 for entry in entries), default=1)
-        # Stage I emits sets in row-major order, so sorting by (r0, c0)
-        # usually *is* set-index order; when it is, query() can return
-        # hits in entry order and skip the final per-query sort.
-        self._presorted = all(
-            earlier[2] < later[2] for earlier, later in zip(entries, entries[1:])
-        )
-
-    def query(self, region: Rect) -> list[tuple[int, Rect]]:
-        """Sets intersecting ``region``, in original set order."""
-        if region.is_empty():
-            return []
-        starts = self._starts
-        entries = self._entries
-        lo = bisect_left(starts, region.r0 - self._max_rows + 1)
-        hits: list[tuple[int, Rect]] = []
-        for pos in range(lo, len(entries)):
-            if starts[pos] >= region.r1:
-                break
-            _, _, index, rect = entries[pos]
-            if rect.r1 > region.r0 and rect.c0 < region.c1 and rect.c1 > region.c0:
-                hits.append((index, rect))
-        if not self._presorted:
-            hits.sort(key=lambda hit: hit[0])
-        return hits
-
-
-def build_set_indexes(sets: dict[str, list[Rect]]) -> dict[str, RectIndex]:
-    """One :class:`RectIndex` per layer, for repeated Stage II queries."""
-    return {layer: RectIndex(rects) for layer, rects in sets.items()}
 
 
 class DependencyGraph:
@@ -207,72 +153,11 @@ def trace_to_base(
     return results
 
 
-def set_dependencies(
-    graph: Graph,
-    sets: dict[str, list[Rect]],
-    layer: str,
-    set_index: int,
-    shapes: dict | None = None,
-    indexes: dict[str, RectIndex] | None = None,
-) -> list[SetRef]:
-    """Stage II for a single set: its predecessor set references.
-
-    ``indexes`` may carry pre-built :class:`RectIndex` objects (from
-    :func:`build_set_indexes`) to replace the all-pairs predecessor
-    scan with indexed range queries; results are identical.
-    """
-    op = graph[layer]
-    if shapes is None:
-        shapes = graph.infer_shapes()
-    out_shape = shapes[layer]
-    input_shapes = [shapes[p] for p in op.inputs]
-    rect = sets[layer][set_index]
-    needed = op.input_regions(rect, input_shapes, out_shape)
-    refs: list[SetRef] = []
-    seen: set[SetRef] = set()
-    for producer, region in zip(op.inputs, needed):
-        for base_layer, base_rect in trace_to_base(graph, producer, region, shapes):
-            if indexes is not None:
-                candidates = indexes[base_layer].query(base_rect)
-            else:
-                candidates = [
-                    (pred_index, pred_rect)
-                    for pred_index, pred_rect in enumerate(sets[base_layer])
-                    if pred_rect.intersects(base_rect)
-                ]
-            for pred_index, _ in candidates:
-                ref = (base_layer, pred_index)
-                if ref not in seen:
-                    seen.add(ref)
-                    refs.append(ref)
-    return refs
-
-
-def reference_dependencies(
-    graph: Graph,
-    sets: dict[str, list[Rect]],
-    indexes: dict[str, RectIndex] | None = None,
-) -> DependencyGraph:
-    """Stage II set by set: :func:`set_dependencies` for every set.
-
-    The scalar reference :func:`determine_dependencies` is checked
-    against, gid for gid; ``indexes=None`` scans all pairs.
-    """
-    shapes = graph.infer_shapes()
-    return DependencyGraph(
-        sets=sets,
-        deps={
-            (layer, index): set_dependencies(graph, sets, layer, index, shapes, indexes)
-            for layer in sets
-            for index in range(len(sets[layer]))
-        },
-    )
-
-
 def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> DependencyGraph:
     """Stage II: the full set-level dependency graph, as CSR arrays.
 
-    Columnar twin of calling :func:`set_dependencies` for every set:
+    Columnar twin of walking each set back with :func:`trace_to_base`
+    (the scalar reference in ``tests/oracles``, which it must match):
     all sets of a base layer move through the backward rules at once
     as rect columns (:meth:`~repro.ir.ops.Op.input_region_columns`),
     along every producer path :func:`trace_to_base` would walk.  The

@@ -14,8 +14,7 @@ This module holds the set-level problem as flat NumPy arrays, the
   ``gid = offsets[layer_id] + set_index``, with per-gid ``layer_of`` /
   ``set_index`` / ``area`` / rect-coordinate columns;
 * a **CSR encoding** of the set dependencies (``indptr`` / ``indices``
-  over predecessor gids) plus the **reverse CSR** (``rindptr`` /
-  ``rindices`` over consumer gids) for the batch kernel's wake-ups.
+  over predecessor gids).
 
 Stage II (:func:`repro.core.dependencies.determine_dependencies`)
 emits these arrays directly and the
@@ -45,12 +44,22 @@ started when the layer's previous set completed with key ``done``,
 ``2 * key`` if started on release) gives the loop's rows.  Keys assume
 that every set ends after it starts, so ready order needs empty sets
 isolated, as Stage II leaves them.
+
+A batch of ``B`` images is the same problem over (image, set) items:
+layer ``l`` owns its ``B * n_l`` items image by image, an item's
+predecessors are its own image's, and the loop pops completions in
+``(end, image, layer name)`` order and serves ready items earliest
+image first, then by set index, which is item order.  So the batch
+runs the same per-layer pass with completion keys
+``(end * B + image) * L + lex_rank[layer]``.  A list schedule never
+idles every layer, so nothing ends after the total work: the pass
+raises ``ValueError`` unless ``(work + 1) * B * L`` keeps the keys and
+the ranks (twice a key) in int64.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
 from operator import is_
@@ -82,8 +91,6 @@ class SetGraphArrays:
     indptr / indices:
         CSR of the data-dependency edges: the predecessors of ``gid``
         are ``indices[indptr[gid]:indptr[gid+1]]``.
-    rindptr / rindices:
-        Reverse CSR: the consumers of ``gid``, ascending.
     lex_rank:
         Per layer id, the layer's rank when names are sorted
         lexicographically (tie-break parity with the reference
@@ -101,8 +108,6 @@ class SetGraphArrays:
     c1: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    rindptr: np.ndarray
-    rindices: np.ndarray
     lex_rank: np.ndarray
 
     @classmethod
@@ -117,15 +122,9 @@ class SetGraphArrays:
         """Assemble the set graph from its CSR and the set rectangles.
 
         ``coords`` is int64 ``(4, n)`` with rows ``r0, c0, r1, c1`` in
-        gid order; the per-gid columns and the reverse CSR are derived.
+        gid order; the per-gid columns are derived.
         """
-        n = int(offsets[-1])
         layer_of, set_index = gid_columns(offsets)
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        rindices = rows[np.argsort(indices, kind="stable")]
-        rindptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(indices, minlength=n)))
-        ).astype(np.int64)
         lex_rank = np.empty(len(layers), dtype=np.int32)
         lex_rank[sorted(range(len(layers)), key=lambda i: layers[i])] = np.arange(
             len(layers), dtype=np.int32
@@ -143,16 +142,8 @@ class SetGraphArrays:
             c1=c1,
             indptr=np.asarray(indptr, dtype=np.int64),
             indices=np.asarray(indices, dtype=np.int64),
-            rindptr=rindptr,
-            rindices=rindices,
             lex_rank=lex_rank,
         )
-
-    def __getstate__(self) -> dict:
-        """Pickle the arrays only; the :meth:`as_lists` memo is rebuilt."""
-        state = dict(self.__dict__)
-        state.pop("_lists", None)
-        return state
 
     @property
     def num_sets(self) -> int:
@@ -172,34 +163,6 @@ class SetGraphArrays:
     def gid(self, layer: str, set_index: int) -> int:
         """Global set id of ``(layer, set_index)``."""
         return int(self.offsets[self.layers.index(layer)]) + set_index
-
-    def as_lists(self) -> dict[str, list]:
-        """Plain-list views of the hot columns (memoized), for the batch kernel.
-
-        Its event loop indexes per element, where Python lists beat
-        NumPy scalar indexing by an order of magnitude; the conversion
-        is done once per lowering, not per schedule.
-        """
-        cached = getattr(self, "_lists", None)
-        if cached is None:
-            rindptr = self.rindptr.tolist()
-            rindices = self.rindices.tolist()
-            cached = {
-                "offsets": self.offsets.tolist(),
-                "layer_of": self.layer_of.tolist(),
-                "set_index": self.set_index.tolist(),
-                "area": self.area.tolist(),
-                "indegree": np.diff(self.indptr).tolist(),
-                # Per-gid consumer tuples: slicing rindices per event in
-                # the hot loops would allocate a fresh list each time.
-                "consumers": [
-                    tuple(rindices[rindptr[gid] : rindptr[gid + 1]])
-                    for gid in range(len(self.layer_of))
-                ],
-                "lex": self.lex_rank.tolist(),
-            }
-            object.__setattr__(self, "_lists", cached)
-        return cached
 
 
 def set_offsets(counts: Iterable[int]) -> np.ndarray:
@@ -259,7 +222,7 @@ def lower_dependencies(
 
 
 # ---------------------------------------------------------------------------
-# schedule assembly + vectorized validation
+# schedule assembly
 # ---------------------------------------------------------------------------
 
 
@@ -269,26 +232,22 @@ def _columns_from(
     start: np.ndarray,
     end: np.ndarray,
     image: np.ndarray | None = None,
-    per_row: bool = False,
 ) -> ScheduleColumns:
-    """Columns for gids emitted in ``emit`` order.
+    """Columns of the gids ``emit``, one row each, in that order.
 
-    ``start``/``end`` are indexed by gid unless ``per_row`` is set, in
-    which case they are already aligned with ``emit`` (batch schedules
-    emit each gid once per image).
+    ``start``/``end`` (and ``image``, 0 when omitted) are aligned with
+    ``emit``: a batch schedule emits each gid once per image.
     """
-    row_start = start if per_row else start[emit]
-    row_end = end if per_row else end[emit]
     return ScheduleColumns(
         layers=arrays.layers,
         layer_id=arrays.layer_of[emit],
         set_index=arrays.set_index[emit],
-        start=row_start,
-        end=row_end,
+        start=start,
+        end=end,
         image=(
             np.zeros(len(emit), dtype=np.int32)
             if image is None
-            else np.asarray(image, dtype=np.int32)
+            else image.astype(np.int32)
         ),
         r0=arrays.r0[emit],
         c0=arrays.c0[emit],
@@ -309,8 +268,10 @@ def csr_static_schedule(
     validate: bool = True,
 ) -> Schedule:
     """Earliest-feasible-start schedule; sets and rows in Stage III order."""
-    start, end, emit = _schedule_layers(arrays, order, validate)
-    return Schedule(policy=policy, columns=_columns_from(arrays, emit, start, end))
+    local = chain.from_iterable(order[layer] for layer in arrays.layers)
+    seq = np.fromiter(local, dtype=np.int64, count=arrays.num_sets)
+    seq += np.repeat(arrays.offsets[:-1], np.diff(arrays.offsets))
+    return Schedule(policy=policy, columns=_schedule_image(arrays, seq, validate)[2])
 
 
 def csr_dynamic_schedule(
@@ -326,30 +287,131 @@ def csr_dynamic_schedule(
     sequencing rate-matches producer and consumer and realizes the
     paper's *maximum achievable* utilization (Sec. V).
     """
-    start, end, emit = _schedule_layers(arrays, None, validate)
-    return Schedule(policy=policy, columns=_columns_from(arrays, emit, start, end))
+    return Schedule(policy=policy, columns=_schedule_image(arrays, None, validate)[2])
+
+
+def csr_batch_schedule(
+    arrays: SetGraphArrays,
+    batch_size: int,
+    policy: str | None = None,
+    validate: bool = True,
+) -> tuple[Schedule, list[tuple[int, int]]]:
+    """Batched list scheduler; returns (schedule, image spans).
+
+    Every image carries the full set graph and all images of a layer
+    share its PEs; ready sets are served earliest image first, then by
+    set index.  The (image, set) items run through the per-layer pass
+    of the single-image schedulers (see the module docstring) and map
+    back to flat ``image * n + gid`` slots.
+
+    ``validate=True`` (the default, matching the single-image
+    schedulers) runs the vectorized dependency/exclusivity checks of
+    the static verifier before returning.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_set_graph(arrays, ready_order=True)
+    n, num_layers = arrays.num_sets, arrays.num_layers
+    offsets, counts = arrays.offsets, np.diff(arrays.offsets)
+    images = np.arange(batch_size)[:, None]
+    # Layer l owns items ``batch_size * offsets[l] + image * n_l + set``: its
+    # slots ``image * n + gid``, image by image.
+    slot = _image_major(images * n + np.arange(n), offsets.tolist())
+    image, gid = np.divmod(slot, n)
+    # Item (image, gid) waits for the items (image, p), p a predecessor of gid.
+    pred_layer = arrays.layer_of[arrays.indices]
+    pred_item = _image_major(
+        batch_size * offsets[pred_layer]
+        + arrays.set_index[arrays.indices]
+        + images * counts[pred_layer],
+        arrays.indptr[offsets].tolist(),
+    )
+    start, end, emit = _schedule_layers(
+        batch_size * offsets,
+        np.concatenate(([0], np.cumsum(np.diff(arrays.indptr)[gid]))),
+        pred_item,
+        arrays.area[gid],
+        image * num_layers + arrays.lex_rank[arrays.layer_of[gid]],
+        batch_size * num_layers,
+    )
+    start_all = np.empty(n * batch_size, dtype=np.int64)
+    end_all = np.empty(n * batch_size, dtype=np.int64)
+    start_all[slot] = start
+    end_all[slot] = end
+    if validate:
+        from ..verify.hazards import assert_batch_arrays_schedule
+
+        assert_batch_arrays_schedule(arrays, batch_size, start_all, end_all)
+    columns = _columns_from(arrays, gid[emit], start[emit], end[emit], image[emit])
+    spans = (
+        list(
+            zip(
+                start_all.reshape(batch_size, n).min(axis=1).tolist(),
+                end_all.reshape(batch_size, n).max(axis=1).tolist(),
+            )
+        )
+        if n
+        else []
+    )
+    name = policy if policy is not None else f"clsa-cim-batch{batch_size}"
+    return Schedule(policy=name, columns=columns), spans
+
+
+def _image_major(table: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """The ``(images, m)`` ``table`` by column blocks ``[bounds[k], bounds[k+1])``,
+    each block flattened image by image."""
+    blocks = [table[:, lo:hi].ravel() for lo, hi in zip(bounds, bounds[1:])]
+    return np.concatenate(blocks) if blocks else table.ravel()
+
+
+def _schedule_image(
+    arrays: SetGraphArrays, seq: np.ndarray | None, validate: bool
+) -> tuple[np.ndarray, np.ndarray, ScheduleColumns]:
+    """``(start, end, columns)`` of one image: the gid order ``seq``, or
+    ready order; ``start``/``end`` are indexed by gid."""
+    _check_set_graph(arrays, ready_order=seq is None)
+    start, end, emit = _schedule_layers(
+        arrays.offsets,
+        arrays.indptr,
+        arrays.indices,
+        arrays.area,
+        arrays.lex_rank[arrays.layer_of],
+        arrays.num_layers,
+        seq,
+    )
+    if validate:
+        from ..verify.hazards import assert_arrays_schedule
+
+        assert_arrays_schedule(arrays, start, end)
+    return start, end, _columns_from(arrays, emit, start[emit], end[emit])
 
 
 def _schedule_layers(
-    arrays: SetGraphArrays, order: dict[str, list[int]] | None, validate: bool = False
+    offsets: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    area: np.ndarray,
+    tie: np.ndarray,
+    scale: int,
+    seq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(start, end, emit)`` of every set: Stage III ``order``, or ready order.
+    """``(start, end, emit)`` of every item: in the order ``seq``, or ready order.
 
-    Per layer, one gather of the predecessors' completion keys and one
-    segmented max give the release keys; the recurrence runs in prefix
-    form, ``end_i = S_i + cummax_i(ready_i - S_{i-1})``, ``S_i`` being
-    the sum of the first ``i + 1`` areas in sequence.
+    Layer ``l`` owns items ``[offsets[l], offsets[l+1])``, and the CSR
+    ``indptr``/``indices`` lists each item's predecessors, in earlier
+    layers.  An item ending at ``end`` completes with key
+    ``end * scale + tie``, ``0 <= tie < scale``.  Per layer, one gather
+    of the predecessors' completion keys and one segmented max give the
+    release keys; the recurrence runs in prefix form,
+    ``end_i = S_i + cummax_i(ready_i - S_{i-1})``, ``S_i`` being the
+    sum of the first ``i + 1`` areas in sequence.
     """
-    n, num_layers = arrays.num_sets, arrays.num_layers
-    offsets, indptr, indices = arrays.offsets, arrays.indptr, arrays.indices
+    n, num_layers = int(offsets[-1]), len(offsets) - 1
     bounds, counts = offsets.tolist(), np.diff(offsets)
-    _check_set_graph(arrays, ready_order=order is None)
-    if order is None:
+    ready = seq is None
+    if seq is None:
         seq = np.arange(n, dtype=np.int64)
-    else:
-        local = chain.from_iterable(order[layer] for layer in arrays.layers)
-        seq = np.fromiter(local, dtype=np.int64, count=n) + np.repeat(offsets[:-1], counts)
-    # In a layer with edges, a set without predecessors reads slot n (key -1).
+    # In a layer with edges, an item without predecessors reads slot n (key -1).
     fan_in = np.diff(indptr)
     lonely = (fan_in == 0) & np.repeat(np.diff(indptr[offsets]) > 0, counts)
     if lonely.any():
@@ -357,13 +419,20 @@ def _schedule_layers(
         indptr = np.concatenate(([0], np.cumsum(fan_in + lonely)))
     edge_bounds = indptr[offsets].tolist()
     heads = indptr[:-1] - np.repeat(indptr[offsets[:-1]], counts)
-    areas = arrays.area[seq]
+    areas = area[seq]
     work = np.concatenate(([0], np.cumsum(areas, dtype=np.int64)))
+    # A list schedule never idles every layer, so nothing ends after the
+    # total work: the keys, and the emission ranks (twice a key), fit.
+    if (int(work[-1]) + 1) * scale > 1 << 62:
+        raise ValueError(
+            f"{int(work[-1])} cycles of work at key scale {scale} overflow "
+            "int64 completion keys; schedule fewer images at once"
+        )
     before = work[:-1] - np.repeat(work[offsets[:-1]], counts)  # S_{i-1}
-    # ``S_i * L + lex``: a set's completion key if its layer never waits.
-    base = (before + areas) * num_layers + arrays.lex_rank[arrays.layer_of]
-    tag = np.full(n + 1, -1, dtype=np.int64)  # completion keys by gid
-    keys = np.full(n, -1, dtype=np.int64)  # release keys by gid
+    # ``S_i * scale + tie``: an item's completion key if its layer never waits.
+    base = (before + areas) * scale + tie[seq]
+    tag = np.full(n + 1, -1, dtype=np.int64)  # completion keys by item
+    keys = np.full(n, -1, dtype=np.int64)  # release keys by item
     for lid in range(num_layers):
         lo, hi = bounds[lid], bounds[lid + 1]
         if lo == hi:
@@ -374,28 +443,24 @@ def _schedule_layers(
             key = keys[lo:hi] = np.maximum.reduceat(
                 tag[indices[edge_bounds[lid] : edge_bounds[lid + 1]]], heads[lo:hi]
             )
-        if order is not None:
+        if not ready:
             key = key[seq[lo:hi] - lo]
-        elif np.count_nonzero(key[1:] < key[:-1]):  # released out of row-major order
+        elif np.count_nonzero(key[1:] < key[:-1]):  # released out of item order
             perm, dones = _ready_order(
-                key.tolist(), areas[lo:hi].tolist(), int(arrays.lex_rank[lid]), num_layers
+                key.tolist(), areas[lo:hi].tolist(), tie[lo:hi].tolist(), scale
             )
             seq[lo:hi] = lo + np.asarray(perm, dtype=np.int64)
             tag[seq[lo:hi]] = dones
             continue
-        lag = key // num_layers - before[lo:hi]
-        if lag[0] < 0:  # a set without predecessors is ready at 0
+        lag = key // scale - before[lo:hi]
+        if lag[0] < 0:  # an item without predecessors is ready at 0
             lag[0] = 0
-        tag[seq[lo:hi]] = base[lo:hi] + np.maximum.accumulate(lag) * num_layers
-    end = tag[:n] // max(num_layers, 1)
-    start = end - arrays.area
-    if validate:
-        from ..verify.hazards import assert_arrays_schedule
-
-        assert_arrays_schedule(arrays, start, end)
-    if order is not None:
+        tag[seq[lo:hi]] = base[lo:hi] + np.maximum.accumulate(lag) * scale
+    end = tag[:n] // max(scale, 1)
+    start = end - area
+    if not ready:
         return start, end, seq
-    # Each set's layer predecessor in sequence completed with key ``due``.
+    # Each item's layer predecessor in sequence completed with key ``due``.
     due = np.empty(n, dtype=np.int64)
     due[seq[1:]] = tag[seq[:-1]]
     due[seq[offsets[:-1][counts > 0]]] = -1
@@ -404,12 +469,12 @@ def _schedule_layers(
 
 
 def _ready_order(
-    keys: list[int], areas: list[int], lex: int, num_layers: int
+    keys: list[int], areas: list[int], ties: list[int], scale: int
 ) -> tuple[list[int], list[int]]:
-    """``(order, completion keys)`` of one layer, from a heap over its sets.
+    """``(order, completion keys)`` of one layer, from a heap over its items.
 
-    When a set completes, the lowest index released before that
-    completion starts next; if there is none, the next set released
+    When an item completes, the lowest index released before that
+    completion starts next; if there is none, the next item released
     starts when it is.
     """
     released = sorted(range(len(keys)), key=keys.__getitem__)  # by (key, index)
@@ -425,9 +490,9 @@ def _ready_order(
             i = heapq.heappop(queued)
         else:
             i, nxt = released[nxt], nxt + 1
-            end = max(end, keys[i] // num_layers)
+            end = max(end, keys[i] // scale)
         end += areas[i]
-        done = end * num_layers + lex
+        done = end * scale + ties[i]
         order.append(i)
         dones.append(done)
     return order, dones
@@ -445,7 +510,7 @@ def _check_set_graph(arrays: SetGraphArrays, ready_order: bool) -> None:
             "scheduled; the set graph is not in topological layer order"
         )
     if ready_order and not arrays.area.all():
-        fan = np.diff(arrays.indptr) + np.diff(arrays.rindptr)
+        fan = np.diff(arrays.indptr) + np.bincount(arrays.indices, minlength=arrays.num_sets)
         linked = np.flatnonzero((arrays.area == 0) & (fan > 0))
         if len(linked):
             gid = int(linked[0])
@@ -454,201 +519,6 @@ def _check_set_graph(arrays: SetGraphArrays, ready_order: bool) -> None:
                 f"{int(arrays.set_index[gid])}) is empty but has dependency "
                 "edges; ready order needs empty sets isolated"
             )
-
-
-# ---------------------------------------------------------------------------
-# batch pipeline scheduler
-# ---------------------------------------------------------------------------
-
-
-def csr_batch_schedule(
-    arrays: SetGraphArrays,
-    batch_size: int,
-    policy: str | None = None,
-    validate: bool = True,
-) -> tuple[Schedule, list[tuple[int, int]]]:
-    """Batched event-driven scheduler; returns (schedule, image spans).
-
-    Ready sets are
-    served earliest-image-first, tie-broken by set index; every image
-    carries the full set graph; all images of a layer share its PEs.
-    Batched state lives in flat ``image * n + gid`` arrays.
-
-    ``validate=True`` (the default, matching the single-image
-    schedulers) runs the vectorized dependency/exclusivity checks of
-    the static verifier before returning.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    lists = arrays.as_lists()
-    n = arrays.num_sets
-    num_layers = arrays.num_layers
-    total = n * batch_size
-    offsets = lists["offsets"]
-    layer_of = lists["layer_of"]
-    set_of = lists["set_index"]
-    area = lists["area"]
-    indegree = lists["indegree"]
-    # Per-image state lists: the wake loop indexes them by bare gid
-    # after one per-event lookup, instead of computing image * n + gid
-    # for every edge of every event.
-    remaining = [indegree.copy() for _ in range(batch_size)]
-    starts = [[0] * n for _ in range(batch_size)]
-    ends = [[0] * n for _ in range(batch_size)]
-    consumers = lists["consumers"]
-    lex = lists["lex"]
-
-    # Ready sets are served earliest-image-first, tie-broken by set
-    # index.  One queue per (layer, image) keeps each backlog small (a
-    # layer's single-image backlog instead of its whole cross-batch
-    # backlog); ``hint`` tracks each layer's lowest image with queued
-    # sets — it only moves forward on pops and is reset by a push with
-    # a lower image, so the forward scan is amortized O(1).  Each
-    # queue is a sorted list consumed from a head index: row-major
-    # production makes sets ready in (mostly) ascending set-index
-    # order, so pushes are O(1) appends with a rare ``insort``
-    # fallback, and pops take the head element — same min-pop
-    # semantics as a heap without the sift costs.  Event tuples are
-    # (end, image, lex_rank, gid): one live event per layer makes the
-    # (end, image, lex_rank) prefix unique, so pops order like the
-    # reference's (end, image, layer_name, set_index) heap.
-    ready: list[list[list[int]]] = [
-        [[] for _ in range(batch_size)] for _ in range(num_layers)
-    ]
-    heads: list[list[int]] = [[0] * batch_size for _ in range(num_layers)]
-    pending = [0] * num_layers
-    hint = [0] * num_layers
-    layer_free = [0] * num_layers
-    layer_busy = [False] * num_layers
-    emit: list[int] = []  # emission-ordered slots (image * n + gid)
-    emit_append = emit.append
-    events: list[tuple[int, int, int, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    for gid in range(n):  # ascending gid => ascending si per queue
-        if indegree[gid] == 0:
-            lid = layer_of[gid]
-            si = set_of[gid]
-            queues = ready[lid]
-            for image in range(batch_size):
-                queues[image].append(si)
-            pending[lid] += batch_size
-    for lid in range(num_layers):
-        if pending[lid]:
-            queues = ready[lid]
-            head = heads[lid]
-            image = hint[lid]
-            while head[image] >= len(queues[image]):
-                image += 1
-            hint[lid] = image
-            queue = queues[image]
-            pos = head[image]
-            si = queue[pos]
-            if pos + 1 == len(queue):
-                queues[image] = []
-                head[image] = 0
-            else:
-                head[image] = pos + 1
-            pending[lid] -= 1
-            gid = offsets[lid] + si
-            e = area[gid]
-            ends[image][gid] = e
-            emit_append(image * n + gid)
-            layer_busy[lid] = True
-            layer_free[lid] = e
-            heappush(events, (e, image, lex[lid], gid))
-
-    while events:
-        now, image, rank, gid = heappop(events)
-        lid = layer_of[gid]
-        rem = remaining[image]
-        for consumer in consumers[gid]:
-            left = rem[consumer] - 1
-            rem[consumer] = left
-            if left == 0:
-                clid = layer_of[consumer]
-                if layer_busy[clid]:
-                    queue = ready[clid][image]
-                    si = set_of[consumer]
-                    if not queue or si > queue[-1]:
-                        queue.append(si)
-                    else:
-                        insort(queue, si, heads[clid][image])
-                    pending[clid] += 1
-                    if image < hint[clid]:
-                        hint[clid] = image
-                else:
-                    free = layer_free[clid]
-                    s = now if now > free else free
-                    e = s + area[consumer]
-                    starts[image][consumer] = s
-                    ends[image][consumer] = e
-                    emit_append(image * n + consumer)
-                    layer_busy[clid] = True
-                    layer_free[clid] = e
-                    heappush(events, (e, image, lex[clid], consumer))
-        if pending[lid]:
-            queues = ready[lid]
-            head = heads[lid]
-            nimage = hint[lid]
-            while head[nimage] >= len(queues[nimage]):
-                nimage += 1
-            hint[lid] = nimage
-            queue = queues[nimage]
-            pos = head[nimage]
-            nsi = queue[pos]
-            if pos + 1 == len(queue):
-                queues[nimage] = []
-                head[nimage] = 0
-            else:
-                head[nimage] = pos + 1
-            pending[lid] -= 1
-            ngid = offsets[lid] + nsi
-            free = layer_free[lid]
-            s = now if now > free else free
-            e = s + area[ngid]
-            starts[nimage][ngid] = s
-            ends[nimage][ngid] = e
-            emit_append(nimage * n + ngid)
-            layer_free[lid] = e
-            heappush(events, (e, nimage, rank, ngid))
-        else:
-            layer_busy[lid] = False
-
-    if len(emit) != total:  # pragma: no cover - cycle guard
-        raise AssertionError(f"batch kernel placed {len(emit)} of {total} sets")
-
-    slots = np.asarray(emit, dtype=np.int64)
-    image_arr = (slots // n).astype(np.int32) if n else slots.astype(np.int32)
-    emit_arr = slots % n if n else slots
-    start_all = np.asarray(starts, dtype=np.int64).reshape(total)
-    end_all = np.asarray(ends, dtype=np.int64).reshape(total)
-    if validate:
-        from ..verify.hazards import assert_batch_arrays_schedule
-
-        assert_batch_arrays_schedule(arrays, batch_size, start_all, end_all)
-    columns = _columns_from(
-        arrays,
-        emit_arr,
-        start_all[slots],
-        end_all[slots],
-        image=image_arr,
-        per_row=True,
-    )
-    spans = (
-        []
-        if n == 0
-        else [
-            (
-                int(start_all[image * n : (image + 1) * n].min()),
-                int(end_all[image * n : (image + 1) * n].max()),
-            )
-            for image in range(batch_size)
-        ]
-    )
-    name = policy if policy is not None else f"clsa-cim-batch{batch_size}"
-    return Schedule(policy=name, columns=columns), spans
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +536,7 @@ def csr_replay(
     :func:`csr_dynamic_schedule` (one completion event per set); a
     layer's stall is its idle time inside its busy span.
     """
-    start, end, emit = _schedule_layers(arrays, None)
+    start, end, columns = _schedule_image(arrays, None, validate=False)
     filled = np.flatnonzero(np.diff(arrays.offsets))
     heads = arrays.offsets[filled]
     idle = (
@@ -675,5 +545,4 @@ def csr_replay(
         - np.add.reduceat(arrays.area, heads)
     )
     stalls = dict(zip([arrays.layers[lid] for lid in filled.tolist()], idle.tolist()))
-    columns = _columns_from(arrays, emit, start, end)
     return Schedule(policy=policy, columns=columns), stalls, arrays.num_sets

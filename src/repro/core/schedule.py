@@ -69,6 +69,21 @@ class SetTask:
             )
 
 
+def layer_overlaps(
+    layer_ids: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(earlier, later)`` of one layer whose intervals overlap.
+
+    Rows are sorted by (layer, start, end) and each is checked against
+    the next, so a zero-length row never overlaps a row starting with
+    it.
+    """
+    order = np.lexsort((end, start, layer_ids))
+    lid = layer_ids[order]
+    at = np.flatnonzero((lid[1:] == lid[:-1]) & (start[order[1:]] < end[order[:-1]]))
+    return order[at], order[at + 1]
+
+
 def check_layer_exclusivity(
     layer_ids: np.ndarray,
     start: np.ndarray,
@@ -78,27 +93,19 @@ def check_layer_exclusivity(
     prefix: str = "resource violation",
 ) -> None:
     """Vectorized resource rule over columnar rows: within a layer, no
-    two rows may overlap in time.
+    two rows may overlap in time (:func:`layer_overlaps`).
 
     Shared by the columnar :class:`Schedule` validation and the kernel
     validators of :mod:`repro.verify.hazards` (single-image and batch),
     so the resource-rule semantics and error format cannot diverge.
     """
-    if len(start) < 2:
-        return
-    order = np.lexsort((start, layer_ids))
-    lid = layer_ids[order]
-    sorted_start = start[order]
-    sorted_end = end[order]
-    overlap = (lid[1:] == lid[:-1]) & (sorted_start[1:] < sorted_end[:-1])
-    if overlap.any():
-        at = int(np.flatnonzero(overlap)[0])
-        earlier, later = order[at], order[at + 1]
+    earlier, later = layer_overlaps(layer_ids, start, end)
+    if len(earlier):
+        first, second = int(earlier[0]), int(later[0])
         raise AssertionError(
-            f"{prefix} in '{layers[int(lid[at])]}': set "
-            f"{int(set_index[later])} starts at {int(sorted_start[at + 1])} "
-            f"before set {int(set_index[earlier])} ends at "
-            f"{int(sorted_end[at])}"
+            f"{prefix} in '{layers[int(layer_ids[first])]}': set "
+            f"{int(set_index[second])} starts at {int(start[second])} "
+            f"before set {int(set_index[first])} ends at {int(end[first])}"
         )
 
 

@@ -383,18 +383,14 @@ def check_raw_races(ctx: "VerifyContext") -> list[Diagnostic]:
     description="Sets of one layer never overlap (a layer's PEs run one set at a time).",
 )
 def check_exclusivity(ctx: "VerifyContext") -> list[Diagnostic]:
+    from ..core.schedule import layer_overlaps
+
     cols = ctx.columns()
     if cols is None or len(cols) == 0:
         return []
-    order = np.lexsort((cols.start, cols.layer_id))
-    lid = cols.layer_id[order]
-    start = cols.start[order]
-    end = cols.end[order]
-    bad = np.flatnonzero((lid[1:] == lid[:-1]) & (start[1:] < end[:-1]))
+    firsts, seconds = layer_overlaps(cols.layer_id, cols.start, cols.end)
     diags: list[Diagnostic] = []
-    for i in bad[:MAX_DETAIL]:
-        earlier = int(order[i])
-        later = int(order[i + 1])
+    for earlier, later in zip(firsts[:MAX_DETAIL].tolist(), seconds[:MAX_DETAIL].tolist()):
         layer = cols.layers[int(cols.layer_id[later])]
         batch = int(cols.image.max()) + 1 if len(cols.image) else 1
         diags.append(
@@ -418,7 +414,7 @@ def check_exclusivity(ctx: "VerifyContext") -> list[Diagnostic]:
             )
         )
     return _summarize(
-        diags, "schedule.exclusivity", int(bad.size), "overlapping set pair(s)"
+        diags, "schedule.exclusivity", len(firsts), "overlapping set pair(s)"
     )
 
 

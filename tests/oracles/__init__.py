@@ -1,5 +1,11 @@
 """Reference implementations the tests and benchmarks compare against."""
 
+from .dependencies import (
+    RectIndex,
+    build_set_indexes,
+    reference_dependencies,
+    set_dependencies,
+)
 from .schedulers import (
     cross_layer_schedule,
     cross_layer_schedule_dynamic,
@@ -7,7 +13,11 @@ from .schedulers import (
 )
 
 __all__ = [
+    "RectIndex",
+    "build_set_indexes",
     "cross_layer_schedule",
     "cross_layer_schedule_dynamic",
     "reference_batch_schedule",
+    "reference_dependencies",
+    "set_dependencies",
 ]

@@ -1,12 +1,12 @@
 """Tests for Stage II dependency determination."""
 
+from oracles import build_set_indexes, reference_dependencies
+
 from repro.core import (
     SetGranularity,
-    build_set_indexes,
     determine_dependencies,
     determine_sets,
     layer_level_dependencies,
-    reference_dependencies,
     trace_to_base,
 )
 from repro.frontend import preprocess
@@ -152,7 +152,7 @@ class TestRectIndex:
         return [(i, r) for i, r in enumerate(rects) if r.intersects(region)]
 
     def test_stripe_sets(self):
-        from repro.core import RectIndex
+        from oracles import RectIndex
 
         rects = [Rect(r, 0, r + 1, 16) for r in range(32)]
         index = RectIndex(rects)
@@ -161,7 +161,7 @@ class TestRectIndex:
             assert index.query(region) == self.brute_force(rects, region)
 
     def test_empty_region(self):
-        from repro.core import RectIndex
+        from oracles import RectIndex
 
         index = RectIndex([Rect(0, 0, 4, 4)])
         assert index.query(Rect(2, 2, 2, 2)) == []
@@ -170,7 +170,7 @@ class TestRectIndex:
         """Correct for arbitrary (even overlapping, ragged) rect lists."""
         import random
 
-        from repro.core import RectIndex
+        from oracles import RectIndex
 
         rng = random.Random(1234)
         for _ in range(20):
@@ -205,7 +205,7 @@ class TestRectIndex:
         assert list(determine_dependencies(g, sets).deps.items()) == list(slow.items())
 
     def test_empty_rects_excluded_like_naive_scan(self):
-        from repro.core import RectIndex
+        from oracles import RectIndex
 
         rects = [Rect(0, 0, 2, 4), Rect(2, 0, 2, 5), Rect(2, 0, 4, 4)]
         index = RectIndex(rects)
@@ -217,7 +217,7 @@ class TestRectIndex:
         """Stage I emits row-major sets: (r0, c0) order *is* index order,
         so the fast path (no per-query sort) must still return hits
         sorted by set index, pinned against the naive scan."""
-        from repro.core import RectIndex
+        from oracles import RectIndex
         from repro.core.sets import partition_ofm
         from repro.ir import Shape
 
@@ -234,7 +234,7 @@ class TestRectIndex:
         is kept, so query order matches the naive scan exactly."""
         import random
 
-        from repro.core import RectIndex
+        from oracles import RectIndex
 
         rects = [Rect(r, 0, r + 1, 8) for r in range(12)]
         random.Random(7).shuffle(rects)

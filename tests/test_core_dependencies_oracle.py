@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import build_set_indexes, reference_dependencies
 from test_property_random_models import random_models
 
 from repro import Session
@@ -26,11 +27,9 @@ from repro.arch import CrossbarSpec, paper_case_study
 from repro.core import (
     ScheduleOptions,
     SetGranularity,
-    build_set_indexes,
     determine_dependencies,
     determine_sets,
     partition_ofm,
-    reference_dependencies,
 )
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect

@@ -43,10 +43,12 @@ from repro.ir.ops import rect_columns
 from repro.mapping import minimum_pe_requirement
 from repro.sim import simulate
 from repro.verify import (
+    VerifyContext,
     assert_arrays_schedule,
     assert_batch_arrays_schedule,
     assert_batch_schedule,
     assert_schedule,
+    verify_context,
 )
 
 
@@ -129,20 +131,6 @@ class TestSetGraphArrays:
             encoded = {int(p) for p in arrays.indices[lo:hi]}
             expected = {arrays.gid(rl, rsi) for rl, rsi in refs}
             assert encoded == expected
-
-    def test_reverse_csr_is_transpose(self):
-        g = preprocess(branchy_model(), quantization=None).graph
-        dep = determine_dependencies(g, determine_sets(g))
-        arrays = dep.arrays
-        forward = set()
-        for gid in range(arrays.num_sets):
-            for pred in arrays.indices[arrays.indptr[gid] : arrays.indptr[gid + 1]]:
-                forward.add((int(pred), gid))
-        reverse = set()
-        for gid in range(arrays.num_sets):
-            for cons in arrays.rindices[arrays.rindptr[gid] : arrays.rindptr[gid + 1]]:
-                reverse.add((gid, int(cons)))
-        assert forward == reverse
 
     def test_memoized_on_dependency_graph(self):
         g = preprocess(chain_model(), quantization=None).graph
@@ -311,10 +299,19 @@ def assert_ready_order_matches_oracle(dependencies):
     return rows
 
 
+def assert_batch_matches_oracle(dependencies, batch_size):
+    """The batch kernel equals the oracle's batch event loop row for row,
+    image spans included."""
+    reference = reference_batch_schedule(None, dependencies, batch_size)
+    schedule, spans = csr_batch_schedule(dependencies.arrays, batch_size)
+    assert task_keys(schedule) == task_keys(reference.schedule)
+    assert spans == reference.image_spans
+
+
 class TestReadyOrderPerLayer:
-    """The per-layer dynamic kernel against the global event-loop oracle,
-    including layers whose ready order is not row-major (the heap
-    fallback) and empty sets."""
+    """The per-layer dynamic and batch kernels against the global
+    event-loop oracles, including layers whose ready order is not
+    row-major (the heap fallback) and empty sets."""
 
     def test_fallback_layer_pinned(self):
         """Height-axis duplication splits c1 into two row stripes that
@@ -337,11 +334,17 @@ class TestReadyOrderPerLayer:
         reference = cross_layer_schedule_dynamic(compiled.mapped, compiled.dependencies)
         assert task_keys(compiled.schedule) == task_keys(reference)
         assert task_keys(simulate(compiled).schedule) == task_keys(reference)
+        # At batch 2 each image keeps that order, image 0 first.
+        batch = cross_layer_schedule_batch(compiled.mapped, compiled.dependencies, 2)
+        c2 = [(t.image, t.set_index) for t in batch.schedule.tasks if t.layer == "c2"]
+        assert c2 == [(image, si) for image in (0, 1) for si in (0, 4, 1, 5, 2, 6, 3, 7)]
+        assert_batch_matches_oracle(compiled.dependencies, 2)
 
     @settings(max_examples=200, deadline=None)
-    @given(dependencies=layered_dags())
-    def test_random_dags_match_oracle(self, dependencies):
+    @given(dependencies=layered_dags(), batch_size=st.integers(1, 8))
+    def test_random_dags_match_oracle(self, dependencies, batch_size):
         assert_ready_order_matches_oracle(dependencies)
+        assert_batch_matches_oracle(dependencies, batch_size)
 
     def test_isolated_empty_set_matches_oracle(self):
         sets = {
@@ -352,8 +355,30 @@ class TestReadyOrderPerLayer:
             ("b", 0): [], ("b", 1): [], ("b", 2): [],
             ("a", 0): [], ("a", 1): [("b", 2)], ("a", 2): [("b", 0)],
         }
-        rows = assert_ready_order_matches_oracle(DependencyGraph(sets, deps))
+        late = DependencyGraph(sets, deps)
+        rows = assert_ready_order_matches_oracle(late)
         assert ("b", 1, 0, 4, 4, Rect(2, 0, 2, 2)) in rows
+        # An empty set that starts with a longer, lower-indexed set of its
+        # layer: exclusivity sorted by start alone read that as an overlap.
+        sets = {
+            "p": [Rect(0, 0, 1, 2)],
+            "c": [Rect(0, 0, 1, 2), Rect(1, 0, 2, 2), Rect(2, 0, 2, 2)],
+        }
+        deps = {("p", 0): [], ("c", 0): [("p", 0)], ("c", 1): [], ("c", 2): []}
+        shared = DependencyGraph(sets, deps)
+        rows = assert_ready_order_matches_oracle(shared)
+        assert [row[1:5] for row in rows if row[0] == "c"] == [
+            (1, 0, 0, 2), (2, 0, 2, 2), (0, 0, 2, 4)
+        ]
+        sets = {
+            "l0": [Rect(0, 0, 2, 1)],
+            "l1": [Rect(0, 0, 2, 1), Rect(1, 0, 2, 1), Rect(2, 0, 2, 1)],
+        }
+        deps = {("l0", 0): [], ("l1", 0): [("l0", 0)], ("l1", 1): [], ("l1", 2): []}
+        batched = DependencyGraph(sets, deps)
+        assert_ready_order_matches_oracle(batched)
+        for dependencies in (late, shared, batched):
+            assert_batch_matches_oracle(dependencies, 2)
 
     def test_empty_set_with_edge_rejected(self):
         sets = {"a": [Rect(0, 0, 1, 2)], "b": [Rect(0, 0, 0, 2), Rect(0, 0, 1, 2)]}
@@ -363,8 +388,30 @@ class TestReadyOrderPerLayer:
             csr_dynamic_schedule(arrays)
         with pytest.raises(ValueError, match=r"\('b', 0\) is empty"):
             csr_replay(arrays, "clsa-cim")
+        with pytest.raises(ValueError, match=r"\('b', 0\) is empty"):
+            csr_batch_schedule(arrays, 2)
         # The static order needs no release keys.
         csr_static_schedule(arrays, {"a": [0], "b": [0, 1]})
+
+    @pytest.mark.parametrize("num_layers, batch_size", [(2, 1500), (1, 2500)])
+    def test_completion_keys_overflow_rejected(self, num_layers, batch_size):
+        """Completion keys reach about ``work * batch * layers``; past the
+        int64 headroom the kernel raises instead of wrapping.  At one
+        layer and batch 2500 the keys still fit but twice a key (the
+        emission rank) does not."""
+        big = Rect(0, 0, 1 << 20, 1 << 20)
+        names = [f"l{i}" for i in range(num_layers)]
+        deps = {(name, 0): [(prev, 0)] for prev, name in zip(names, names[1:])}
+        deps[(names[0], 0)] = []
+        arrays = DependencyGraph({name: [big] for name in names}, deps).arrays
+        with pytest.raises(ValueError, match="overflow int64"):
+            csr_batch_schedule(arrays, batch_size)
+
+    def test_largest_batch_within_key_headroom_matches_oracle(self):
+        """One layer at batch 2047: twice its last completion key is just
+        under 2**63, and the rows are still the oracle's."""
+        big = DependencyGraph({"l0": [Rect(0, 0, 1 << 20, 1 << 20)]}, {("l0", 0): []})
+        assert_batch_matches_oracle(big, 2047)
 
     def test_edge_to_later_layer_rejected(self):
         sets = {"a": [Rect(0, 0, 1, 2)], "b": [Rect(0, 0, 1, 2)]}
@@ -404,6 +451,23 @@ class TestVectorizedValidation:
         end = start + arrays.area  # every set starts at 0: deps violated
         with pytest.raises(AssertionError, match="data dependency violated"):
             assert_arrays_schedule(arrays, start, end)
+
+    def test_zero_length_row_is_no_overlap(self):
+        """An empty set at t beside a longer set of its layer starting at t
+        is no overlap, whatever the row order: the oracle's rows sorted by
+        (layer, set) pass the schedule check and the verifier rule."""
+        sets = {
+            "p": [Rect(0, 0, 1, 2)],
+            "c": [Rect(0, 0, 1, 2), Rect(1, 0, 2, 2), Rect(2, 0, 2, 2)],
+        }
+        deps = {("p", 0): [], ("c", 0): [("p", 0)], ("c", 1): [], ("c", 2): []}
+        dependencies = DependencyGraph(sets, deps)
+        rows = cross_layer_schedule_dynamic(None, dependencies).tasks
+        by_set = Schedule("clsa-cim", tasks=sorted(rows, key=lambda t: (t.layer, t.set_index)))
+        by_set.validate_intra_layer_order()
+        context = VerifyContext(dependencies=dependencies, schedule=by_set)
+        report = verify_context(context, rules=("schedule.exclusivity",))
+        assert report.by_rule("schedule.exclusivity") == []
 
     def test_rejects_resource_overlap(self):
         arrays = self.make_arrays()

@@ -620,7 +620,7 @@ class TestDecodedArrays:
         assert got.layers == want.layers
         for name in (
             "offsets", "layer_of", "set_index", "area", "r0", "c0", "r1", "c1",
-            "indptr", "indices", "rindptr", "rindices", "lex_rank",
+            "indptr", "indices", "lex_rank",
         ):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
