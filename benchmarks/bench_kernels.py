@@ -2,7 +2,8 @@
 """Columnar scheduling kernels vs the pure-Python reference schedulers.
 
 Measures the Stage IV hot loops of :mod:`repro.core.kernels` (the CSR
-set graph) against the reference schedulers in ``tests/oracles``:
+set graph) against the reference schedulers in ``tests/oracles``, and
+times Stage II:
 
 * **single-image** — FINEST-granularity dynamic cross-layer scheduling
   (what the ``clsa-cim`` schedule pass runs per config point: the scheduler plus
@@ -10,7 +11,16 @@ set graph) against the reference schedulers in ``tests/oracles``:
 * **batch** — the pipelined batch scheduler at ``--batch`` inferences,
   measured symmetrically to the single-image workload: each
   implementation's scheduler plus its validator (``assert_batch_schedule``
-  for the reference, the vectorized array checks for the kernels).
+  for the reference, the vectorized array checks for the kernels);
+* **stage2** — ``determine_dependencies`` and the layer-by-layer
+  baseline (``layer_by_layer_schedule``) over the mapped graphs of the
+  paper grid's cross-layer cells (``none`` and ``wdup`` at every ``x``:
+  35 graphs of 7 models, or tinyyolov4's 5 with ``--quick``).  Each
+  timed run gets fresh graph copies, so it builds their route tables.
+  The record counts the sets, edges and layers, and the rule
+  applications Stage II requested against those it ran.  With
+  ``--quick`` the CSR is also compared with the scalar
+  ``oracles.reference_dependencies``, graph by graph.
 
 Methodology: every (workload, implementation) measurement runs in a
 **fresh subprocess** with the collector in its default state, so one
@@ -32,7 +42,8 @@ Writes ``BENCH_kernels.json`` (repo root by default) — the first entry
 of the repo's recorded perf trajectory — and exits non-zero when the
 kernels miss their bar: faster-than-reference in ``--quick`` mode
 (the CI smoke gate), the PR acceptance thresholds (>= 5x single-image,
->= 10x batch) in full mode.
+>= 10x batch) in full mode; and, with ``--quick``, when Stage II's CSR
+differs from the scalar reference on any graph.
 
 Usage::
 
@@ -86,11 +97,108 @@ def _compile(model: str):
     return compile_model(canonical, arch, ScheduleOptions(), assume_canonical=True)
 
 
+def grid_mapped_graphs(models: list[str]) -> list[tuple]:
+    """``(mapped graph, sets)`` of every cross-layer cell of the paper grid."""
+    from repro.analysis.sweep import PAPER_XS
+    from repro.arch import paper_case_study
+    from repro.core import CompilationCache, ScheduleOptions, compile_model
+    from repro.frontend import preprocess
+    from repro.models import build
+    from repro.models.zoo import benchmark_by_name
+
+    cache = CompilationCache()
+    pairs = []
+    for model in models:
+        canonical = preprocess(build(model), quantization=None).graph
+        min_pes = benchmark_by_name(model).min_pes
+        for mapping, extra in [("none", 0)] + [("wdup", x) for x in PAPER_XS]:
+            compiled = compile_model(
+                canonical, paper_case_study(min_pes + extra),
+                ScheduleOptions(mapping=mapping, scheduling="clsa-cim"),
+                assume_canonical=True, cache=cache,
+            )
+            pairs.append((compiled.mapped, compiled.sets))
+    return pairs
+
+
+def run_stage2_worker(spec: dict) -> None:
+    """Time Stage II and the layer-by-layer baseline; print a JSON line."""
+    import numpy as np
+    from oracles import build_set_indexes, reference_dependencies
+
+    from repro.core import dependencies, determine_dependencies, layer_by_layer_schedule
+
+    pairs = grid_mapped_graphs(spec["models"])
+
+    def fresh() -> list[tuple]:
+        """Copies without route tables (their shapes inferred, as after Stage I)."""
+        copies = [(graph.copy(), sets) for graph, sets in pairs]
+        for graph, _ in copies:
+            graph.infer_shapes()
+        return copies
+
+    def timed(stage) -> float:
+        best = float("inf")
+        for _ in range(spec["repeats"]):
+            copies = fresh()
+            gc.collect()
+            started = time.perf_counter()
+            for graph, sets in copies:
+                stage(graph, sets)
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    # One untimed pass counts the rule applications requested and run.
+    walk, counts = dependencies._RouteWalk, {"requested": 0, "run": 0}
+
+    class CountingWalk(walk):
+        __slots__ = ()
+
+        def _apply(self, name, block):
+            counts["requested"] += 1
+            return walk._apply(self, name, block)
+
+        def _run(self, name, block):
+            counts["run"] += 1
+            return walk._run(self, name, block)
+
+    dependencies._RouteWalk = CountingWalk
+    try:
+        graphs = [determine_dependencies(graph, sets) for graph, sets in fresh()]
+    finally:
+        dependencies._RouteWalk = walk
+    result = {
+        "graphs": len(pairs),
+        "num_sets": sum(deps.num_sets() for deps in graphs),
+        "num_edges": sum(deps.edge_count() for deps in graphs),
+        "num_layers": sum(len(deps.sets) for deps in graphs),
+        "rules_requested": counts["requested"],
+        "rules_run": counts["run"],
+        "deps_s": timed(determine_dependencies),
+        "baseline_s": timed(layer_by_layer_schedule),
+    }
+    if spec["check"]:
+        mismatched = []
+        for index, ((graph, sets), deps) in enumerate(zip(pairs, graphs)):
+            expected = reference_dependencies(graph, sets, build_set_indexes(sets)).arrays
+            if not all(
+                np.array_equal(getattr(deps.arrays, name), getattr(expected, name))
+                for name in ("offsets", "indptr", "indices")
+            ):
+                mismatched.append(f"{graph.name} (graph {index})")
+        result["identical_to_reference"] = not mismatched
+        result["mismatched"] = mismatched
+    print(json.dumps(result))
+
+
 def run_worker(spec: dict) -> None:
     """Measure one (workload, engine) pair; print a JSON result line.
 
     ``engine`` is ``csr`` (the kernels) or ``python`` (the oracles).
     """
+    if spec["workload"] == "stage2":
+        run_stage2_worker(spec)
+        return
     from oracles import cross_layer_schedule_dynamic, reference_batch_schedule
 
     from repro.core import csr_batch_schedule, csr_dynamic_schedule
@@ -136,13 +244,17 @@ def run_worker(spec: dict) -> None:
 
 def measure(model: str, workload: str, engine: str, batch: int, repeats: int) -> dict:
     """Run one measurement in a fresh subprocess and parse its result."""
-    spec = {
+    return run_in_subprocess({
         "model": model,
         "workload": workload,
         "engine": engine,
         "batch": batch,
         "repeats": repeats,
-    }
+    })
+
+
+def run_in_subprocess(spec: dict) -> dict:
+    """Run ``spec`` in a fresh worker process and parse its JSON line."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--worker", json.dumps(spec)],
         capture_output=True,
@@ -151,6 +263,16 @@ def measure(model: str, workload: str, engine: str, batch: int, repeats: int) ->
         cwd=str(REPO_ROOT),
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def bench_stage2(models: list[str], repeats: int, check: bool) -> dict:
+    """Stage II and the baseline over the grid's mapped graphs (one subprocess)."""
+    result = run_in_subprocess(
+        {"workload": "stage2", "models": models, "repeats": repeats, "check": check}
+    )
+    for name in ("deps_s", "baseline_s"):
+        result[name] = round(result[name], 6)
+    return {"models": models, **result}
 
 
 def bench_model(model: str, batch_size: int, repeats: int) -> dict:
@@ -228,12 +350,18 @@ def main(argv=None) -> int:
     batch_size = args.batch or (8 if args.quick else 32)
     repeats = args.repeats or (2 if args.quick else 5)
 
+    from repro.models.zoo import CASE_STUDY, PAPER_BENCHMARKS
+
+    grid = ["tinyyolov4"] if args.quick else [
+        spec.name for spec in PAPER_BENCHMARKS + (CASE_STUDY,)
+    ]
     record = {
         "benchmark": "scheduling-kernels",
         "mode": "quick" if args.quick else "full",
         "python": platform.python_version(),
         "numpy": __import__("numpy").__version__,
         "workloads": [bench_model(model, batch_size, repeats)],
+        "stage2": bench_stage2(grid, repeats * 2, check=args.quick),
     }
 
     out_path = Path(args.out)
@@ -255,8 +383,25 @@ def main(argv=None) -> int:
         f"python {batch['python_s'] * 1e3:8.1f} ms | "
         f"csr {batch['csr_s'] * 1e3:7.1f} ms | {batch['speedup']:.1f}x"
     )
+    stage2 = record["stage2"]
+    print(
+        f"stage II over {stage2['graphs']} grid graphs: {stage2['num_sets']} sets, "
+        f"{stage2['num_edges']} edges, {stage2['num_layers']} layers; rules "
+        f"{stage2['rules_run']} run of {stage2['rules_requested']} requested"
+    )
+    print(
+        f"  determine_dependencies {stage2['deps_s'] * 1e3:7.1f} ms | "
+        f"layer-by-layer baseline {stage2['baseline_s'] * 1e3:7.1f} ms"
+    )
     print(f"wrote {out_path}")
 
+    if stage2.get("identical_to_reference") is False:
+        print(
+            "FAIL: Stage II differs from the scalar reference on "
+            f"{', '.join(stage2['mismatched'])}",
+            file=sys.stderr,
+        )
+        return 1
     if args.no_check:
         return 0
     if args.quick:

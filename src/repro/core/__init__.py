@@ -6,8 +6,6 @@ from .dependencies import (
     DependencyGraph,
     SetRef,
     determine_dependencies,
-    layer_level_dependencies,
-    trace_to_base,
 )
 from .intra_layer import ORDER_POLICIES, intra_layer_order
 from .kernels import (
@@ -99,9 +97,7 @@ __all__ = [
     "graph_fingerprint",
     "intra_layer_order",
     "layer_by_layer_schedule",
-    "layer_level_dependencies",
     "partition_ofm",
     "preprocess_stage",
-    "trace_to_base",
     "validate_partition",
 ]

@@ -6,7 +6,9 @@ The set's required IFM region is obtained from the layer's backward
 region rule, then propagated further backwards along the non-base
 layer path (pooling, padding, activation, concat, ...) until base
 layers (or graph inputs) are reached; any predecessor set intersecting
-the propagated region becomes a data dependency.
+the propagated region becomes a data dependency.  The walk follows the
+graph's route table (:meth:`~repro.ir.graph.Graph.routes`), in which
+ops that hand a region on unchanged are folded away.
 
 This realizes the paper's P/Q relations (each OFM set can influence
 multiple IFM sets and vice versa) without a separate forward pass.
@@ -19,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from ..ir.graph import Graph
-from ..ir.ops import Input, empty_columns
+from ..ir.ops import empty_columns
 from ..ir.tensor import Rect
 from .kernels import (
-    SetGraphArrays, gid_columns, layer_rect_columns, lower_dependencies, set_offsets,
+    SetGraphArrays, gid_columns, layer_rect_blocks, lower_dependencies, set_offsets,
 )
 
 #: A (layer name, set index) pair identifying one scheduling set.
@@ -120,50 +122,17 @@ class DependencyGraph:
         return (sum(counts) / len(counts), max(counts))
 
 
-def trace_to_base(
-    graph: Graph,
-    tensor_name: str,
-    rect: Rect,
-    shapes: dict | None = None,
-) -> list[tuple[str, Rect]]:
-    """Propagate a required region backwards to base-layer producers.
-
-    Starting from ``rect`` of the tensor produced by ``tensor_name``,
-    walk producer-wards through non-base operators, transforming the
-    region with each op's backward rule.  Recursion stops at base
-    layers and graph inputs.  Returns ``(base layer name, region)``
-    pairs; regions clipped to empty are dropped (e.g. a region that
-    falls entirely into explicit padding).
-
-    ``shapes`` may be supplied to avoid repeated shape-table lookups in
-    hot loops; it must be ``graph.infer_shapes()`` of the same graph.
-    """
-    if rect.is_empty():
-        return []
-    op = graph[tensor_name]
-    if op.is_base or isinstance(op, Input):
-        return [(tensor_name, rect)] if op.is_base else []
-    if shapes is None:
-        shapes = graph.infer_shapes()
-    input_shapes = [shapes[p] for p in op.inputs]
-    regions = op.input_regions(rect, input_shapes, shapes[tensor_name])
-    results: list[tuple[str, Rect]] = []
-    for producer, region in zip(op.inputs, regions):
-        results.extend(trace_to_base(graph, producer, region, shapes))
-    return results
-
-
 def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> DependencyGraph:
     """Stage II: the full set-level dependency graph, as CSR arrays.
 
-    Columnar twin of walking each set back with :func:`trace_to_base`
-    (the scalar reference in ``tests/oracles``, which it must match):
-    all sets of a base layer move through the backward rules at once
-    as rect columns (:meth:`~repro.ir.ops.Op.input_region_columns`),
-    along every producer path :func:`trace_to_base` would walk.  The
-    regions of every path of every layer then meet the producers' sets
-    in one query, and one sort puts the predecessors in the reference
-    order, gid for gid: path order, then set index, keeping the first
+    Columnar twin of walking each set back one region at a time (the
+    scalar reference in ``tests/oracles``, which it must match): all
+    sets of a base layer move through the backward rules at once as
+    rect columns (:meth:`~repro.ir.ops.Op.input_region_columns`), along
+    every producer path of the graph's route table.  The regions of
+    every path of every layer then meet the producers' sets in one
+    query, and one sort puts the predecessors in the reference order,
+    gid for gid: path order, then set index, keeping the first
     occurrence.  Set ids follow the order of ``sets``.
     """
     layers = tuple(sets)
@@ -172,9 +141,10 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
             f"Stage I sets cover layers {sorted(layers)}, but the graph's "
             f"base layers are {sorted(graph.base_layers())}"
         )
-    shapes = graph.infer_shapes()
+    walk = _RouteWalk(graph)
     offsets = set_offsets(map(len, sets.values()))
-    coords = layer_rect_columns(sets.values())
+    roots = layer_rect_blocks(sets.values())
+    coords = np.concatenate([np.empty((4, 0), dtype=np.int64), *roots], axis=1)
     layer_id = {layer: lid for lid, layer in enumerate(layers)}
     # Per path, in path order within each layer: the gids of the sets
     # it carries, its producer layer id and its region block.
@@ -182,15 +152,10 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
     producers: list[int] = []
     blocks = [np.empty((4, 0), dtype=np.int64)]
     repeated = False
+    bounds = offsets.tolist()
     for lid, layer in enumerate(layers):
-        lo, hi = int(offsets[lid]), int(offsets[lid + 1])
-        op = graph[layer]
-        paths: list[tuple[str, Optional[np.ndarray], np.ndarray]] = []
-        needed = op.input_region_columns(
-            coords[:, lo:hi], [shapes[p] for p in op.inputs], shapes[layer]
-        )
-        for producer, region in zip(op.inputs, needed):
-            _trace_columns(graph, producer, None, region, shapes, paths)
+        lo, hi = bounds[lid], bounds[lid + 1]
+        paths = walk.paths(layer, roots[lid])
         gids = np.arange(lo, hi)
         for base_layer, rows, region in paths:
             origins.append(gids if rows is None else gids[rows])
@@ -198,14 +163,18 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
             blocks.append(region)
         repeated = repeated or len({base for base, _, _ in paths}) < len(paths)
     origin = np.concatenate(origins)
-    owner, pred = _overlapping_sets(
+    owner, pred, by_gid = _overlapping_sets(
         coords, offsets, np.repeat(producers, [block.shape[1] for block in blocks[1:]]),
         np.concatenate(blocks, axis=1),
     )
     # Regions are numbered path by path, so for one origin the region
-    # number orders its paths.
+    # number orders its paths.  The pairs come by region, and by gid
+    # within a region if ``by_gid``: then a stable sort on the origin
+    # alone gives the (origin, region, gid) order.
     origin = origin[owner]
-    order = np.lexsort((pred, owner, origin))
+    order = (
+        np.argsort(origin, kind="stable") if by_gid else np.lexsort((pred, owner, origin))
+    )
     origin, pred = origin[order], pred[order]
     if repeated:
         # Some layer reaches one producer by two paths: first occurrences.
@@ -217,45 +186,107 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
     return DependencyGraph(sets=sets, arrays=arrays)
 
 
-def _trace_columns(
-    graph: Graph,
-    name: str,
-    rows: Optional[np.ndarray],
-    rects: np.ndarray,
-    shapes: dict,
-    paths: list,
-    checked: bool = False,
-) -> None:
-    """:func:`trace_to_base` over rect columns, collecting every path.
+class _RouteWalk:
+    """One Stage II call's walk over :meth:`~repro.ir.graph.Graph.routes`.
 
-    ``rows`` maps the columns of ``rects`` to set indices of the layer
-    being resolved (``None``: the identity).  Empty regions leave the
-    path, exactly where the scalar walk would return early; ``checked``
-    says ``rects`` holds none, being a block a column rule handed back
-    unchanged after this walk had filtered it.
+    Each rule runs once per distinct (op class, rule params, input
+    shapes, output shape, input block) key, and its output blocks lose
+    their empty columns there, once.  Blocks are told apart by
+    identity: the memo holds every block it keys, so no id is reused
+    within the call.  Same-shaped layers share their Stage I root
+    block, so they and the ops above them share rule results.  The walk
+    keeps plain dicts and no closures, so it leaves no reference cycle
+    behind.
     """
-    op = graph[name]
-    if not checked:
-        empty = empty_columns(rects)
-        if empty.any():
-            keep = np.flatnonzero(~empty)
-            if not len(keep):
-                return
-            rects = rects[:, keep]
-            rows = keep if rows is None else rows[keep]
-    if op.is_base:
-        paths.append((name, rows, rects))
-        return
-    if isinstance(op, Input):
-        return
-    regions = op.input_region_columns(rects, [shapes[p] for p in op.inputs], shapes[name])
-    for producer, region in zip(op.inputs, regions):
-        _trace_columns(graph, producer, rows, region, shapes, paths, region is rects)
+
+    __slots__ = ("graph", "shapes", "routes", "keys", "signatures", "applied")
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        self.shapes = graph.infer_shapes()
+        self.routes = graph.routes()
+        self.keys: dict[str, int] = {}  # op name -> number of its rule signature
+        self.signatures: dict[tuple, int] = {}
+        # id(block) -> (block, first op to read it, its regions, regions by signature)
+        self.applied: dict[int, tuple[np.ndarray, str, list, dict[int, list]]] = {}
+
+    def paths(self, layer: str, block: np.ndarray) -> list:
+        """Every ``(base layer, rows, region block)`` path of ``layer``'s sets.
+
+        ``block`` holds the sets' rect columns; ``rows`` maps a path's
+        columns to set indices (``None``: the identity).  Empty regions
+        leave the path, exactly where the scalar walk would return early.
+        """
+        found: list[tuple[str, Optional[np.ndarray], np.ndarray]] = []
+        self._walk(layer, None, block, found)
+        return found
+
+    def _walk(self, name: str, rows: Optional[np.ndarray], block: np.ndarray, found: list) -> None:
+        """Apply ``name``'s rule to ``block`` and walk on from each input."""
+        graph = self.graph
+        for producer, (keep, region) in zip(graph[name].inputs, self._apply(name, block)):
+            at = rows
+            if keep is not None:
+                if not len(keep):
+                    continue
+                at = keep if rows is None else rows[keep]
+            for node in self.routes[producer]:
+                if graph[node].is_base:
+                    found.append((node, at, region))
+                else:
+                    self._walk(node, at, region, found)
+
+    def _apply(self, name: str, block: np.ndarray) -> list:
+        """Per input of ``name``: (kept columns or ``None`` for all, region block)."""
+        entry = self.applied.get(id(block))
+        if entry is None:  # the first rule to read the block: nothing to share
+            needed = self._run(name, block)
+            self.applied[id(block)] = (block, name, needed, {})
+            return needed
+        _, first, needed, shared = entry
+        if name == first:
+            return needed
+        if not shared:
+            shared[self._signature(first)] = needed
+        key = self._signature(name)
+        hit = shared.get(key)
+        if hit is None:
+            hit = shared[key] = self._run(name, block)
+        return hit
+
+    def _run(self, name: str, block: np.ndarray) -> list:
+        op, shapes = self.graph[name], self.shapes
+        regions = op.input_region_columns(block, [shapes[p] for p in op.inputs], shapes[name])
+        return [_nonempty(region) for region in regions]
+
+    def _signature(self, name: str) -> int:
+        key = self.keys.get(name)
+        if key is None:
+            op, shapes = self.graph[name], self.shapes
+            params = op.rule_params()
+            signature = (
+                type(op),
+                params,
+                id(op) if params is None else None,
+                shapes[name],
+                *[shapes[p] for p in op.inputs],
+            )
+            key = self.keys[name] = self.signatures.setdefault(signature, len(self.signatures))
+        return key
+
+
+def _nonempty(block: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """``(kept column numbers, those columns)`` of ``block``'s non-empty
+    rects; ``(None, block)`` when none is empty."""
+    if not (block[2:] <= block[:2]).any():
+        return None, block
+    keep = np.flatnonzero(~empty_columns(block))
+    return keep, block[:, keep]
 
 
 def _overlapping_sets(
     coords: np.ndarray, offsets: np.ndarray, producer: np.ndarray, regions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Every overlapping (region, set of the region's producer layer) pair.
 
     One index over all non-empty sets, sorted by ``(layer, r0)``: a set
@@ -264,11 +295,13 @@ def _overlapping_sets(
     calls bound its candidates.  Both bounds are clamped to the
     producer's band of the index; with mixed set heights, a bound near
     row 0 would otherwise reach the previous layer's last sets.
-    Returns the region number and the gid of each pair, by region.
+    Returns the region number and the gid of each pair, by region, and
+    whether the pairs of each region come in gid order: they do when
+    every layer's sets start row by row in gid order, as Stage I's do.
     """
     gid = np.flatnonzero(~empty_columns(coords))
     if not len(gid) or not len(producer):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), True
     layer = gid_columns(offsets)[0][gid].astype(np.int64)
     r0 = coords[0, gid]
     max_rows = np.ones(len(offsets) - 1, dtype=np.int64)
@@ -276,8 +309,10 @@ def _overlapping_sets(
     base = int(r0.min())
     span = int(r0.max()) - base + 1
     key = layer * span + (r0 - base)
-    order = np.argsort(key, kind="stable")
-    key, gid = key[order], gid[order]
+    by_gid = not np.count_nonzero(key[1:] < key[:-1])
+    if not by_gid:
+        order = np.argsort(key, kind="stable")
+        key, gid = key[order], gid[order]
     band = producer * span
     lo = np.searchsorted(key, band + np.clip(regions[0] - max_rows[producer] + 1 - base, 0, span))
     hi = np.searchsorted(key, band + np.clip(regions[2] - base, 0, span))
@@ -289,7 +324,7 @@ def _overlapping_sets(
         & (coords[1, sets] < regions[3][owner])
         & (coords[3, sets] > regions[1][owner])
     )
-    return owner[hit], sets[hit]
+    return owner[hit], sets[hit], by_gid
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -299,27 +334,3 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return np.arange(total, dtype=np.int64) + shift
-
-
-def layer_level_dependencies(graph: Graph) -> dict[str, list[str]]:
-    """Base-layer-level predecessors (whole-OFM granularity).
-
-    This is the dependency view of layer-by-layer inference: a layer
-    may start only after every base layer feeding it (through any
-    non-base path) has completed its entire OFM.
-    """
-    shapes = graph.infer_shapes()
-    result: dict[str, list[str]] = {}
-    for layer in graph.base_layers():
-        op = graph[layer]
-        input_shapes = [shapes[p] for p in op.inputs]
-        needed = op.input_regions(shapes[layer].full_rect(), input_shapes, shapes[layer])
-        preds: list[str] = []
-        seen: set[str] = set()
-        for producer, region in zip(op.inputs, needed):
-            for base_layer, _ in trace_to_base(graph, producer, region, shapes):
-                if base_layer not in seen:
-                    seen.add(base_layer)
-                    preds.append(base_layer)
-        result[layer] = preds
-    return result

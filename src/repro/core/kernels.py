@@ -178,22 +178,29 @@ def gid_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return layer_of, set_index.astype(np.int32)
 
 
-def layer_rect_columns(per_layer: Iterable[list["Rect"]]) -> np.ndarray:
-    """Rect columns of every layer's sets, concatenated in layer order.
+def layer_rect_blocks(per_layer: Iterable[list["Rect"]]) -> list[np.ndarray]:
+    """Rect columns of each layer's sets, one block per layer.
 
     Stage I gives layers of one OFM shape lists of the same ``Rect``
-    objects, so each distinct list is converted once: a list reuses an
-    earlier conversion only if it holds the very same rect objects.
+    objects, so each distinct list is converted once and its layers
+    share the block: a list reuses an earlier conversion only if it
+    holds the very same rect objects.
     """
     converted: dict[tuple[int, int], tuple[list["Rect"], np.ndarray]] = {}
-    blocks = [np.empty((4, 0), dtype=np.int64)]
+    blocks = []
     for rects in per_layer:
         key = (len(rects), id(rects[0]) if rects else 0)
         seen = converted.get(key)  # holds its rects, so their ids stay unique
         if seen is None or not all(map(is_, seen[0], rects)):
             seen = converted[key] = (rects, rect_columns(rects))
         blocks.append(seen[1])
-    return np.concatenate(blocks, axis=1)
+    return blocks
+
+
+def layer_rect_columns(per_layer: Iterable[list["Rect"]]) -> np.ndarray:
+    """Rect columns of every layer's sets, concatenated in layer order."""
+    blocks = layer_rect_blocks(per_layer)
+    return np.concatenate([np.empty((4, 0), dtype=np.int64), *blocks], axis=1)
 
 
 def lower_dependencies(
@@ -420,14 +427,19 @@ def _schedule_layers(
     edge_bounds = indptr[offsets].tolist()
     heads = indptr[:-1] - np.repeat(indptr[offsets[:-1]], counts)
     areas = area[seq]
-    work = np.concatenate(([0], np.cumsum(areas, dtype=np.int64)))
     # A list schedule never idles every layer, so nothing ends after the
     # total work: the keys, and the emission ranks (twice a key), fit.
-    if (int(work[-1]) + 1) * scale > 1 << 62:
-        raise ValueError(
-            f"{int(work[-1])} cycles of work at key scale {scale} overflow "
-            "int64 completion keys; schedule fewer images at once"
-        )
+    # Totals are Python ints, since an int64 sum could wrap: the largest
+    # area times the count first, the exact sum only if that bound fails.
+    total = int(areas.max(initial=0)) * n
+    if (total + 1) * scale > 1 << 62:
+        total = sum(areas.tolist())
+        if (total + 1) * scale > 1 << 62:
+            raise ValueError(
+                f"{total} cycles of work at key scale {scale} overflow "
+                "int64 completion keys; schedule fewer images at once"
+            )
+    work = np.concatenate(([0], np.cumsum(areas, dtype=np.int64)))
     before = work[:-1] - np.repeat(work[offsets[:-1]], counts)  # S_{i-1}
     # ``S_i * scale + tie``: an item's completion key if its layer never waits.
     base = (before + areas) * scale + tie[seq]

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ir.graph import Graph
-from ..ir.tensor import Rect
-from .dependencies import layer_level_dependencies
+from ..ir.tensor import Rect, Shape
 from .kernels import gid_columns, layer_rect_columns, set_offsets
 from .schedule import Schedule, ScheduleColumns
 
@@ -43,7 +42,7 @@ def layer_by_layer_schedule(
         columnar: one row per set, in layer order.
     """
     shapes = graph.infer_shapes()
-    preds = layer_level_dependencies(graph)
+    ready = _ReadyTimes(graph, shapes)
     layers = graph.base_layers()
     per_layer = [
         sets[layer] if sets is not None else [shapes[layer].full_rect()] for layer in layers
@@ -52,11 +51,10 @@ def layer_by_layer_schedule(
     coords = layer_rect_columns(per_layer)
     area = (coords[2] - coords[0]) * (coords[3] - coords[1])
     done = np.concatenate(([0], np.cumsum(area)))  # work before each row
-    layer_end: dict[str, int] = {}
     layer_start = []
     for layer, busy in zip(layers, np.diff(done[offsets]).tolist()):
-        start = max((layer_end[p] for p in preds[layer]), default=0)
-        layer_end[layer] = start + busy
+        start = ready.start(layer)
+        ready.end[layer] = start + busy
         layer_start.append(start)
     # A layer's sets run back to back from the layer's start.
     shift = np.asarray(layer_start, dtype=np.int64) - done[offsets[:-1]]
@@ -78,3 +76,42 @@ def layer_by_layer_schedule(
             c1=c1,
         ),
     )
+
+
+class _ReadyTimes:
+    """When each base layer may start: the latest end among its producers.
+
+    A layer's producers are the base layers its whole-OFM input
+    regions reach along :meth:`~repro.ir.graph.Graph.routes`, walked
+    with the scalar rules; a region clipped to empty reaches nothing.
+    Layers start in topological order, so every end a walk reaches is
+    known when it is asked for.
+    """
+
+    __slots__ = ("graph", "shapes", "routes", "end")
+
+    def __init__(self, graph: Graph, shapes: dict[str, Shape]) -> None:
+        self.graph = graph
+        self.shapes = shapes
+        self.routes = graph.routes()
+        self.end: dict[str, int] = {}  # base layer -> its end, set by the caller
+
+    def start(self, layer: str) -> int:
+        """The latest end among the producers of base layer ``layer`` (0: none)."""
+        return self._latest(layer, self.shapes[layer].full_rect())
+
+    def _latest(self, name: str, rect: Rect) -> int:
+        """The latest end among the base layers that ``rect`` of ``name``'s
+        output reads, through ``name``'s rule and the routes of its inputs."""
+        graph, shapes = self.graph, self.shapes
+        op = graph[name]
+        latest = 0
+        needed = op.input_regions(rect, [shapes[p] for p in op.inputs], shapes[name])
+        for producer, region in zip(op.inputs, needed):
+            if region.is_empty():
+                continue
+            for node in self.routes[producer]:
+                end = self.end[node] if graph[node].is_base else self._latest(node, region)
+                if end > latest:
+                    latest = end
+        return latest

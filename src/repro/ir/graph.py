@@ -2,13 +2,15 @@
 
 A :class:`Graph` owns a set of named :class:`~repro.ir.ops.Op` nodes.
 Edges are implicit: every op names its producers in ``op.inputs``.  The
-graph offers topological traversal, cached shape inference, consumer
-lookup, and the small mutation API (replace/insert/remove) that the
-frontend passes and the weight-duplication rewrite are built on.
+graph offers topological traversal, cached shape inference and route
+table, consumer lookup, and the small mutation API
+(replace/insert/remove) that the frontend passes and the
+weight-duplication rewrite are built on.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -32,6 +34,7 @@ class Graph:
         self.name = name
         self._ops: dict[str, Op] = {}
         self._shape_cache: Optional[dict[str, Shape]] = None
+        self._route_cache: Optional[dict[str, tuple[str, ...]]] = None
         self._topo_cache: Optional[list[str]] = None
 
     # ------------------------------------------------------------------
@@ -147,6 +150,36 @@ class Graph:
         self._shape_cache = shapes
         return dict(shapes)
 
+    def routes(self) -> dict[str, tuple[str, ...]]:
+        """Per node, where a backward region walk from its output goes (cached).
+
+        Stage II and the layer-by-layer baseline walk a region of a
+        tensor back to the base layers that produce it.  The walk from
+        ``name`` visits ``routes()[name]`` in order: a base layer ends
+        its path; any other listed op applies its backward rule, and
+        the walk goes on from each of its inputs.  Ops that hand the
+        region on unchanged (:attr:`~repro.ir.ops.Op.passes_block`) are
+        folded into their inputs' routes, depth first in input order,
+        and graph inputs end a walk, so neither is ever listed.
+        """
+        if self._route_cache is None:
+            routes: dict[str, tuple[str, ...]] = {}
+            for name in self.topological_order():
+                op = self._ops[name]
+                if op.is_base:
+                    routes[name] = (name,)
+                elif isinstance(op, Input):
+                    routes[name] = ()
+                elif op.passes_block:
+                    folded = [routes[p] for p in op.inputs]
+                    routes[name] = (
+                        folded[0] if len(folded) == 1 else tuple(chain.from_iterable(folded))
+                    )
+                else:
+                    routes[name] = (name,)
+            self._route_cache = routes
+        return dict(self._route_cache)
+
     def shape_of(self, name: str) -> Shape:
         """Output shape of a single node."""
         return self.infer_shapes()[name]
@@ -222,6 +255,7 @@ class Graph:
 
     def _invalidate(self) -> None:
         self._shape_cache = None
+        self._route_cache = None
         self._topo_cache = None
 
     # ------------------------------------------------------------------

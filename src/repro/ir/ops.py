@@ -22,6 +22,14 @@ algorithm needs:
     default loops over :meth:`Op.input_regions`, so a new operator
     needs only the scalar rule; every builtin overrides it with NumPy.
 
+Two class-level declarations let Stage II skip or share rule work:
+:attr:`Op.passes_block` marks ops whose rules hand every input the
+output block unchanged (the backward walk folds them away), and
+:meth:`Op.rule_params` names what the rules read besides the shapes
+(equal keys share one rule application within a Stage II call).  A
+subclass that overrides a rule inherits neither, so it is walked, and
+keyed by identity, exactly as an op without them.
+
 Operators are split into *base layers* (executed on crossbar PEs:
 :class:`Conv2D`, :class:`Dense`) and *non-base layers* (executed on the
 tile's general-purpose execution unit: everything else), mirroring the
@@ -32,9 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
-from typing import Optional
+from typing import ClassVar, Hashable, Optional
 
 import numpy as np
 
@@ -149,6 +158,21 @@ def _full_or_empty_columns(rects: np.ndarray, shape: Shape) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _window_affine(
+    kernel: tuple[int, int], strides: tuple[int, int], pads_before: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(scale, offset)`` of :func:`window_input_columns` (read-only)."""
+    kh, kw = kernel
+    sh, sw = strides
+    pt, pl = pads_before
+    # (r1 - 1) * sh + kh - pt == r1 * sh + (kh - sh - pt)
+    scale = np.array([[sh], [sw], [sh], [sw]], dtype=np.int64)
+    offset = np.array([[-pt], [-pl], [kh - sh - pt], [kw - sw - pl]], dtype=np.int64)
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
+
+
 def window_input_columns(
     rects: np.ndarray,
     kernel: tuple[int, int],
@@ -157,18 +181,12 @@ def window_input_columns(
     input_shape: Shape,
 ) -> np.ndarray:
     """:func:`window_input_rect` over rect columns."""
-    kh, kw = kernel
-    sh, sw = strides
-    pt, pl = pads_before
-    # (r1 - 1) * sh + kh - pt == r1 * sh + (kh - sh - pt)
-    out = _clipped(
-        rects * np.array([[sh], [sw], [sh], [sw]])
-        + np.array([[-pt], [-pl], [kh - sh - pt], [kw - sw - pl]]),
-        input_shape,
-    )
-    empty = empty_columns(rects)
-    if empty.any():
-        out[:, empty] = 0
+    scale, offset = _window_affine(kernel, strides, pads_before)
+    out = np.multiply(rects, scale)
+    out += offset
+    _clipped(out, input_shape)
+    if (rects[2:] <= rects[:2]).any():
+        out[:, empty_columns(rects)] = 0
     return out
 
 
@@ -189,6 +207,19 @@ class Op:
 
     #: Whether this operator executes on crossbar PEs (MVM workload).
     is_base: bool = field(default=False, init=False, repr=False)
+
+    #: Whether the backward rules hand every input the output block
+    #: itself (``input_region_columns`` returns ``rects`` per input):
+    #: backward walks fold such ops away (:meth:`~repro.ir.graph.Graph.routes`).
+    passes_block: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A class that defines its own rules declares anew what they do.
+        if {"input_regions", "input_region_columns"} & vars(cls).keys():
+            for name in ("passes_block", "rule_params"):
+                if name not in vars(cls):
+                    setattr(cls, name, vars(Op)[name])
 
     @property
     def op_type(self) -> str:
@@ -213,6 +244,8 @@ class Op:
         Column ``j`` of each returned block equals the scalar rule's
         region for column ``j`` of ``rects``.  This default applies the
         scalar rule column by column; builtins override it with NumPy.
+        A rule must not write to ``rects`` or hand back a block it
+        writes to later: Stage II shares blocks between rules.
         """
         per_rect = [
             self.input_regions(Rect(*coords), input_shapes, output_shape)
@@ -221,6 +254,16 @@ class Op:
         if not per_rect:
             return [np.empty((4, 0), dtype=np.int64) for _ in input_shapes]
         return [rect_columns(list(regions)) for regions in zip(*per_rect)]
+
+    def rule_params(self) -> Optional[Hashable]:
+        """Everything the backward rules read besides the shapes, or ``None``.
+
+        Within one Stage II call, two ops of one class with equal
+        params and equal input and output shapes share each rule
+        application.  ``None`` (the default) shares nothing: the op is
+        keyed by its identity.
+        """
+        return None
 
     def _expect_arity(self, input_shapes: list[Shape], arity: int) -> None:
         if len(input_shapes) != arity:
@@ -324,6 +367,9 @@ class Conv2D(Op):
         pads = self._pads_before(in_shape)
         return [window_input_columns(rects, self.kernel, self.strides, pads, in_shape)]
 
+    def rule_params(self) -> Hashable:
+        return (self.kernel, self.strides, self.padding)
+
     def kernel_matrix_shape(self, in_channels: int) -> tuple[int, int]:
         """im2col kernel-matrix dimensions ``(KW*KH*KI, KO)`` (Fig. 3)."""
         kh, kw = self.kernel
@@ -392,6 +438,8 @@ class Dense(Op):
 class BatchNorm(Op):
     """Batch normalization (inference mode); folded away by the frontend."""
 
+    passes_block = True
+
     gamma: Optional[np.ndarray] = field(default=None, repr=False)
     beta: Optional[np.ndarray] = field(default=None, repr=False)
     mean: Optional[np.ndarray] = field(default=None, repr=False)
@@ -423,6 +471,8 @@ class BatchNorm(Op):
 @dataclass
 class BiasAdd(Op):
     """Per-channel bias addition, decoupled from the base layer."""
+
+    passes_block = True
 
     bias: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -480,6 +530,9 @@ class Pad(Op):
     ) -> list[np.ndarray]:
         return [_shift_clip_columns(rects, -self.pad_top, -self.pad_left, input_shapes[0])]
 
+    def rule_params(self) -> Hashable:
+        return (self.pad_top, self.pad_left)
+
     @property
     def is_identity(self) -> bool:
         """True when all four pad amounts are zero."""
@@ -489,6 +542,8 @@ class Pad(Op):
 @dataclass
 class Activation(Op):
     """Elementwise activation function."""
+
+    passes_block = True
 
     kind: str = "relu"
     alpha: float = 0.1  # leaky_relu negative slope
@@ -557,6 +612,9 @@ class _Pool(Op):
         pads = self._pads_before(in_shape)
         return [window_input_columns(rects, self.pool, self.strides, pads, in_shape)]
 
+    def rule_params(self) -> Hashable:
+        return (self.pool, self.strides, self.padding)
+
 
 @dataclass
 class MaxPool(_Pool):
@@ -594,6 +652,8 @@ class GlobalAvgPool(Op):
 class Add(Op):
     """Elementwise addition of two or more same-shaped tensors."""
 
+    passes_block = True
+
     def infer_shape(self, input_shapes: list[Shape]) -> Shape:
         if len(input_shapes) < 2:
             raise OpError(f"Add '{self.name}' needs at least 2 inputs")
@@ -619,6 +679,8 @@ class Add(Op):
 @dataclass
 class Concat(Op):
     """Channel-axis concatenation of two or more tensors."""
+
+    passes_block = True
 
     def infer_shape(self, input_shapes: list[Shape]) -> Shape:
         if len(input_shapes) < 2:
@@ -708,11 +770,19 @@ class ConcatSpatial(Op):
     def input_region_columns(
         self, rects: np.ndarray, input_shapes: list[Shape], output_shape: Shape
     ) -> list[np.ndarray]:
-        height = self.axis == "height"
-        return [
-            _shift_clip_columns(rects, -offset if height else 0, 0 if height else -offset, shape)
-            for shape, offset in zip(input_shapes, self.input_offsets(input_shapes))
-        ]
+        # Every input's block at once, as one (inputs, 4, n) array.
+        shift = np.zeros((len(input_shapes), 4, 1), dtype=np.int64)
+        axis = 0 if self.axis == "height" else 1
+        shift[:, axis::2, 0] = np.array(self.input_offsets(input_shapes))[:, None]
+        bounds = np.array([(shape.height, shape.width) for shape in input_shapes])
+        out = rects - shift
+        np.maximum(out[:, :2], 0, out=out[:, :2])
+        np.minimum(out[:, 2], bounds[:, :1], out=out[:, 2])
+        np.minimum(out[:, 3], bounds[:, 1:], out=out[:, 3])
+        return list(out)
+
+    def rule_params(self) -> Hashable:
+        return self.axis
 
 
 @dataclass
@@ -766,6 +836,9 @@ class Slice(Op):
     ) -> list[np.ndarray]:
         return [_shift_clip_columns(rects, self.offsets[0], self.offsets[1], input_shapes[0])]
 
+    def rule_params(self) -> Hashable:
+        return (self.offsets[0], self.offsets[1])
+
 
 @dataclass
 class Upsample(Op):
@@ -812,6 +885,9 @@ class Upsample(Op):
             out[:, empty] = 0
         return [out]
 
+    def rule_params(self) -> Hashable:
+        return self.factor
+
 
 @dataclass
 class Flatten(Op):
@@ -838,6 +914,8 @@ class Flatten(Op):
 @dataclass
 class Identity(Op):
     """No-op passthrough (useful as a named alias in rewrites)."""
+
+    passes_block = True
 
     def infer_shape(self, input_shapes: list[Shape]) -> Shape:
         self._expect_arity(input_shapes, 1)

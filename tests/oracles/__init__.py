@@ -3,8 +3,10 @@
 from .dependencies import (
     RectIndex,
     build_set_indexes,
+    layer_level_dependencies,
     reference_dependencies,
     set_dependencies,
+    trace_to_base,
 )
 from .schedulers import (
     cross_layer_schedule,
@@ -17,7 +19,9 @@ __all__ = [
     "build_set_indexes",
     "cross_layer_schedule",
     "cross_layer_schedule_dynamic",
+    "layer_level_dependencies",
     "reference_batch_schedule",
     "reference_dependencies",
     "set_dependencies",
+    "trace_to_base",
 ]

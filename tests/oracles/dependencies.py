@@ -2,18 +2,78 @@
 
 The reference :func:`repro.core.dependencies.determine_dependencies`
 is checked against, gid for gid: each set's required input region is
-walked back to base-layer producers with
-:func:`~repro.core.dependencies.trace_to_base`, and every producer set
-it meets becomes a predecessor, in path order, then set index.
+walked back to base-layer producers with :func:`trace_to_base`, one op
+at a time, and every producer set it meets becomes a predecessor, in
+path order, then set index.  :func:`layer_level_dependencies` is the
+same walk at whole-OFM granularity, the reference of the
+layer-by-layer baseline's start times.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.core.dependencies import DependencyGraph, SetRef, trace_to_base
+from repro.core.dependencies import DependencyGraph, SetRef
 from repro.ir.graph import Graph
+from repro.ir.ops import Input
 from repro.ir.tensor import Rect
+
+
+def trace_to_base(
+    graph: Graph,
+    tensor_name: str,
+    rect: Rect,
+    shapes: dict | None = None,
+) -> list[tuple[str, Rect]]:
+    """Propagate a required region backwards to base-layer producers.
+
+    Starting from ``rect`` of the tensor produced by ``tensor_name``,
+    walk producer-wards through non-base operators, transforming the
+    region with each op's backward rule.  Recursion stops at base
+    layers and graph inputs.  Returns ``(base layer name, region)``
+    pairs; regions clipped to empty are dropped (e.g. a region that
+    falls entirely into explicit padding).
+
+    ``shapes`` may be supplied to avoid repeated shape-table lookups in
+    hot loops; it must be ``graph.infer_shapes()`` of the same graph.
+    """
+    if rect.is_empty():
+        return []
+    op = graph[tensor_name]
+    if op.is_base or isinstance(op, Input):
+        return [(tensor_name, rect)] if op.is_base else []
+    if shapes is None:
+        shapes = graph.infer_shapes()
+    input_shapes = [shapes[p] for p in op.inputs]
+    regions = op.input_regions(rect, input_shapes, shapes[tensor_name])
+    results: list[tuple[str, Rect]] = []
+    for producer, region in zip(op.inputs, regions):
+        results.extend(trace_to_base(graph, producer, region, shapes))
+    return results
+
+
+def layer_level_dependencies(graph: Graph) -> dict[str, list[str]]:
+    """Base-layer-level predecessors (whole-OFM granularity).
+
+    This is the dependency view of layer-by-layer inference: a layer
+    may start only after every base layer feeding it (through any
+    non-base path) has completed its entire OFM.
+    """
+    shapes = graph.infer_shapes()
+    result: dict[str, list[str]] = {}
+    for layer in graph.base_layers():
+        op = graph[layer]
+        input_shapes = [shapes[p] for p in op.inputs]
+        needed = op.input_regions(shapes[layer].full_rect(), input_shapes, shapes[layer])
+        preds: list[str] = []
+        seen: set[str] = set()
+        for producer, region in zip(op.inputs, needed):
+            for base_layer, _ in trace_to_base(graph, producer, region, shapes):
+                if base_layer not in seen:
+                    seen.add(base_layer)
+                    preds.append(base_layer)
+        result[layer] = preds
+    return result
 
 
 class RectIndex:

@@ -1,13 +1,16 @@
 """Tests for Stage II dependency determination."""
 
-from oracles import build_set_indexes, reference_dependencies
+from oracles import (
+    build_set_indexes,
+    layer_level_dependencies,
+    reference_dependencies,
+    trace_to_base,
+)
 
 from repro.core import (
     SetGranularity,
     determine_dependencies,
     determine_sets,
-    layer_level_dependencies,
-    trace_to_base,
 )
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect

@@ -407,6 +407,21 @@ class TestReadyOrderPerLayer:
         with pytest.raises(ValueError, match="overflow int64"):
             csr_batch_schedule(arrays, batch_size)
 
+    def test_work_past_int64_rejected_by_every_entry_point(self):
+        """Three sets of just under ``2**62`` cycles each: their int64 sum
+        wraps negative, and every Stage IV entry point still raises."""
+        side = 2**31 - 1
+        sets = {"l0": [Rect(0, 0, side, side)] * 3}
+        arrays = DependencyGraph(sets, {("l0", i): [] for i in range(3)}).arrays
+        for schedule in (
+            lambda: csr_static_schedule(arrays, {"l0": [0, 1, 2]}),
+            lambda: csr_dynamic_schedule(arrays),
+            lambda: csr_replay(arrays, "clsa-cim"),
+            lambda: csr_batch_schedule(arrays, 1),
+        ):
+            with pytest.raises(ValueError, match="overflow int64"):
+                schedule()
+
     def test_largest_batch_within_key_headroom_matches_oracle(self):
         """One layer at batch 2047: twice its last completion key is just
         under 2**63, and the rows are still the oracle's."""

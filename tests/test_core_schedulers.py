@@ -126,7 +126,7 @@ class TestLayerByLayer:
     def reference_tasks(graph, sets):
         """The baseline as a per-set loop: each layer starts when its
         producers have finished, then runs its sets back to back."""
-        from repro.core import layer_level_dependencies
+        from oracles import layer_level_dependencies
 
         preds = layer_level_dependencies(graph)
         shapes = graph.infer_shapes()

@@ -98,3 +98,39 @@ def test_property_column_rule_equals_scalar_rule(case, rects):
         assert block.dtype == np.int64
         got = [Rect(*column) for column in block.T.tolist()]
         assert got == [regions[k] for regions in expected]
+
+
+def test_pass_through_ops_hand_their_block_on_unchanged():
+    """``passes_block`` ops return the very block they get, per input,
+    which is what lets the backward walks fold them away."""
+    declared = {name for name, cls in OP_TYPES.items() if cls.passes_block}
+    assert declared == {"BatchNorm", "BiasAdd", "Activation", "Add", "Concat", "Identity"}
+    rect = Rect(2, 1, 7, 9)
+    for op, input_shapes in CASES.values():
+        if not op.passes_block:
+            continue
+        output_shape = op.infer_shape(input_shapes)
+        block = rect_columns([rect, Rect(0, 0, 1, 1)])
+        blocks = op.input_region_columns(block, input_shapes, output_shape)
+        assert len(blocks) == len(input_shapes)
+        assert all(region is block for region in blocks), op.op_type
+        regions = op.input_regions(rect, input_shapes, output_shape)
+        assert regions == [rect] * len(input_shapes), op.op_type
+
+
+def test_rule_overriding_subclass_inherits_no_declaration():
+    """A subclass that redefines a rule is walked, and keyed, as an op
+    that declares nothing; one that keeps its parent's rules keeps both."""
+
+    class Grow(Activation):
+        def input_regions(self, out_rect, input_shapes, output_shape):
+            return [Rect(out_rect.r0, out_rect.c0, out_rect.r1 + 1, out_rect.c1)]
+
+    class Fast(Conv2D):
+        pass
+
+    grow = Grow("g", ["x"])
+    assert not Grow.passes_block and grow.rule_params() is None
+    assert Fast.passes_block is False
+    fast = Fast("f", ["x"], out_channels=2, kernel=(3, 3))
+    assert fast.rule_params() == ((3, 3), (1, 1), "valid")

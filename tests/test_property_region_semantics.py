@@ -9,8 +9,9 @@ values unchanged.  Hypothesis sweeps kernel/stride/pooling geometry.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import trace_to_base
 
-from repro.core import determine_dependencies, determine_sets, trace_to_base
+from repro.core import determine_dependencies, determine_sets
 from repro.ir import Executor, GraphBuilder, Rect
 
 
