@@ -12,6 +12,13 @@ times Stage II:
   measured symmetrically to the single-image workload: each
   implementation's scheduler plus its validator (``assert_batch_schedule``
   for the reference, the vectorized array checks for the kernels);
+* **stage1** — ``determine_sets`` and the assembly of its columns into
+  the CSR set graph (``SetGraphArrays.from_csr``, over each graph's
+  Stage II CSR computed before the clock starts) on the paper grid's
+  cross-layer mapped graphs (35 graphs of 7 models, or tinyyolov4's 5
+  with ``--quick``).  The record counts the sets.  With ``--quick``
+  every layer's ``Rect`` view is also compared with the loop-built
+  ``oracles.reference_partition``;
 * **stage2** — ``determine_dependencies`` and the layer-by-layer
   baseline (``layer_by_layer_schedule``) over the mapped graphs of the
   paper grid's cross-layer cells (``none`` and ``wdup`` at every ``x``:
@@ -42,8 +49,9 @@ Writes ``BENCH_kernels.json`` (repo root by default) — the first entry
 of the repo's recorded perf trajectory — and exits non-zero when the
 kernels miss their bar: faster-than-reference in ``--quick`` mode
 (the CI smoke gate), the PR acceptance thresholds (>= 5x single-image,
->= 10x batch) in full mode; and, with ``--quick``, when Stage II's CSR
-differs from the scalar reference on any graph.
+>= 10x batch) in full mode; and, with ``--quick``, when Stage I's sets
+or Stage II's CSR differ from the loop-built or scalar reference on any
+graph.
 
 Usage::
 
@@ -191,11 +199,52 @@ def run_stage2_worker(spec: dict) -> None:
     print(json.dumps(result))
 
 
+def run_stage1_worker(spec: dict) -> None:
+    """Time Stage I and the CSR assembly of its columns; print a JSON line."""
+    from oracles import reference_partition
+
+    from repro.core import FINEST, SetGraphArrays, determine_dependencies, determine_sets
+
+    graphs = [graph for graph, _ in grid_mapped_graphs(spec["models"])]
+    csr = [determine_dependencies(graph, determine_sets(graph)).arrays for graph in graphs]
+    partitions = [determine_sets(graph) for graph in graphs]
+
+    def stage_one() -> None:
+        for graph in graphs:
+            determine_sets(graph)
+
+    def assembly() -> None:
+        for sets, arrays in zip(partitions, csr):
+            SetGraphArrays.from_csr(
+                sets.layers, sets.offsets, sets.coords, arrays.indptr, arrays.indices
+            )
+
+    result = {
+        "graphs": len(graphs),
+        "num_sets": sum(sets.num_sets for sets in partitions),
+        "num_layers": sum(len(sets) for sets in partitions),
+        "sets_s": best_of(stage_one, spec["repeats"]),
+        "assembly_s": best_of(assembly, spec["repeats"]),
+    }
+    if spec["check"]:
+        mismatched = []
+        for index, (graph, sets) in enumerate(zip(graphs, partitions)):
+            shapes = graph.infer_shapes()
+            if any(sets[layer] != reference_partition(shapes[layer], FINEST) for layer in sets):
+                mismatched.append(f"{graph.name} (graph {index})")
+        result["identical_to_reference"] = not mismatched
+        result["mismatched"] = mismatched
+    print(json.dumps(result))
+
+
 def run_worker(spec: dict) -> None:
     """Measure one (workload, engine) pair; print a JSON result line.
 
     ``engine`` is ``csr`` (the kernels) or ``python`` (the oracles).
     """
+    if spec["workload"] == "stage1":
+        run_stage1_worker(spec)
+        return
     if spec["workload"] == "stage2":
         run_stage2_worker(spec)
         return
@@ -265,13 +314,14 @@ def run_in_subprocess(spec: dict) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def bench_stage2(models: list[str], repeats: int, check: bool) -> dict:
-    """Stage II and the baseline over the grid's mapped graphs (one subprocess)."""
+def bench_stage(workload: str, models: list[str], repeats: int, check: bool) -> dict:
+    """Stage I or II over the grid's mapped graphs (one subprocess)."""
     result = run_in_subprocess(
-        {"workload": "stage2", "models": models, "repeats": repeats, "check": check}
+        {"workload": workload, "models": models, "repeats": repeats, "check": check}
     )
-    for name in ("deps_s", "baseline_s"):
-        result[name] = round(result[name], 6)
+    for name in ("sets_s", "assembly_s", "deps_s", "baseline_s"):
+        if name in result:
+            result[name] = round(result[name], 6)
     return {"models": models, **result}
 
 
@@ -361,7 +411,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": __import__("numpy").__version__,
         "workloads": [bench_model(model, batch_size, repeats)],
-        "stage2": bench_stage2(grid, repeats * 2, check=args.quick),
+        "stage1": bench_stage("stage1", grid, repeats * 2, check=args.quick),
+        "stage2": bench_stage("stage2", grid, repeats * 2, check=args.quick),
     }
 
     out_path = Path(args.out)
@@ -383,6 +434,15 @@ def main(argv=None) -> int:
         f"python {batch['python_s'] * 1e3:8.1f} ms | "
         f"csr {batch['csr_s'] * 1e3:7.1f} ms | {batch['speedup']:.1f}x"
     )
+    stage1 = record["stage1"]
+    print(
+        f"stage I over {stage1['graphs']} grid graphs: {stage1['num_sets']} sets, "
+        f"{stage1['num_layers']} layers"
+    )
+    print(
+        f"  determine_sets {stage1['sets_s'] * 1e3:7.1f} ms | "
+        f"CSR assembly {stage1['assembly_s'] * 1e3:7.1f} ms"
+    )
     stage2 = record["stage2"]
     print(
         f"stage II over {stage2['graphs']} grid graphs: {stage2['num_sets']} sets, "
@@ -395,6 +455,13 @@ def main(argv=None) -> int:
     )
     print(f"wrote {out_path}")
 
+    if stage1.get("identical_to_reference") is False:
+        print(
+            "FAIL: Stage I differs from the loop-built reference on "
+            f"{', '.join(stage1['mismatched'])}",
+            file=sys.stderr,
+        )
+        return 1
     if stage2.get("identical_to_reference") is False:
         print(
             "FAIL: Stage II differs from the scalar reference on "

@@ -16,19 +16,23 @@ multiple IFM sets and vice versa) without a separate forward pass.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections.abc import Mapping
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..ir.graph import Graph
 from ..ir.ops import empty_columns
 from ..ir.tensor import Rect
-from .kernels import (
-    SetGraphArrays, gid_columns, layer_rect_blocks, lower_dependencies, set_offsets,
-)
+from .kernels import SetGraphArrays, gid_columns, lower_dependencies
+from .sets import SetPartition
 
 #: A (layer name, set index) pair identifying one scheduling set.
 SetRef = tuple[str, int]
+
+
+class PartitionMismatchError(ValueError):
+    """Set-level dependencies paired with sets they were not computed over."""
 
 
 class DependencyGraph:
@@ -42,7 +46,8 @@ class DependencyGraph:
     Attributes
     ----------
     sets:
-        Stage I output: per-layer OFM set rectangles.
+        Stage I output, as a :class:`~repro.core.sets.SetPartition`
+        (a plain mapping of ``Rect`` lists is converted once).
     deps:
         Per (layer, set index), the list of predecessor sets that must
         complete first.  Sets reading only the graph input have an
@@ -55,11 +60,11 @@ class DependencyGraph:
 
     def __init__(
         self,
-        sets: dict[str, list[Rect]],
+        sets: Mapping[str, list[Rect]],
         deps: Optional[dict[SetRef, list[SetRef]]] = None,
         arrays: Optional[SetGraphArrays] = None,
     ) -> None:
-        self.sets = sets
+        self.sets = SetPartition.of(sets)
         self._deps = {} if deps is None and arrays is None else deps
         self._arrays = arrays
 
@@ -108,7 +113,7 @@ class DependencyGraph:
 
     def num_sets(self) -> int:
         """Total scheduling sets across all layers."""
-        return sum(len(rects) for rects in self.sets.values())
+        return self.sets.num_sets
 
     def edge_count(self) -> int:
         """Total dependency edges."""
@@ -122,7 +127,38 @@ class DependencyGraph:
         return (sum(counts) / len(counts), max(counts))
 
 
-def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> DependencyGraph:
+class DependencyCSR(NamedTuple):
+    """Set-level dependencies without their sets: what the store keeps.
+
+    ``offsets`` gives each layer's set count; ``indptr``/``indices``
+    are the CSR over those set ids.  :meth:`paired` joins them with
+    the Stage I partition they were computed over.
+    """
+
+    layers: tuple[str, ...]
+    offsets: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def paired(self, sets: SetPartition) -> DependencyGraph:
+        """The dependency graph over ``sets``.
+
+        Raises :class:`PartitionMismatchError` unless ``sets`` has these
+        layer names, in this order, with these set counts.
+        """
+        if sets.layers != self.layers or not np.array_equal(sets.offsets, self.offsets):
+            raise PartitionMismatchError(
+                f"dependencies over {len(self.layers)} layers and "
+                f"{int(self.offsets[-1])} sets do not belong to the Stage I "
+                f"partition of {len(sets.layers)} layers and {sets.num_sets} sets"
+            )
+        arrays = SetGraphArrays.from_csr(
+            self.layers, self.offsets, sets.coords, self.indptr, self.indices
+        )
+        return DependencyGraph(sets=sets, arrays=arrays)
+
+
+def determine_dependencies(graph: Graph, sets: Mapping[str, list[Rect]]) -> DependencyGraph:
     """Stage II: the full set-level dependency graph, as CSR arrays.
 
     Columnar twin of walking each set back one region at a time (the
@@ -133,18 +169,18 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
     every path of every layer then meet the producers' sets in one
     query, and one sort puts the predecessors in the reference order,
     gid for gid: path order, then set index, keeping the first
-    occurrence.  Set ids follow the order of ``sets``.
+    occurrence.  Set ids follow the order of ``sets``; a plain mapping
+    of ``Rect`` lists is converted to a partition first.
     """
-    layers = tuple(sets)
+    partition = SetPartition.of(sets)
+    layers, offsets = partition.layers, partition.offsets
+    roots, coords = partition.blocks, partition.coords
     if set(layers) != set(graph.base_layers()):
         raise KeyError(
             f"Stage I sets cover layers {sorted(layers)}, but the graph's "
             f"base layers are {sorted(graph.base_layers())}"
         )
     walk = _RouteWalk(graph)
-    offsets = set_offsets(map(len, sets.values()))
-    roots = layer_rect_blocks(sets.values())
-    coords = np.concatenate([np.empty((4, 0), dtype=np.int64), *roots], axis=1)
     layer_id = {layer: lid for lid, layer in enumerate(layers)}
     # Per path, in path order within each layer: the gids of the sets
     # it carries, its producer layer id and its region block.
@@ -183,7 +219,7 @@ def determine_dependencies(graph: Graph, sets: dict[str, list[Rect]]) -> Depende
     fan_in = np.bincount(origin, minlength=int(offsets[-1]))
     indptr = np.concatenate(([0], np.cumsum(fan_in, dtype=np.int64)))
     arrays = SetGraphArrays.from_csr(layers, offsets, coords, indptr, pred)
-    return DependencyGraph(sets=sets, arrays=arrays)
+    return DependencyGraph(sets=partition, arrays=arrays)
 
 
 class _RouteWalk:
@@ -194,9 +230,9 @@ class _RouteWalk:
     their empty columns there, once.  Blocks are told apart by
     identity: the memo holds every block it keys, so no id is reused
     within the call.  Same-shaped layers share their Stage I root
-    block, so they and the ops above them share rule results.  The walk
-    keeps plain dicts and no closures, so it leaves no reference cycle
-    behind.
+    block (:attr:`~repro.core.sets.SetPartition.blocks`), so they and
+    the ops above them share rule results.  The walk keeps plain dicts
+    and no closures, so it leaves no reference cycle behind.
     """
 
     __slots__ = ("graph", "shapes", "routes", "keys", "signatures", "applied")

@@ -60,15 +60,15 @@ the ranks (twice a key) in int64.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from operator import is_
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..ir.ops import rect_columns
 from .schedule import Schedule, ScheduleColumns
+from .sets import SetPartition
 
 if TYPE_CHECKING:
     from ..ir.tensor import Rect
@@ -165,11 +165,6 @@ class SetGraphArrays:
         return int(self.offsets[self.layers.index(layer)]) + set_index
 
 
-def set_offsets(counts: Iterable[int]) -> np.ndarray:
-    """``int64[L+1]`` gid offsets of layers holding ``counts`` sets each."""
-    return np.concatenate(([0], np.cumsum(list(counts), dtype=np.int64)))
-
-
 def gid_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-gid ``(layer_of, set_index)`` int32 columns of ``offsets``."""
     counts = np.diff(offsets)
@@ -178,42 +173,17 @@ def gid_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return layer_of, set_index.astype(np.int32)
 
 
-def layer_rect_blocks(per_layer: Iterable[list["Rect"]]) -> list[np.ndarray]:
-    """Rect columns of each layer's sets, one block per layer.
-
-    Stage I gives layers of one OFM shape lists of the same ``Rect``
-    objects, so each distinct list is converted once and its layers
-    share the block: a list reuses an earlier conversion only if it
-    holds the very same rect objects.
-    """
-    converted: dict[tuple[int, int], tuple[list["Rect"], np.ndarray]] = {}
-    blocks = []
-    for rects in per_layer:
-        key = (len(rects), id(rects[0]) if rects else 0)
-        seen = converted.get(key)  # holds its rects, so their ids stay unique
-        if seen is None or not all(map(is_, seen[0], rects)):
-            seen = converted[key] = (rects, rect_columns(rects))
-        blocks.append(seen[1])
-    return blocks
-
-
-def layer_rect_columns(per_layer: Iterable[list["Rect"]]) -> np.ndarray:
-    """Rect columns of every layer's sets, concatenated in layer order."""
-    blocks = layer_rect_blocks(per_layer)
-    return np.concatenate([np.empty((4, 0), dtype=np.int64), *blocks], axis=1)
-
-
 def lower_dependencies(
-    sets: dict[str, list["Rect"]], deps: dict["SetRef", list["SetRef"]]
+    sets: Mapping[str, list["Rect"]], deps: dict["SetRef", list["SetRef"]]
 ) -> SetGraphArrays:
     """Lower a ``deps`` dict over ``sets`` to the CSR set graph."""
-    layers = tuple(sets)
-    offsets = set_offsets(map(len, sets.values()))
-    base = {layer: int(offsets[lid]) for lid, layer in enumerate(layers)}
+    partition = SetPartition.of(sets)
+    bounds = partition.offsets.tolist()
+    base = dict(zip(partition.layers, bounds))
     indptr_list = [0]
     indices_list: list[int] = []
-    for layer in layers:
-        for si in range(len(sets[layer])):
+    for layer, lo, hi in zip(partition.layers, bounds, bounds[1:]):
+        for si in range(hi - lo):
             refs = deps.get((layer, si))
             if refs is None:
                 raise KeyError(
@@ -223,7 +193,7 @@ def lower_dependencies(
             indices_list.extend(base[ref_layer] + ref_si for ref_layer, ref_si in refs)
             indptr_list.append(len(indices_list))
     return SetGraphArrays.from_csr(
-        layers, offsets, layer_rect_columns(sets.values()),
+        partition.layers, partition.offsets, partition.coords,
         np.asarray(indptr_list, dtype=np.int64), np.asarray(indices_list, dtype=np.int64),
     )
 

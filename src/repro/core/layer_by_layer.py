@@ -11,16 +11,19 @@ concurrently because they are independent base nodes — exactly the
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from ..ir.graph import Graph
 from ..ir.tensor import Rect, Shape
-from .kernels import gid_columns, layer_rect_columns, set_offsets
+from .kernels import gid_columns
 from .schedule import Schedule, ScheduleColumns
+from .sets import SetPartition
 
 
 def layer_by_layer_schedule(
-    graph: Graph, sets: dict[str, list[Rect]] | None = None
+    graph: Graph, sets: Mapping[str, list[Rect]] | None = None
 ) -> Schedule:
     """Whole-layer-granularity schedule of a canonical graph.
 
@@ -29,10 +32,11 @@ def layer_by_layer_schedule(
     graph:
         Canonical, possibly duplication-rewritten model.
     sets:
-        Optional Stage I partition; when given, each layer's block of
-        time is subdivided into per-set tasks (back to back, row-major)
-        so traces are comparable with CLSA-CIM schedules.  When
-        omitted, each layer is one task covering its whole OFM.
+        Optional Stage I partition (or plain mapping of ``Rect``
+        lists, converted once); when given, each layer's block of time
+        is subdivided into per-set tasks (back to back, row-major) so
+        traces are comparable with CLSA-CIM schedules.  When omitted,
+        each layer is one task covering its whole OFM.
 
     Returns
     -------
@@ -44,11 +48,16 @@ def layer_by_layer_schedule(
     shapes = graph.infer_shapes()
     ready = _ReadyTimes(graph, shapes)
     layers = graph.base_layers()
-    per_layer = [
-        sets[layer] if sets is not None else [shapes[layer].full_rect()] for layer in layers
-    ]
-    offsets = set_offsets(map(len, per_layer))
-    coords = layer_rect_columns(per_layer)
+    if sets is None:
+        offsets = np.arange(len(layers) + 1, dtype=np.int64)
+        coords = np.zeros((4, len(layers)), dtype=np.int64)
+        coords[2] = [shapes[layer].height for layer in layers]
+        coords[3] = [shapes[layer].width for layer in layers]
+    else:
+        partition = SetPartition.of(sets)
+        if partition.layers != tuple(layers):  # rows follow the graph's layer order
+            partition = SetPartition(layers, [partition.block(layer) for layer in layers])
+        offsets, coords = partition.offsets, partition.coords
     area = (coords[2] - coords[0]) * (coords[3] - coords[1])
     done = np.concatenate(([0], np.cumsum(area)))  # work before each row
     layer_start = []

@@ -45,13 +45,12 @@ from typing import (
 
 from ..arch.config import ArchitectureConfig
 from ..ir.graph import Graph
-from ..ir.tensor import Rect
 from ..mapping.duplication import DuplicationSolution, problem_from_tilings, solve
 from ..mapping.placement import Placement, place_graph
 from ..mapping.rewrite import RewriteReport, apply_duplication
 from ..mapping.tiling import LayerTiling, tile_graph
 from .cache import CacheKey, CompilationCache
-from .dependencies import DependencyGraph, determine_dependencies
+from .dependencies import DependencyCSR, DependencyGraph, determine_dependencies
 from .intra_layer import intra_layer_order
 from .kernels import csr_dynamic_schedule, csr_static_schedule
 from .layer_by_layer import layer_by_layer_schedule
@@ -63,7 +62,7 @@ from .pipeline import (
     preprocess_stage,
 )
 from .schedule import Schedule
-from .sets import determine_sets
+from .sets import SetPartition, determine_sets
 
 
 _T = TypeVar("_T")
@@ -107,7 +106,7 @@ class CompilationContext:
     mapped: Optional[Graph] = None
     mapped_key: Optional[CacheKey] = None
     placement: Optional[Placement] = None
-    sets: Optional[dict[str, list[Rect]]] = None
+    sets: Optional[SetPartition] = None
     dependencies: Optional[DependencyGraph] = None
     schedule: Optional[Schedule] = None
 
@@ -150,7 +149,7 @@ class CompilationContext:
             schedule=self.schedule,
             duplication=self.duplication,
             rewrite=self.rewrite,
-            sets=self.sets or {},
+            sets=SetPartition.of(self.sets or {}),
             dependencies=self.dependencies,
             timings=dict(self.timings),
             diagnostics=list(self.diagnostics),
@@ -502,10 +501,14 @@ class DependenciesPass:
     def run(self, ctx: CompilationContext) -> None:
         mapped, sets = ctx.mapped, ctx.sets
         assert mapped is not None and sets is not None
-        ctx.dependencies = ctx.cached(
+        found = ctx.cached(
             ("deps", ctx.mapped_key, ctx.options.granularity),
             lambda: determine_dependencies(mapped, sets),
         )
+        # A store entry holds the CSR alone; it joins the sets held here.
+        if isinstance(found, DependencyCSR):
+            found = found.paired(SetPartition.of(sets))
+        ctx.dependencies = found
 
 
 class SchedulePass:

@@ -40,14 +40,13 @@ from ..arch.config import ArchitectureConfig
 from ..frontend.partitioning import is_canonical
 from ..frontend.pipeline import preprocess
 from ..ir.graph import Graph
-from ..ir.tensor import Rect
 from ..mapping.duplication import DuplicationSolution
 from ..mapping.placement import Placement
 from ..mapping.rewrite import RewriteReport
 from .cache import CompilationCache
 from .dependencies import DependencyGraph
 from .schedule import Schedule
-from .sets import FINEST, SetGranularity
+from .sets import FINEST, SetGranularity, SetPartition
 
 #: Builtin mapping option names, the only list of them (extensible via
 #: :func:`repro.core.passes.register_mapping`; builtins cannot be
@@ -158,7 +157,7 @@ class CompiledModel:
     schedule: Schedule
     duplication: Optional[DuplicationSolution] = None
     rewrite: Optional[RewriteReport] = None
-    sets: dict[str, list[Rect]] = field(default_factory=dict)
+    sets: SetPartition = field(default_factory=SetPartition)
     dependencies: Optional[DependencyGraph] = None
     #: Wall-clock seconds per executed pass (Session/PassManager runs).
     timings: dict[str, float] = field(default_factory=dict)

@@ -351,18 +351,28 @@ def schedule_from_dict(record: dict[str, Any]) -> Any:
     )
 
 
-def _sets_to_dict(sets: dict[str, list[Rect]]) -> dict[str, list[list[int]]]:
-    return {
-        layer: [_rect_to_list(rect) for rect in rects]
-        for layer, rects in sets.items()
-    }
+def _sets_to_dict(sets: Any) -> dict[str, list[list[int]]]:
+    """Per layer, the ``[r0, c0, r1, c1]`` list of each set, from the columns."""
+    from ..core.sets import SetPartition
+
+    sets = SetPartition.of(sets)
+    rows = sets.coords.T.tolist()
+    bounds = sets.offsets.tolist()
+    return {layer: rows[lo:hi] for layer, lo, hi in zip(sets.layers, bounds, bounds[1:])}
 
 
-def _sets_from_dict(record: dict[str, Any]) -> dict[str, list[Rect]]:
-    return {
-        layer: [_rect_from_list(rect) for rect in rects]
-        for layer, rects in record.items()
-    }
+def _sets_from_dict(record: dict[str, Any]) -> Any:
+    """The :class:`~repro.core.sets.SetPartition` of a ``sets`` record."""
+    from ..core.sets import SetPartition, set_offsets
+
+    lists = list(record.values())
+    rows = [rect for rects in lists for rect in rects]
+    coords = np.array(rows, dtype=np.int64) if rows else np.empty((0, 4), dtype=np.int64)
+    if coords.shape != (len(rows), 4):
+        raise ValueError("a set is not an [r0, c0, r1, c1] list")
+    return SetPartition.from_columns(
+        list(record), set_offsets(map(len, lists)), np.ascontiguousarray(coords.T)
+    )
 
 
 def _duplication_to_dict(solution: Any) -> dict[str, Any]:

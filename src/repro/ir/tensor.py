@@ -9,15 +9,20 @@ feature maps as ``(H, W, C)``).  Two geometric primitives live here:
     flattened tensors use ``height == width == 1``.
 
 ``Rect``
-    A half-open spatial rectangle ``[r0, r1) x [c0, c1)`` used as the
-    *hyperrectangle* of the paper's Stage I/II: scheduling sets and the
-    regions propagated between layers are all ``Rect`` instances.
+    A half-open spatial rectangle ``[r0, r1) x [c0, c1)``, the
+    *hyperrectangle* of the paper's Stage I/II.  The compiler keeps
+    sets and regions as int64 ``(4, n)`` columns with rows ``r0, c0,
+    r1, c1`` (:func:`grid_columns` builds Stage I's); ``Rect`` is their
+    scalar form (:func:`column_rects`), which the scalar rules and
+    the row-form analytics use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -172,11 +177,12 @@ class Rect:
         return f"[{self.r0}:{self.r1}, {self.c0}:{self.c1}]"
 
 
-def rect_grid(height: int, width: int, tile_rows: int, tile_cols: int) -> list[Rect]:
-    """Tile an ``height x width`` map into a grid of rectangles.
+def grid_columns(height: int, width: int, tile_rows: int, tile_cols: int) -> np.ndarray:
+    """Tile an ``height x width`` map into a grid of rectangles, as columns.
 
-    Tiles are at most ``tile_rows x tile_cols``; border tiles shrink to
-    fit.  Tiles are returned in row-major order and exactly partition
+    Returns a read-only int64 ``(4, n)`` block with rows ``r0, c0, r1,
+    c1``.  Tiles are at most ``tile_rows x tile_cols``; border tiles
+    shrink to fit.  Tiles come in row-major order and exactly partition
     the map (disjoint and covering), which is the invariant Stage I of
     CLSA-CIM requires of scheduling sets.
     """
@@ -184,11 +190,31 @@ def rect_grid(height: int, width: int, tile_rows: int, tile_cols: int) -> list[R
         raise ValueError(f"map dimensions must be positive, got {height}x{width}")
     if tile_rows < 1 or tile_cols < 1:
         raise ValueError(f"tile dimensions must be positive, got {tile_rows}x{tile_cols}")
-    tiles = []
-    for r0 in range(0, height, tile_rows):
-        for c0 in range(0, width, tile_cols):
-            tiles.append(Rect(r0, c0, min(r0 + tile_rows, height), min(c0 + tile_cols, width)))
-    return tiles
+    rows = np.arange(0, height, tile_rows, dtype=np.int64)
+    cols = np.arange(0, width, tile_cols, dtype=np.int64)
+    grid = np.empty((4, len(rows), len(cols)), dtype=np.int64)
+    grid[0] = rows[:, None]
+    grid[1] = cols
+    np.minimum(grid[0] + tile_rows, height, out=grid[2])
+    np.minimum(grid[1] + tile_cols, width, out=grid[3])
+    block = grid.reshape(4, -1)
+    block.flags.writeable = False
+    return block
+
+
+def column_rects(block: np.ndarray) -> list[Rect]:
+    """The :class:`Rect` of each column of an ``(4, n)`` ``r0, c0, r1, c1`` block."""
+    return [Rect(*coords) for coords in block.T.tolist()]
+
+
+def rect_grid(height: int, width: int, tile_rows: int, tile_cols: int) -> list[Rect]:
+    """Tile an ``height x width`` map into a grid of rectangles.
+
+    The :class:`Rect` view of :func:`grid_columns`: tiles are at most
+    ``tile_rows x tile_cols``, in row-major order, and exactly
+    partition the map.
+    """
+    return column_rects(grid_columns(height, width, tile_rows, tile_cols))
 
 
 def split_extent(extent: int, parts: int) -> list[tuple[int, int]]:

@@ -59,8 +59,18 @@ class GemmLowering:
 
 def lower_layer(graph: Graph, layer_name: str) -> GemmLowering:
     """Compute the GEMM lowering of one base layer."""
-    op = graph[layer_name]
+    return _lower(graph, layer_name, graph.infer_shapes())
+
+
+def lower_graph(graph: Graph) -> dict[str, GemmLowering]:
+    """GEMM lowerings of every base layer, keyed by layer name."""
     shapes = graph.infer_shapes()
+    return {name: _lower(graph, name, shapes) for name in graph.base_layers()}
+
+
+def _lower(graph: Graph, layer_name: str, shapes: dict[str, Shape]) -> GemmLowering:
+    """:func:`lower_layer` over the shape table ``shapes`` of ``graph``."""
+    op = graph[layer_name]
     out_shape = shapes[layer_name]
     if isinstance(op, Conv2D):
         in_channels = shapes[op.inputs[0]].channels
@@ -79,8 +89,3 @@ def lower_layer(graph: Graph, layer_name: str) -> GemmLowering:
         num_mvms=num_mvms,
         ofm_shape=out_shape,
     )
-
-
-def lower_graph(graph: Graph) -> dict[str, GemmLowering]:
-    """GEMM lowerings of every base layer, keyed by layer name."""
-    return {name: lower_layer(graph, name) for name in graph.base_layers()}

@@ -84,7 +84,7 @@ def analyze_buffers(compiled: CompiledModel, bytes_per_element: int = 1) -> Buff
         consumer_end = end_of[(layer, index)]
         tile = home_tile[layer]
         for pred_layer, pred_index in preds:
-            rect = sets[pred_layer][pred_index]
+            rect = sets.rect(pred_layer, pred_index)
             payload = rect.area * shapes[pred_layer].channels * bytes_per_element
             start = end_of[(pred_layer, pred_index)]
             if consumer_end <= start:

@@ -110,7 +110,7 @@ def simulate(
         if layer_busy[layer] or not ready[layer]:
             return
         arrival, set_index = heapq.heappop(ready[layer])
-        rect = sets[layer][set_index]
+        rect = sets.rect(layer, set_index)
         start = max(now, layer_free[layer], arrival)
         end = start + rect.area
         tasks.append(

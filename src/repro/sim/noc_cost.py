@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from ..arch.noc import MeshNoc
 from ..core.dependencies import DependencyGraph, SetRef
+from ..core.sets import SetPartition
 from ..ir.graph import Graph
 from ..mapping.placement import Placement
 
@@ -69,10 +70,10 @@ class NocCostModel:
             layer: self._shapes[layer].channels for layer in self.placement.pe_ranges
         }
 
-    def payload_bytes(self, producer: SetRef, sets: dict) -> int:
+    def payload_bytes(self, producer: SetRef, sets: SetPartition) -> int:
         """Bytes of one producer set's output (rect area x channels)."""
         layer, index = producer
-        rect = sets[layer][index]
+        rect = sets.rect(layer, index)
         return rect.area * self._channels[layer] * self.config.bytes_per_element
 
     def edge_delay_cycles(

@@ -16,9 +16,10 @@ are immutable.
   store their tilings explicitly: unlike the compiled-artifact loader,
   a store decode has no mapped graph in hand to recompute them from.
 * ``sets`` holds the layer names, a ``counts`` block and an ``(n, 4)``
-  ``rects`` block; ``deps`` holds the same plus the CSR ``indptr`` and
-  ``indices``; ``schedule`` holds the policy and the layer names plus
-  the nine :class:`~repro.core.schedule.ScheduleColumns` arrays.  Each
+  ``rects`` block; ``deps`` holds the layer names, the ``counts`` and
+  the CSR ``indptr`` and ``indices``; ``schedule`` holds the policy and
+  the layer names plus the nine
+  :class:`~repro.core.schedule.ScheduleColumns` arrays.  Each
   block keeps the dtype its stage computed, so decoded dtypes equal
   computed ones, and each decoder checks that its blocks agree with
   each other before it builds anything.
@@ -51,7 +52,6 @@ from ..ir.serialize import (
     graph_from_dict,
     graph_to_dict,
 )
-from ..ir.tensor import Rect
 
 __all__ = ["CODECS", "StageCodec", "codec_for"]
 
@@ -185,19 +185,24 @@ def _decode_placement(payload: dict[str, Any]) -> Any:
 
 # -- Stage I sets (sets) and Stage II dependencies (deps) -------------------
 #
-# Both store the layer names as meta, the set count of every layer as
-# ``counts`` and every set rectangle as one ``(n, 4)`` ``rects`` row
+# ``sets`` stores the layer names as meta, the set count of every layer
+# as ``counts`` and every set rectangle as one ``(n, 4)`` ``rects`` row
 # ``r0, c0, r1, c1``, in set-id order, in the int32 of the set graph's
-# rect columns.  ``deps`` adds the CSR ``indptr`` and ``indices`` over
-# the same set ids; neither side builds the ``deps`` dict view.
+# rect columns.  ``deps`` stores the layer names, the ``counts`` and the
+# CSR ``indptr`` and ``indices`` over the same set ids, but no
+# rectangles: it decodes to a :class:`~repro.core.dependencies.DependencyCSR`,
+# which the dependencies pass pairs with the sets it holds.  Neither
+# side builds a ``Rect`` or the ``deps`` dict view.
 
 
 def _encode_sets(value: Any) -> tuple[Meta, Blocks]:
-    from ..core.kernels import layer_rect_columns
+    from ..core.sets import SetPartition
 
-    counts = np.fromiter(map(len, value.values()), dtype=np.int64, count=len(value))
-    coords = layer_rect_columns(value.values())
-    return {"layers": list(value)}, {"counts": counts, "rects": coords.T.astype(np.int32)}
+    sets = SetPartition.of(value)
+    return {"layers": list(sets.layers)}, {
+        "counts": np.diff(sets.offsets),
+        "rects": sets.coords.T.astype(np.int32),
+    }
 
 
 def _layer_names(meta: Meta) -> list[str]:
@@ -212,59 +217,44 @@ def _layer_names(meta: Meta) -> list[str]:
     return layers
 
 
-def _decode_set_blocks(
-    meta: Meta, blocks: Blocks
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, list[Rect]]]:
-    """Layers, set-id offsets and per-layer sets of a sets/deps entry.
-
-    Each distinct per-layer rect block becomes :class:`Rect` objects
-    once; layers with equal blocks get their own lists of the shared
-    rectangles, as :func:`~repro.core.sets.determine_sets` builds them.
-    """
-    from ..core.kernels import set_offsets
+def _decode_counts(meta: Meta, blocks: Blocks) -> tuple[list[str], np.ndarray]:
+    """Layers and set-id offsets of a sets/deps entry."""
+    from ..core.sets import set_offsets
 
     layers = _layer_names(meta)
-    counts, rects = blocks["counts"], blocks["rects"]
-    if (
-        counts.shape != (len(layers),)
-        or (counts < 0).any()
-        or rects.shape[1:] != (4,)
-        or sum(counts.tolist()) != len(rects)
-    ):
-        raise ValueError("inconsistent sets payload")
-    offsets = set_offsets(counts)
-    bounds = offsets.tolist()
-    shared: dict[bytes, list[Rect]] = {}
-    sets: dict[str, list[Rect]] = {}
-    for lid, layer in enumerate(layers):
-        block = rects[bounds[lid] : bounds[lid + 1]]
-        key = block.tobytes()
-        rects_of = shared.get(key)
-        if rects_of is None:
-            rects_of = shared[key] = [Rect(*row) for row in block.tolist()]
-        sets[layer] = list(rects_of)
-    return tuple(layers), offsets, sets
+    counts = blocks["counts"]
+    if counts.shape != (len(layers),) or (counts < 0).any():
+        raise ValueError("inconsistent set counts")
+    return layers, set_offsets(counts)
 
 
 def _decode_sets(meta: Meta, blocks: Blocks) -> Any:
-    return _decode_set_blocks(meta, blocks)[2]
+    """The partition over one int64 copy of the entry's ``rects`` block;
+    layers with equal blocks share one view of it."""
+    from ..core.sets import SetPartition
+
+    layers, offsets = _decode_counts(meta, blocks)
+    rects = blocks["rects"]
+    if rects.shape != (int(offsets[-1]), 4):
+        raise ValueError("inconsistent sets payload")
+    # int64 coordinates, as Stage I makes them: ``area`` derives from them.
+    coords = np.ascontiguousarray(rects.T, dtype=np.int64)
+    return SetPartition.from_columns(layers, offsets, coords)
 
 
 def _encode_deps(value: Any) -> tuple[Meta, Blocks]:
     arrays = value.arrays
     return {"layers": list(arrays.layers)}, {
         "counts": np.diff(arrays.offsets),
-        "rects": np.stack([arrays.r0, arrays.c0, arrays.r1, arrays.c1], axis=1),
         "indptr": arrays.indptr,
         "indices": arrays.indices,
     }
 
 
 def _decode_deps(meta: Meta, blocks: Blocks) -> Any:
-    from ..core.dependencies import DependencyGraph
-    from ..core.kernels import SetGraphArrays
+    from ..core.dependencies import DependencyCSR
 
-    layers, offsets, sets = _decode_set_blocks(meta, blocks)
+    layers, offsets = _decode_counts(meta, blocks)
     n = int(offsets[-1])
     indptr, indices = blocks["indptr"], blocks["indices"]
     if (
@@ -275,10 +265,7 @@ def _decode_deps(meta: Meta, blocks: Blocks) -> Any:
         or (len(indices) and (indices.min() < 0 or indices.max() >= n))
     ):
         raise ValueError("inconsistent deps payload")
-    # int64 coordinates, as Stage II passes them: ``area`` derives from them.
-    coords = blocks["rects"].T.astype(np.int64)
-    arrays = SetGraphArrays.from_csr(layers, offsets, coords, indptr, indices)
-    return DependencyGraph(sets=sets, arrays=arrays)
+    return DependencyCSR(tuple(layers), offsets, indptr, indices)
 
 
 # -- schedule ---------------------------------------------------------------
@@ -324,9 +311,7 @@ CODECS: dict[str, StageCodec] = {
         _meta_only("wdup", 1, _encode_wdup, _decode_wdup),
         _meta_only("place", 1, _encode_placement, _decode_placement),
         StageCodec("sets", 2, _encode_sets, _decode_sets, ("counts", "rects")),
-        StageCodec(
-            "deps", 3, _encode_deps, _decode_deps, ("counts", "rects", "indptr", "indices")
-        ),
+        StageCodec("deps", 4, _encode_deps, _decode_deps, ("counts", "indptr", "indices")),
         StageCodec("schedule", 2, _encode_schedule, _decode_schedule, _SCHEDULE_COLUMNS),
     )
 }

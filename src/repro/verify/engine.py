@@ -15,6 +15,7 @@ recomputes it from the mapped graph and the Stage I sets on demand.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
@@ -30,6 +31,7 @@ if TYPE_CHECKING:
     from ..core.kernels import SetGraphArrays
     from ..core.pipeline import CompiledModel
     from ..core.schedule import Schedule, ScheduleColumns
+    from ..core.sets import SetPartition
     from ..ir.graph import Graph
     from ..ir.tensor import Rect, Shape
     from ..mapping.placement import Placement
@@ -46,7 +48,7 @@ class VerifyContext:
     mapped: Optional["Graph"] = None
     placement: Optional["Placement"] = None
     rewrite: Optional["RewriteReport"] = None
-    sets: Optional[dict[str, list["Rect"]]] = None
+    sets: Optional[Mapping[str, list["Rect"]]] = None
     dependencies: Optional["DependencyGraph"] = None
     schedule: Optional["Schedule"] = None
     target: str = ""
@@ -77,6 +79,16 @@ class VerifyContext:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def partition(self) -> "SetPartition":
+        """The Stage I sets as a partition (a plain mapping converted once)."""
+
+        def compute() -> "SetPartition":
+            from ..core.sets import SetPartition
+
+            return SetPartition.of(self.sets or {})
+
+        return self._memoized("partition", compute)
+
     def dep_graph(self) -> "DependencyGraph":
         """The dependency graph, recomputed from mapped+sets if absent."""
 
@@ -85,7 +97,7 @@ class VerifyContext:
                 return self.dependencies
             from ..core.dependencies import determine_dependencies
 
-            return determine_dependencies(self.mapped, self.sets)
+            return determine_dependencies(self.mapped, self.partition())
 
         return self._memoized("dep_graph", compute)
 

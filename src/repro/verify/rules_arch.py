@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .diagnostics import Diagnostic, Location, Severity
 from .registry import builtin
 
@@ -269,43 +267,40 @@ def check_duplication(ctx: "VerifyContext") -> list[Diagnostic]:
     description="Stage I sets tile each OFM exactly (no overlap, no gaps).",
 )
 def check_set_partition(ctx: "VerifyContext") -> list[Diagnostic]:
+    from ..core.sets import PartitionProblems, partition_problems
+
     shapes = ctx.shapes()
     if shapes is None:
         return []
+    sets = ctx.partition()
+    checked: dict[tuple[int, int, int], PartitionProblems] = {}  # by (id(block), H, W)
     diags: list[Diagnostic] = []
     total = 0
-    for layer, rects in ctx.sets.items():
+    for layer, block in zip(sets.layers, sets.blocks):
         shape = shapes.get(layer)
-        if shape is None or shape.height == 0 or shape.width == 0:
+        if shape is None:
             continue
-        grid = np.zeros((shape.height, shape.width), dtype=np.int16)
-        out_of_bounds = False
-        for rect in rects:
-            if (
-                rect.r0 < 0
-                or rect.c0 < 0
-                or rect.r1 > shape.height
-                or rect.c1 > shape.width
-            ):
-                out_of_bounds = True
+        key = (id(block), shape.height, shape.width)
+        problems = checked.get(key)
+        if problems is None:
+            problems = checked[key] = partition_problems(block, shape.height, shape.width)
+        if len(problems.outside):
+            for index in problems.outside.tolist():
                 total += 1
                 if len(diags) < MAX_DETAIL:
                     diags.append(
                         _error(
                             "sets.partition",
-                            f"set {rect} of '{layer}' exceeds the "
+                            f"set {sets.rect(layer, index)} of '{layer}' exceeds the "
                             f"{shape.height}x{shape.width} OFM",
                             layer=layer,
                         )
                     )
-                continue
-            grid[rect.r0 : rect.r1, rect.c0 : rect.c1] += 1
-        if out_of_bounds:
             continue
-        if (grid > 1).any():
+        if problems.overlap is not None:
             total += 1
             if len(diags) < MAX_DETAIL:
-                r, c = map(int, np.argwhere(grid > 1)[0])
+                r, c = problems.overlap
                 diags.append(
                     _error(
                         "sets.partition",
@@ -314,10 +309,10 @@ def check_set_partition(ctx: "VerifyContext") -> list[Diagnostic]:
                         layer=layer,
                     )
                 )
-        if (grid == 0).any():
+        if problems.gap is not None:
             total += 1
             if len(diags) < MAX_DETAIL:
-                r, c = map(int, np.argwhere(grid == 0)[0])
+                r, c = problems.gap
                 diags.append(
                     _error(
                         "sets.partition",

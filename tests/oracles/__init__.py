@@ -13,6 +13,7 @@ from .schedulers import (
     cross_layer_schedule_dynamic,
     reference_batch_schedule,
 )
+from .sets import rect_grid, reference_partition
 
 __all__ = [
     "RectIndex",
@@ -22,6 +23,8 @@ __all__ = [
     "layer_level_dependencies",
     "reference_batch_schedule",
     "reference_dependencies",
+    "reference_partition",
+    "rect_grid",
     "set_dependencies",
     "trace_to_base",
 ]

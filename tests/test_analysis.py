@@ -1,5 +1,7 @@
 """Tests for the analysis package (tables, sweeps, reports)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import Session
@@ -71,6 +73,13 @@ class TestPaperTables:
             assert name in text
         for value in ("142", "233", "314", "390", "679", "936"):
             assert value in text
+
+    @pytest.mark.parametrize("name, render", [("table1", table1), ("table2", table2)])
+    def test_matches_golden_text(self, name, render):
+        """``repro table1``/``table2`` output, pinned byte for byte: the
+        layer table, tiling, GEMM lowering and PE minima behind them."""
+        golden = Path(__file__).parent / "golden" / f"{name}.txt"
+        assert (render() + "\n").encode() == golden.read_bytes()
 
     def test_duplication_table(self):
         from repro.arch import CrossbarSpec, paper_case_study

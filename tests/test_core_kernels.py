@@ -24,6 +24,7 @@ from repro.core import (
     ScheduleColumns,
     ScheduleOptions,
     SetGranularity,
+    SetPartition,
     SetTask,
     compile_model,
     cross_layer_schedule_batch,
@@ -36,7 +37,6 @@ from repro.core import (
     intra_layer_order,
 )
 from repro.core.dependencies import DependencyGraph
-from repro.core.kernels import layer_rect_columns
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect
 from repro.ir.ops import rect_columns
@@ -437,16 +437,18 @@ class TestReadyOrderPerLayer:
         with pytest.raises(AssertionError, match="topological layer order"):
             csr_static_schedule(arrays, {"a": [0], "b": [0]})
 
-    def test_layer_rect_columns(self):
+    def test_partition_of_rect_lists(self):
         shared = [Rect(0, 0, 1, 4), Rect(1, 0, 2, 4)]
         twin = [Rect(0, 0, 1, 4), Rect(1, 0, 2, 4)]  # equal values, own objects
         other = [Rect(0, 0, 3, 3)]
         per_layer = [shared, list(shared), twin, other, [], list(other)]
         flat = [rect for rects in per_layer for rect in rects]
-        columns = layer_rect_columns(per_layer)
-        assert columns.dtype == np.int64
-        assert np.array_equal(columns, rect_columns(flat))
-        assert layer_rect_columns([]).shape == (4, 0)
+        partition = SetPartition.of(dict(zip("abcdef", per_layer)))
+        assert partition.coords.dtype == np.int64
+        assert np.array_equal(partition.coords, rect_columns(flat))
+        blocks = partition.blocks
+        assert blocks[0] is blocks[1] is blocks[2] and blocks[3] is blocks[5]
+        assert SetPartition.of({}).coords.shape == (4, 0)
 
 
 class TestVectorizedValidation:

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import paper_case_study
-from repro.core import ScheduleOptions, determine_dependencies, determine_sets
+from repro.core import (
+    DependencyCSR,
+    PartitionMismatchError,
+    ScheduleOptions,
+    SetPartition,
+    determine_dependencies,
+    determine_sets,
+)
 from repro.core.cache import CompilationCache, graph_fingerprint
 from repro.core.pipeline import compile_model
 from repro.frontend import preprocess
@@ -321,7 +328,8 @@ class TestManifestAndStats:
 
 
 class TestDepsCodec:
-    """Version 3 of the ``deps`` codec: the CSR set graph as array blocks."""
+    """Version 4 of the ``deps`` codec: the CSR set graph as array blocks,
+    without the set rectangles, paired with the sets on decode."""
 
     @pytest.fixture
     def dependencies(self, canonical):
@@ -329,17 +337,30 @@ class TestDepsCodec:
 
     def test_round_trip_never_builds_the_dict_view(self, dependencies):
         codec = codec_for("deps")
-        assert codec.version == 3
+        assert codec.version == 4
         meta, blocks = codec.encode(dependencies)
         assert sorted(meta) == ["layers"]
-        assert tuple(blocks) == ("counts", "rects", "indptr", "indices")
-        back = _unpack_entry(_pack_entry("deps", codec, dependencies), "deps", codec)
+        assert tuple(blocks) == ("counts", "indptr", "indices")
+        stored = _unpack_entry(_pack_entry("deps", codec, dependencies), "deps", codec)
+        assert isinstance(stored, DependencyCSR)
+        back = stored.paired(dependencies.sets)
         assert dependencies._deps is None and back._deps is None
-        assert back.sets == dependencies.sets
+        assert back.sets is dependencies.sets
         for name in ("offsets", "indptr", "indices", "r0", "c0", "r1", "c1"):
             np.testing.assert_array_equal(
                 getattr(back.arrays, name), getattr(dependencies.arrays, name)
             )
+
+    def test_pairing_with_other_sets_rejected(self, dependencies):
+        stored = _round_trip("deps", dependencies)
+        sets = dependencies.sets
+        renamed = SetPartition(("other", *sets.layers[1:]), sets.blocks)
+        fewer = SetPartition(sets.layers, [*sets.blocks[:-1], sets.blocks[-1][:, 1:]])
+        reordered = SetPartition(sets.layers[::-1], sets.blocks[::-1])
+        for other in (renamed, fewer, reordered):
+            with pytest.raises(PartitionMismatchError):
+                stored.paired(other)
+        assert stored.paired(_round_trip("sets", sets)) == dependencies
 
     def test_inconsistent_payload_rejected(self, dependencies):
         codec = codec_for("deps")
@@ -391,10 +412,10 @@ class TestDepsCodec:
         assert store.corrupt == 0
         assert store.stats().per_stage == {"deps": (1, os.path.getsize(v1_path))}
         assert store.put("deps", key, dependencies)
-        v2_path = store._entry_path(key_digest(key, 3))
+        v2_path = store._entry_path(key_digest(key, codec_for("deps").version))
         assert v2_path != v1_path
         hit, value = store.get("deps", key)
-        assert hit and value.arrays.num_edges == dependencies.edge_count()
+        assert hit and value.paired(dependencies.sets).edge_count() == dependencies.edge_count()
 
         os.utime(v1_path, (1, 1))  # the orphan is the least recently used
         budget = os.path.getsize(v2_path)
@@ -615,7 +636,7 @@ class TestDecodedArrays:
 
     def test_set_graph_arrays_match_in_dtype(self, compiled):
         dependencies = compiled["dynamic"].dependencies
-        back = _round_trip("deps", dependencies)
+        back = _round_trip("deps", dependencies).paired(_round_trip("sets", dependencies.sets))
         want, got = dependencies.arrays, back.arrays
         assert got.layers == want.layers
         for name in (
@@ -628,9 +649,9 @@ class TestDecodedArrays:
     @pytest.mark.parametrize("stage", ["sets", "deps"])
     def test_sets_share_rects_per_distinct_block(self, compiled, stage):
         model = compiled["dynamic"]
-        value = model.sets if stage == "sets" else model.dependencies
-        back = _round_trip(stage, value)
-        sets = back if stage == "sets" else back.sets
+        sets = _round_trip("sets", model.sets)
+        if stage == "deps":
+            sets = _round_trip("deps", model.dependencies).paired(sets).sets
         assert sets == model.sets and list(sets) == list(model.sets)
         by_block = {}
         for rects in sets.values():
@@ -643,7 +664,7 @@ class TestDecodedArrays:
         model = compiled["dynamic"]
         for stage, value, block in (
             ("sets", model.sets, "counts"),
-            ("deps", model.dependencies, "rects"),
+            ("deps", model.dependencies, "indptr"),
             ("schedule", model.schedule, "start"),
         ):
             codec = codec_for(stage)
