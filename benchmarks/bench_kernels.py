@@ -36,14 +36,11 @@ scheduled set; at batch 32 that is hundreds of thousands of objects)
 never inflates the other's collection pauses.  Within a process the
 timing is best-of-``--repeats`` with a collection before each run.
 
-Lowering a ``deps`` dict to the CSR set graph (``lower_dependencies``)
-is timed separately (``csr_build_s``), from a dict built before the
-clock starts.
-Stage II emits the CSR directly, so a compile never pays this cost; the
-static/dynamic/batch schedulers and the simulator replay share the
-arrays.  The headline ``speedup`` compares steady-state scheduling work
-(reference / kernel); ``speedup_incl_build`` charges the whole
-lowering to a single kernel run.
+Stage II emits the CSR set graph, the kernels' only input, so the
+kernels run on the compiled model's arrays.  The reference schedulers
+walk the dict view of the same graph (``oracles.deps_dict``), built
+before the clock starts.  The headline ``speedup`` compares scheduling
+plus validation (reference / kernel).
 
 Writes ``BENCH_kernels.json`` (repo root by default) — the first entry
 of the repo's recorded perf trajectory — and exits non-zero when the
@@ -250,8 +247,9 @@ def run_worker(spec: dict) -> None:
         return
     from oracles import cross_layer_schedule_dynamic, reference_batch_schedule
 
+    from oracles import deps_dict
+
     from repro.core import csr_batch_schedule, csr_dynamic_schedule
-    from repro.core.kernels import lower_dependencies
     from repro.verify import assert_schedule
 
     compiled = _compile(spec["model"])
@@ -266,10 +264,7 @@ def run_worker(spec: dict) -> None:
     }
 
     if spec["engine"] == "csr":
-        deps = dependencies.deps  # the dict view is built outside the clock
-        started = time.perf_counter()
-        arrays = lower_dependencies(dependencies.sets, deps)
-        result["build_s"] = time.perf_counter() - started
+        arrays = dependencies.arrays
         if spec["workload"] == "single":
             fn = lambda: csr_dynamic_schedule(arrays)  # noqa: E731
         else:
@@ -277,14 +272,15 @@ def run_worker(spec: dict) -> None:
                 arrays, batch_size, validate=True
             )
     else:
+        deps = deps_dict(dependencies)  # the dict view is built outside the clock
         if spec["workload"] == "single":
             fn = lambda: assert_schedule(  # noqa: E731
-                cross_layer_schedule_dynamic(mapped, dependencies), dependencies
+                cross_layer_schedule_dynamic(mapped, dependencies, deps), dependencies
             )
         else:
             # validate=True: the reference runs assert_batch_schedule.
             fn = lambda: reference_batch_schedule(  # noqa: E731
-                mapped, dependencies, batch_size, validate=True
+                mapped, dependencies, batch_size, validate=True, deps=deps
             )
 
     result["seconds"] = best_of(fn, repeats)
@@ -341,9 +337,6 @@ def bench_model(model: str, batch_size: int, repeats: int) -> dict:
         for engine in ("python", "csr")
     }
     sample = results[("single", "csr")]
-    build_s = max(
-        results[("single", "csr")]["build_s"], results[("batch", "csr")]["build_s"]
-    )
 
     def section(workload: str) -> dict:
         python_s = results[(workload, "python")]["seconds"]
@@ -352,7 +345,6 @@ def bench_model(model: str, batch_size: int, repeats: int) -> dict:
             "python_s": round(python_s, 6),
             "csr_s": round(csr_s, 6),
             "speedup": round(python_s / csr_s, 2),
-            "speedup_incl_build": round(python_s / (csr_s + build_s), 2),
         }
 
     record = {
@@ -360,7 +352,6 @@ def bench_model(model: str, batch_size: int, repeats: int) -> dict:
         "num_sets": sample["num_sets"],
         "num_edges": sample["num_edges"],
         "num_layers": sample["num_layers"],
-        "csr_build_s": round(build_s, 6),
         "single_image": section("single"),
         "batch": {"batch_size": batch_size, **section("batch")},
     }
@@ -421,10 +412,7 @@ def main(argv=None) -> int:
     workload = record["workloads"][0]
     single = workload["single_image"]
     batch = workload["batch"]
-    print(
-        f"{model}: {workload['num_sets']} sets, {workload['num_edges']} edges "
-        f"(CSR lowering {workload['csr_build_s'] * 1e3:.1f} ms)"
-    )
+    print(f"{model}: {workload['num_sets']} sets, {workload['num_edges']} edges")
     print(
         f"  single-image dynamic: python {single['python_s'] * 1e3:8.1f} ms | "
         f"csr {single['csr_s'] * 1e3:7.1f} ms | {single['speedup']:.1f}x"

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.dependencies import SetRef
-from ..core.pipeline import CompiledModel
-from ..core.schedule import SetTask
+import numpy as np
+
+from ..core.pipeline import CompiledModel, dependencies_of
+from ..verify.hazards import covering_table
 
 
 @dataclass(frozen=True)
@@ -35,54 +36,47 @@ def critical_path(compiled: CompiledModel, max_steps: int = 100_000) -> list[Cri
     """The chain of binding tasks ending at the schedule's makespan.
 
     Requires a CLSA-CIM compilation (set-level dependencies present).
-    Returned in execution order (earliest step first).
+    Returned in execution order (earliest step first).  A data
+    dependency binds before the layer's previous set; among binding
+    producers the first in Stage II order wins.
     """
-    if compiled.dependencies is None:
+    dependencies = dependencies_of(compiled)
+    if dependencies is None:
         raise ValueError("critical_path needs a CLSA-CIM compilation")
-    schedule = compiled.schedule
-    deps = compiled.dependencies.deps
-    task_of: dict[SetRef, SetTask] = {
-        (task.layer, task.set_index): task for task in schedule.tasks
-    }
-    by_layer: dict[str, list[SetTask]] = {}
-    for task in schedule.tasks:
-        by_layer.setdefault(task.layer, []).append(task)
-    for tasks in by_layer.values():
-        tasks.sort(key=lambda t: t.start)
+    arrays = dependencies.arrays
+    table = covering_table(arrays, compiled.schedule.columns())
+    emitted = table.row_gid
+    # A set's layer predecessor: the set before it in start order (ties
+    # in emission order), or -1 for its layer's first.
+    by_start = emitted[np.lexsort((table.start[emitted], arrays.layer_of[emitted]))]
+    previous = np.full(arrays.num_sets, -1, dtype=np.int64)
+    same_layer = arrays.layer_of[by_start[1:]] == arrays.layer_of[by_start[:-1]]
+    previous[by_start[1:][same_layer]] = by_start[:-1][same_layer]
 
+    layer_of, set_index = arrays.layer_of.tolist(), arrays.set_index.tolist()
+    indptr, indices = arrays.indptr.tolist(), arrays.indices.tolist()
+    start, end, previous = table.start.tolist(), table.end.tolist(), previous.tolist()
     steps: list[CriticalStep] = []
-    current = max(schedule.tasks, key=lambda t: t.end)
+    gid = int(emitted[np.argmax(table.end[emitted])])  # the first row to end last
     for _ in range(max_steps):
-        preds = deps[(current.layer, current.set_index)]
-        binding_data = None
-        for ref in preds:
-            producer = task_of[ref]
-            if producer.end == current.start and (
-                binding_data is None or producer.end > binding_data.end
-            ):
-                binding_data = producer
-        if binding_data is not None:
-            steps.append(
-                CriticalStep(current.layer, current.set_index, current.start,
-                             current.end, "data")
-            )
-            current = binding_data
-            continue
-        # resource-bound: the previous task on this layer ends at start
-        layer_tasks = by_layer[current.layer]
-        index = layer_tasks.index(current)
-        if index > 0 and layer_tasks[index - 1].end == current.start:
-            steps.append(
-                CriticalStep(current.layer, current.set_index, current.start,
-                             current.end, "resource")
-            )
-            current = layer_tasks[index - 1]
-            continue
-        steps.append(
-            CriticalStep(current.layer, current.set_index, current.start,
-                         current.end, "source")
+        ready = start[gid]
+        producer = next(
+            (pred for pred in indices[indptr[gid] : indptr[gid + 1]] if end[pred] == ready), -1
         )
-        break
+        if producer >= 0:
+            bound_by, after = "data", producer
+        elif previous[gid] >= 0 and end[previous[gid]] == ready:
+            bound_by, after = "resource", previous[gid]
+        else:
+            bound_by, after = "source", -1
+        steps.append(
+            CriticalStep(
+                arrays.layers[layer_of[gid]], set_index[gid], ready, end[gid], bound_by
+            )
+        )
+        if after < 0:
+            break
+        gid = after
     steps.reverse()
     return steps
 

@@ -24,7 +24,7 @@ import numpy as np
 from ..ir.graph import Graph
 from ..ir.ops import empty_columns
 from ..ir.tensor import Rect
-from .kernels import SetGraphArrays, gid_columns, lower_dependencies
+from .kernels import SetGraphArrays, gid_columns
 from .sets import SetPartition
 
 #: A (layer name, set index) pair identifying one scheduling set.
@@ -38,78 +38,46 @@ class PartitionMismatchError(ValueError):
 class DependencyGraph:
     """Set-level data dependencies of a model.
 
-    The graph is stored as the CSR set graph
-    (:class:`~repro.core.kernels.SetGraphArrays`: ``indptr`` /
-    ``indices`` over global set ids), which Stage II emits directly and
-    the schedulers, the energy model and the verifier read.
-
     Attributes
     ----------
     sets:
         Stage I output, as a :class:`~repro.core.sets.SetPartition`
         (a plain mapping of ``Rect`` lists is converted once).
-    deps:
-        Per (layer, set index), the list of predecessor sets that must
-        complete first.  Sets reading only the graph input have an
-        empty list.  A view built from the arrays on first access, for
-        the reference consumers; a graph may also be constructed from
-        this dict alone, and is then lowered to arrays on first use.
+    arrays:
+        The CSR set graph over ``sets``
+        (:class:`~repro.core.kernels.SetGraphArrays`): the predecessors
+        of global set id ``gid`` are
+        ``indices[indptr[gid]:indptr[gid + 1]]``.  Stage II emits it
+        directly; the schedulers, the simulator, the energy model, the
+        store and the verifier read it.
     """
 
-    __slots__ = ("sets", "_deps", "_arrays")
+    __slots__ = ("sets", "arrays")
 
-    def __init__(
-        self,
-        sets: Mapping[str, list[Rect]],
-        deps: Optional[dict[SetRef, list[SetRef]]] = None,
-        arrays: Optional[SetGraphArrays] = None,
-    ) -> None:
+    def __init__(self, sets: Mapping[str, list[Rect]], arrays: SetGraphArrays) -> None:
         self.sets = SetPartition.of(sets)
-        self._deps = {} if deps is None and arrays is None else deps
-        self._arrays = arrays
-
-    @property
-    def arrays(self) -> SetGraphArrays:
-        """The CSR set graph (lowered from ``deps`` once if need be)."""
-        if self._arrays is None:
-            self._arrays = lower_dependencies(self.sets, self.deps)
-        return self._arrays
-
-    @property
-    def deps(self) -> dict[SetRef, list[SetRef]]:
-        """Predecessors per set ref (built from the arrays on first access)."""
-        if self._deps is None:
-            arrays = self.arrays
-            refs = list(
-                zip(
-                    [arrays.layers[lid] for lid in arrays.layer_of.tolist()],
-                    arrays.set_index.tolist(),
-                )
-            )
-            indptr = arrays.indptr.tolist()
-            preds = [refs[gid] for gid in arrays.indices.tolist()]
-            self._deps = {
-                ref: preds[indptr[gid] : indptr[gid + 1]] for gid, ref in enumerate(refs)
-            }
-        return self._deps
-
-    def __getstate__(self) -> dict:
-        """Pickle the arrays, not the ``deps`` view built from them."""
-        return {"sets": self.sets, "arrays": self.arrays}
-
-    def __setstate__(self, state: dict) -> None:
-        self.sets = state["sets"]
-        self._deps = None
-        self._arrays = state["arrays"]
+        self.arrays = arrays
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DependencyGraph):
             return NotImplemented
-        return self.sets == other.sets and self.deps == other.deps
+        return (
+            self.sets == other.sets
+            and np.array_equal(self.arrays.indptr, other.arrays.indptr)
+            and np.array_equal(self.arrays.indices, other.arrays.indices)
+        )
 
     def predecessors(self, layer: str, set_index: int) -> list[SetRef]:
-        """Data dependencies of one set."""
-        return self.deps[(layer, set_index)]
+        """Data dependencies of one set, in Stage II order."""
+        if not 0 <= set_index < self.sets.block(layer).shape[1]:  # KeyError for a layer too
+            raise KeyError((layer, set_index))
+        arrays = self.arrays
+        gid = arrays.gid(layer, set_index)
+        preds = arrays.indices[arrays.indptr[gid] : arrays.indptr[gid + 1]]
+        return [
+            (arrays.layers[lid], si)
+            for lid, si in zip(arrays.layer_of[preds].tolist(), arrays.set_index[preds].tolist())
+        ]
 
     def num_sets(self) -> int:
         """Total scheduling sets across all layers."""
@@ -155,7 +123,7 @@ class DependencyCSR(NamedTuple):
         arrays = SetGraphArrays.from_csr(
             self.layers, self.offsets, sets.coords, self.indptr, self.indices
         )
-        return DependencyGraph(sets=sets, arrays=arrays)
+        return DependencyGraph(sets, arrays)
 
 
 def determine_dependencies(graph: Graph, sets: Mapping[str, list[Rect]]) -> DependencyGraph:
@@ -219,7 +187,7 @@ def determine_dependencies(graph: Graph, sets: Mapping[str, list[Rect]]) -> Depe
     fan_in = np.bincount(origin, minlength=int(offsets[-1]))
     indptr = np.concatenate(([0], np.cumsum(fan_in, dtype=np.int64)))
     arrays = SetGraphArrays.from_csr(layers, offsets, coords, indptr, pred)
-    return DependencyGraph(sets=partition, arrays=arrays)
+    return DependencyGraph(partition, arrays)
 
 
 class _RouteWalk:

@@ -20,9 +20,8 @@ Stage II (:func:`repro.core.dependencies.determine_dependencies`)
 emits these arrays directly and the
 :class:`~repro.core.dependencies.DependencyGraph` stores them, so the
 static scheduler, the dynamic list scheduler, the batch pipeline
-scheduler, the simulator replay, the energy model and the verifier all
-share one set graph.  A graph built from a ``deps`` dict is lowered
-once, on first use (:func:`lower_dependencies`).
+scheduler, the simulator, the energy model, the store and the verifier
+all share one set graph; it is the graph's only form.
 
 These kernels are Stage IV: every compile, batch run and zero-cost
 simulator replay schedules here.  The pure-Python reference schedulers
@@ -60,19 +59,13 @@ the ranks (twice a key) in int64.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .schedule import Schedule, ScheduleColumns
-from .sets import SetPartition
 
-if TYPE_CHECKING:
-    from ..ir.tensor import Rect
-    from .dependencies import SetRef
 
 @dataclass(frozen=True)
 class SetGraphArrays:
@@ -171,31 +164,6 @@ def gid_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     layer_of = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
     set_index = np.arange(offsets[-1], dtype=np.int64) - np.repeat(offsets[:-1], counts)
     return layer_of, set_index.astype(np.int32)
-
-
-def lower_dependencies(
-    sets: Mapping[str, list["Rect"]], deps: dict["SetRef", list["SetRef"]]
-) -> SetGraphArrays:
-    """Lower a ``deps`` dict over ``sets`` to the CSR set graph."""
-    partition = SetPartition.of(sets)
-    bounds = partition.offsets.tolist()
-    base = dict(zip(partition.layers, bounds))
-    indptr_list = [0]
-    indices_list: list[int] = []
-    for layer, lo, hi in zip(partition.layers, bounds, bounds[1:]):
-        for si in range(hi - lo):
-            refs = deps.get((layer, si))
-            if refs is None:
-                raise KeyError(
-                    f"dependency graph has no entry for set ({layer!r}, {si}); "
-                    "run determine_dependencies() over the same Stage I sets"
-                )
-            indices_list.extend(base[ref_layer] + ref_si for ref_layer, ref_si in refs)
-            indptr_list.append(len(indices_list))
-    return SetGraphArrays.from_csr(
-        partition.layers, partition.offsets, partition.coords,
-        np.asarray(indptr_list, dtype=np.int64), np.asarray(indices_list, dtype=np.int64),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from ..mapping.duplication import DuplicationSolution
 from ..mapping.placement import Placement
 from ..mapping.rewrite import RewriteReport
 from .cache import CompilationCache
-from .dependencies import DependencyGraph
+from .dependencies import DependencyGraph, determine_dependencies
 from .schedule import Schedule
 from .sets import FINEST, SetGranularity, SetPartition
 
@@ -232,6 +232,27 @@ class CompiledModel:
         from ..ir.serialize import load_compiled
 
         return load_compiled(path)
+
+
+def dependencies_of(compiled: CompiledModel) -> Optional[DependencyGraph]:
+    """The set graph the analyses of ``compiled`` read.
+
+    ``compiled.dependencies``; if an artifact was saved without them
+    (the default), Stage II reruns over its mapped graph and sets.
+    ``None`` when the scheduler builds no set graph (the layer-by-layer
+    baseline, or a plugin this process has not registered).
+    """
+    if compiled.dependencies is not None:
+        return compiled.dependencies
+    from .passes import resolve_scheduler
+
+    try:
+        rule = resolve_scheduler(compiled.options.scheduling)
+    except KeyError:
+        return None
+    if not rule.needs_dependencies:
+        return None
+    return determine_dependencies(compiled.mapped, compiled.sets)
 
 
 def preprocess_stage(

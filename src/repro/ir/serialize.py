@@ -24,6 +24,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+from itertools import chain
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -444,22 +445,62 @@ def _rewrite_from_dict(record: dict[str, Any], mapped: Graph) -> Any:
 
 
 def _dependencies_to_list(dependencies: Any) -> list[list[Any]]:
+    """Per set, in set-id order: ``[layer, set index, [[layer, set index], ...]]``."""
+    arrays = dependencies.arrays
+    names = [arrays.layers[lid] for lid in arrays.layer_of.tolist()]
+    index = arrays.set_index.tolist()
+    indptr = arrays.indptr.tolist()
+    preds = [[names[gid], index[gid]] for gid in arrays.indices.tolist()]
     return [
-        [layer, set_index, [list(ref) for ref in predecessors]]
-        for (layer, set_index), predecessors in dependencies.deps.items()
+        [name, si, preds[lo:hi]]
+        for name, si, lo, hi in zip(names, index, indptr, indptr[1:])
     ]
 
 
-def _dependencies_from_list(entries: list[Any], sets: dict[str, list[Rect]]) -> Any:
-    from ..core.dependencies import DependencyGraph
+def _dependencies_from_list(entries: Any, sets: Any) -> Any:
+    """The dependency graph of a ``dependencies`` record, decoded to CSR.
 
-    return DependencyGraph(
-        sets=sets,
-        deps={
-            (layer, set_index): [(ref[0], ref[1]) for ref in predecessors]
-            for layer, set_index, predecessors in entries
-        },
-    )
+    Raises a :class:`ValueError` naming the entry when a set is missing
+    or listed twice, or a reference is not a ``[layer, set index]`` pair
+    of an existing set.
+    """
+    from ..core.dependencies import DependencyCSR
+
+    base = dict(zip(sets.layers, sets.offsets.tolist()))
+    count = dict(zip(sets.layers, np.diff(sets.offsets).tolist()))
+
+    def gid(ref: Any, entry: Any) -> int:
+        if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[1], int)):
+            raise ValueError(f"dependencies entry {entry!r}: {ref!r} is not a [layer, index] pair")
+        layer, index = ref
+        if not isinstance(layer, str) or layer not in base:
+            raise ValueError(f"dependencies entry {entry!r}: unknown layer {layer!r}")
+        if not 0 <= index < count[layer]:
+            raise ValueError(
+                f"dependencies entry {entry!r}: layer {layer!r} has no set {index} "
+                f"({count[layer]} sets)"
+            )
+        return base[layer] + index
+
+    preds: dict[int, list[int]] = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
+            raise ValueError(f"dependencies entry {entry!r} is not [layer, index, predecessors]")
+        at = gid(entry[:2], entry)
+        if at in preds:
+            raise ValueError(f"dependencies entry {entry!r}: set listed twice")
+        preds[at] = [gid(ref, entry) for ref in entry[2]]
+    n = sets.num_sets
+    if len(preds) < n:
+        at = next(at for at in range(n) if at not in preds)
+        layer = sets.layers[int(np.searchsorted(sets.offsets, at, side="right")) - 1]
+        raise ValueError(
+            f"dependencies record has no entry for set [{layer!r}, {at - base[layer]}]"
+        )
+    rows = [preds[at] for at in range(n)]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+    return DependencyCSR(sets.layers, sets.offsets, indptr, indices).paired(sets)
 
 
 def compiled_to_dict(

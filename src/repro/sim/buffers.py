@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.pipeline import CompiledModel
+from ..core.pipeline import CompiledModel, dependencies_of
+from ..verify.hazards import buffer_peaks, covering_table
 
 
 @dataclass
@@ -62,46 +63,25 @@ def analyze_buffers(compiled: CompiledModel, bytes_per_element: int = 1) -> Buff
     Each dependency edge contributes ``payload`` bytes to the consumer
     layer's home tile over ``[producer end, consumer end)``.  Within a
     tile, contributions are accumulated and the maximum over time
-    reported.
+    reported: the sweep of the verifier's ``schedule.buffer-capacity``
+    rule (:func:`~repro.verify.hazards.buffer_peaks`).
     """
-    if compiled.dependencies is None:
+    dependencies = dependencies_of(compiled)
+    if dependencies is None:
         raise ValueError("analyze_buffers needs a CLSA-CIM compilation")
     if bytes_per_element < 1:
         raise ValueError("bytes_per_element must be >= 1")
-    shapes = compiled.mapped.infer_shapes()
-    sets = compiled.dependencies.sets
-    end_of = {
-        (task.layer, task.set_index): task.end for task in compiled.schedule.tasks
-    }
-    home_tile = {
-        layer: compiled.placement.tiles_of(layer)[0]
-        for layer in compiled.placement.pe_ranges
-    }
-
-    # (tile, time, delta) events for a sweep per tile.
-    events: dict[int, list[tuple[int, int]]] = {}
-    for (layer, index), preds in compiled.dependencies.deps.items():
-        consumer_end = end_of[(layer, index)]
-        tile = home_tile[layer]
-        for pred_layer, pred_index in preds:
-            rect = sets.rect(pred_layer, pred_index)
-            payload = rect.area * shapes[pred_layer].channels * bytes_per_element
-            start = end_of[(pred_layer, pred_index)]
-            if consumer_end <= start:
-                continue  # producer not earlier; nothing buffered
-            events.setdefault(tile, []).append((start, payload))
-            events.setdefault(tile, []).append((consumer_end, -payload))
-
+    table = covering_table(dependencies.arrays, compiled.schedule.columns())
+    tiles, peaks = buffer_peaks(
+        table, compiled.mapped.infer_shapes(), compiled.placement, bytes_per_element
+    )
+    peak_of = dict(zip(tiles.tolist(), peaks.tolist()))
     capacity = compiled.arch.tile.input_buffer_bytes
-    report = BufferReport()
-    for tile in range(compiled.arch.num_tiles):
-        timeline = sorted(events.get(tile, ()))
-        level = 0
-        peak = 0
-        for _, delta in timeline:
-            level += delta
-            peak = max(peak, level)
-        report.tiles[tile] = TileBufferStats(
-            tile=tile, peak_bytes=peak, capacity_bytes=capacity
-        )
-    return report
+    return BufferReport(
+        tiles={
+            tile: TileBufferStats(
+                tile=tile, peak_bytes=peak_of.get(tile, 0), capacity_bytes=capacity
+            )
+            for tile in range(compiled.arch.num_tiles)
+        }
+    )

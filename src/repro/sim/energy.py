@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.pipeline import CompiledModel
+from ..core.pipeline import CompiledModel, dependencies_of
 from .metrics import active_pe_cycles
 
 
@@ -116,7 +116,9 @@ def estimate_energy(
     static energy scales with the makespan — so faster schedules save
     static energy, and duplication trades extra NoC traffic for it.
 
-    A zero-cycle schedule (empty model) yields a well-defined all-zero
+    An artifact saved without its dependencies reruns Stage II for the
+    NoC term (:func:`~repro.core.pipeline.dependencies_of`).  A
+    zero-cycle schedule (empty model) yields a well-defined all-zero
     report — every term of the model is proportional to activity or
     makespan, and the report's derived ratios guard their divisions.
     """
@@ -134,8 +136,9 @@ def estimate_energy(
     mvm_nj = config.mvm_energy_nj * sum(active.values())
 
     noc_nj = 0.0
-    if compiled.dependencies is not None:
-        arrays = compiled.dependencies.arrays
+    dependencies = dependencies_of(compiled)
+    if dependencies is not None:
+        arrays = dependencies.arrays
         if arrays.num_edges:
             noc = compiled.arch.build_noc()
             shapes = compiled.mapped.infer_shapes()

@@ -20,10 +20,12 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
+import numpy as np
+
 from ..core.dependencies import DependencyGraph, SetRef
-from ..core.kernels import csr_replay
-from ..core.pipeline import CompiledModel
-from ..core.schedule import Schedule, SetTask
+from ..core.kernels import _columns_from, csr_replay
+from ..core.pipeline import CompiledModel, dependencies_of
+from ..core.schedule import Schedule
 
 
 class EdgeCostModel(Protocol):
@@ -57,29 +59,29 @@ def simulate(
 ) -> SimulationResult:
     """Execute a compiled model's set graph as a discrete-event simulation.
 
-    Requires a CLSA-CIM compilation (``dependencies`` present).  With no
-    cost model the result's ``finish_cycles`` equals the analytical
-    schedule's makespan; with a cost model the engine re-schedules with
-    per-edge delays (data arrives ``delay`` cycles after the producer
-    set completes).
+    Requires a CLSA-CIM compilation (an artifact saved without its
+    dependencies reruns Stage II).  With no cost model the result's
+    ``finish_cycles`` equals the analytical schedule's makespan; with a
+    cost model the engine re-schedules with per-edge delays (data
+    arrives ``delay`` cycles after the producer set completes).
 
     Without a cost model the replay runs on the columnar CSR kernels
     (:func:`~repro.core.kernels.csr_replay`: the dynamic list scheduler,
     one layer at a time).  A cost model prices every edge, so the event
-    loop below serves it: ready sets are served in data-arrival order
-    (FIFO forwarding), tie-broken by set index.
+    loop below serves it, over global set ids: ready sets are served in
+    data-arrival order (FIFO forwarding), tie-broken by set index, and
+    completions pop in ``(end, layer name, set index)`` order.
     """
-    if compiled.dependencies is None:
+    dependency_graph = dependencies_of(compiled)
+    if dependency_graph is None:
         raise ValueError(
             "simulate() needs set-level dependencies; compile with "
             "scheduling='clsa-cim' (the layer-by-layer baseline has no set graph)"
         )
-    dependency_graph = compiled.dependencies
+    arrays = dependency_graph.arrays
 
     if cost_model is None:
-        schedule, stalls, events_processed = csr_replay(
-            dependency_graph.arrays, compiled.schedule.policy
-        )
+        schedule, stalls, events_processed = csr_replay(arrays, compiled.schedule.policy)
         return SimulationResult(
             schedule=schedule,
             finish_cycles=schedule.makespan,
@@ -88,72 +90,67 @@ def simulate(
             per_layer_stall=stalls,
         )
 
-    sets = dependency_graph.sets
+    n = arrays.num_sets
+    layer_of, area = arrays.layer_of.tolist(), arrays.area.tolist()
+    lex_rank = arrays.lex_rank.tolist()
+    refs = list(zip([arrays.layers[lid] for lid in layer_of], arrays.set_index.tolist()))
+    remaining = np.diff(arrays.indptr).tolist()
+    # Each set's consumers, in gid order: the edges sorted by producer.
+    by_producer = np.argsort(arrays.indices, kind="stable")
+    consumers = np.repeat(np.arange(n), remaining)[by_producer].tolist()
+    fan_out = np.bincount(arrays.indices, minlength=n)
+    first = np.concatenate(([0], np.cumsum(fan_out))).tolist()
 
-    remaining: dict[SetRef, int] = {}
-    consumers: dict[SetRef, list[SetRef]] = {}
-    for ref, preds in dependency_graph.deps.items():
-        remaining[ref] = len(preds)
-        for pred in preds:
-            consumers.setdefault(pred, []).append(ref)
-
-    ready: dict[str, list[tuple[int, int]]] = {layer: [] for layer in sets}
-    layer_free: dict[str, int] = {layer: 0 for layer in sets}
-    layer_busy: dict[str, bool] = {layer: False for layer in sets}
-    data_ready_at: dict[SetRef, int] = {ref: 0 for ref in remaining}
-    events: list[tuple[int, str, int]] = []
-    tasks: list[SetTask] = []
+    ready: list[list[tuple[int, int]]] = [[] for _ in arrays.layers]  # (arrival, gid)
+    layer_free = [0] * arrays.num_layers
+    layer_busy = [False] * arrays.num_layers
+    data_ready_at = [0] * n
+    events: list[tuple[int, int, int]] = []  # (end, lex rank of the layer, gid)
+    emit: list[int] = []
+    ends: list[int] = []
     total_edge_delay = 0
     events_processed = 0
 
-    def try_start(layer: str, now: int) -> None:
-        if layer_busy[layer] or not ready[layer]:
+    def try_start(lid: int, now: int) -> None:
+        if layer_busy[lid] or not ready[lid]:
             return
-        arrival, set_index = heapq.heappop(ready[layer])
-        rect = sets.rect(layer, set_index)
-        start = max(now, layer_free[layer], arrival)
-        end = start + rect.area
-        tasks.append(
-            SetTask(layer=layer, set_index=set_index, rect=rect, start=start, end=end)
-        )
-        layer_busy[layer] = True
-        layer_free[layer] = end
-        heapq.heappush(events, (end, layer, set_index))
+        arrival, gid = heapq.heappop(ready[lid])
+        end = max(now, layer_free[lid], arrival) + area[gid]
+        emit.append(gid)
+        ends.append(end)
+        layer_busy[lid] = True
+        layer_free[lid] = end
+        heapq.heappush(events, (end, lex_rank[lid], gid))
 
-    for ref, count in remaining.items():
+    for gid, count in enumerate(remaining):
         if count == 0:
-            heapq.heappush(ready[ref[0]], (0, ref[1]))
-    for layer in sets:
-        try_start(layer, 0)
+            heapq.heappush(ready[layer_of[gid]], (0, gid))
+    for lid in range(arrays.num_layers):
+        try_start(lid, 0)
 
     while events:
-        now, layer, set_index = heapq.heappop(events)
+        now, _, gid = heapq.heappop(events)
         events_processed += 1
-        layer_busy[layer] = False
-        producer_ref = (layer, set_index)
-        for consumer_ref in consumers.get(producer_ref, ()):  # deliver data
-            delay = cost_model.edge_delay_cycles(
-                producer_ref, consumer_ref, dependency_graph
-            )
+        layer_busy[layer_of[gid]] = False
+        for consumer in consumers[first[gid] : first[gid + 1]]:  # deliver data
+            delay = cost_model.edge_delay_cycles(refs[gid], refs[consumer], dependency_graph)
             total_edge_delay += delay
-            arrival = now + delay
-            data_ready_at[consumer_ref] = max(data_ready_at[consumer_ref], arrival)
-            remaining[consumer_ref] -= 1
-            if remaining[consumer_ref] == 0:
-                heapq.heappush(
-                    ready[consumer_ref[0]],
-                    (data_ready_at[consumer_ref], consumer_ref[1]),
-                )
-                try_start(consumer_ref[0], now)
-        try_start(layer, now)
+            data_ready_at[consumer] = max(data_ready_at[consumer], now + delay)
+            remaining[consumer] -= 1
+            if remaining[consumer] == 0:
+                heapq.heappush(ready[layer_of[consumer]], (data_ready_at[consumer], consumer))
+                try_start(layer_of[consumer], now)
+        try_start(layer_of[gid], now)
 
-    if len(tasks) != dependency_graph.num_sets():  # pragma: no cover
-        raise AssertionError(
-            f"simulation completed {len(tasks)} of "
-            f"{dependency_graph.num_sets()} sets"
-        )
+    if len(emit) != n:  # pragma: no cover
+        raise AssertionError(f"simulation completed {len(emit)} of {n} sets")
 
-    schedule = Schedule(policy=compiled.schedule.policy, tasks=tasks)
+    rows = np.asarray(emit, dtype=np.int64)
+    end = np.asarray(ends, dtype=np.int64)
+    schedule = Schedule(
+        policy=compiled.schedule.policy,
+        columns=_columns_from(arrays, rows, end - arrays.area[rows], end),
+    )
     stalls = {
         layer: (span_end - span_start) - busy
         for layer, (span_start, span_end, busy) in schedule.per_layer_stats().items()

@@ -3,7 +3,7 @@
 A :class:`VerifyContext` bundles whatever compilation artifacts a
 caller has — anywhere from a bare :class:`~repro.ir.graph.Graph` to a
 full :class:`~repro.core.pipeline.CompiledModel` — and memoizes the
-derived structures the rules share (dependency graph, CSR lowering,
+derived structures the rules share (dependency graph, CSR arrays,
 hazard table, shapes).  :func:`verify_context` runs every registered
 rule whose requirements the context satisfies and returns a
 :class:`VerifyReport`.

@@ -39,6 +39,7 @@ if TYPE_CHECKING:
     from ..core.dependencies import DependencyGraph
     from ..core.kernels import SetGraphArrays
     from ..core.schedule import Schedule, ScheduleColumns
+    from ..mapping.placement import Placement
     from .engine import VerifyContext
 
 #: Per-rule cap on itemized diagnostics; beyond it one summary
@@ -70,7 +71,7 @@ def _summarize(
 
 @dataclass
 class HazardTable:
-    """Schedule columns aligned with a :class:`SetGraphArrays` lowering.
+    """Schedule columns aligned with a :class:`SetGraphArrays` set graph.
 
     ``start``/``end`` are flat ``(batch * n,)`` arrays indexed by
     ``slot = image * n + gid``; ``row_gid``/``row_image`` map each
@@ -486,26 +487,19 @@ def check_pe_double_booking(ctx: "VerifyContext") -> list[Diagnostic]:
     )
 
 
-@builtin(
-    "schedule.buffer-capacity",
-    requires=("schedule", "dependencies", "placement", "mapped", "arch"),
-    cost="full",
-    description="Peak forwarded-set liveness per tile fits the input buffer.",
-)
-def check_buffer_capacity(ctx: "VerifyContext") -> list[Diagnostic]:
-    table, _ = ctx.hazard_table()
-    if table is None:
-        return []
+def buffer_peaks(
+    table: HazardTable, shapes: dict, placement: "Placement", bytes_per_element: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(tiles, peak bytes)``: peak forwarded-set liveness per tile.
+
+    Each dependency edge keeps the producer set's output live at the
+    consumer layer's home tile over ``[producer end, consumer end)``;
+    one sweep per tile pools the timelines of all images (they share
+    real time).  Tiles come in increasing order; a tile that never
+    holds forwarded data is left out.
+    """
     arrays = table.arrays
     n = arrays.num_sets
-    if not len(arrays.indices):
-        return []
-    shapes = ctx.shapes()
-    placement = ctx.placement
-    arch = ctx.arch
-    if shapes is None or placement is None or arch is None:
-        return []
-
     channels = np.asarray(
         [
             shapes[layer].channels if layer in shapes else 0
@@ -524,25 +518,21 @@ def check_buffer_capacity(ctx: "VerifyContext") -> list[Diagnostic]:
         np.arange(n, dtype=np.int64), np.diff(arrays.indptr)
     )
     producer = arrays.indices
-    payload = arrays.area[producer] * channels[arrays.layer_of[producer]]
+    payload = arrays.area[producer] * channels[arrays.layer_of[producer]] * bytes_per_element
     tile = home_tile[arrays.layer_of[consumer]]
 
-    # Each edge keeps the producer's output live at the consumer's home
-    # tile over [producer end, consumer end); one sweep per tile over
-    # the pooled timelines of all images (they share real time).
     window_start = table.end.reshape(table.batch, n)[:, producer]
     window_end = table.end.reshape(table.batch, n)[:, consumer]
     live = (window_end > window_start) & (tile >= 0)[None, :]
     if not live.any():
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     tiles_live = np.broadcast_to(tile, live.shape)[live]
     payload_live = np.broadcast_to(payload, live.shape)[live]
     ev_tile = np.concatenate([tiles_live, tiles_live])
     ev_time = np.concatenate([window_start[live], window_end[live]])
     ev_delta = np.concatenate([payload_live, -payload_live])
     # Primary tile, then time, then delta: removals land before
-    # additions at equal timestamps, matching the sweep of
-    # repro.sim.buffers.analyze_buffers.
+    # additions at equal timestamps.
     order = np.lexsort((ev_delta, ev_time, ev_tile))
     tile_sorted = ev_tile[order]
     level = np.cumsum(ev_delta[order])
@@ -551,8 +541,25 @@ def check_buffer_capacity(ctx: "VerifyContext") -> list[Diagnostic]:
     )
     base = np.where(seg > 0, level[seg - 1], 0)
     level = level - np.repeat(base, np.diff(np.append(seg, len(level))))
-    peaks = np.maximum.reduceat(level, seg)
+    return tile_sorted[seg], np.maximum.reduceat(level, seg)
 
+
+@builtin(
+    "schedule.buffer-capacity",
+    requires=("schedule", "dependencies", "placement", "mapped", "arch"),
+    cost="full",
+    description="Peak forwarded-set liveness per tile fits the input buffer.",
+)
+def check_buffer_capacity(ctx: "VerifyContext") -> list[Diagnostic]:
+    table, _ = ctx.hazard_table()
+    if table is None or not len(table.arrays.indices):
+        return []
+    shapes = ctx.shapes()
+    placement = ctx.placement
+    arch = ctx.arch
+    if shapes is None or placement is None or arch is None:
+        return []
+    tiles, peaks = buffer_peaks(table, shapes, placement)
     capacity = arch.tile.input_buffer_bytes
     over = np.flatnonzero(peaks > capacity)
     diags = [
@@ -560,7 +567,7 @@ def check_buffer_capacity(ctx: "VerifyContext") -> list[Diagnostic]:
             rule="schedule.buffer-capacity",
             severity=Severity.WARNING,
             message=(
-                f"tile {int(tile_sorted[seg[i]])}: peak input-buffer "
+                f"tile {int(tiles[i])}: peak input-buffer "
                 f"occupancy {int(peaks[i])} B exceeds capacity {capacity} B"
             ),
             hint=(
@@ -646,41 +653,35 @@ def assert_batch_arrays_schedule(
     )
 
 
+def covering_table(arrays: "SetGraphArrays", columns: "ScheduleColumns") -> HazardTable:
+    """The hazard table of a schedule that covers ``arrays`` exactly once
+    per image; raises ``AssertionError`` with the first coverage
+    problem (:func:`build_table`) otherwise."""
+    table, diags = build_table(arrays, columns)
+    if table is None:
+        raise AssertionError(diags[0].message)
+    return table
+
+
 def assert_schedule(schedule: "Schedule", dependency_graph: "DependencyGraph") -> None:
-    """Assert a schedule, row by row, against its dependency graph.
+    """Assert a schedule against its dependency graph, on the vectorized checks.
 
     Checks intra-layer order first ("resource violation"), then
-    missing sets, then data dependencies.
+    coverage (every set exactly once per image, worded as the
+    ``schedule.coverage`` rule), then data dependencies, image by image
+    for a batch schedule.
     """
     schedule.validate_intra_layer_order()
-    end_of = {
-        (task.layer, task.set_index): task.end for task in schedule.tasks
-    }
-    start_of = {
-        (task.layer, task.set_index): task.start for task in schedule.tasks
-    }
-    for ref, preds in dependency_graph.deps.items():
-        if ref not in start_of:
-            raise AssertionError(f"set {ref} missing from schedule")
-        for pred in preds:
-            if end_of[pred] > start_of[ref]:
-                raise AssertionError(
-                    f"data dependency violated: {pred} ends at {end_of[pred]} "
-                    f"but {ref} starts at {start_of[ref]}"
-                )
+    arrays = dependency_graph.arrays
+    table = covering_table(arrays, schedule.columns())
+    if table.batch == 1:
+        assert_arrays_schedule(arrays, table.start, table.end)
+    else:
+        assert_batch_arrays_schedule(arrays, table.batch, table.start, table.end)
 
 
 def assert_batch_schedule(
     result: "BatchScheduleResult", dependency_graph: "DependencyGraph"
 ) -> None:
-    """Assert a batch schedule: exclusivity plus per-image dependencies.
-
-    Runs on the vectorized checks: resource exclusivity first, then
-    the per-image dependency sweep over the flat gid space.
-    """
-    result.schedule.validate_intra_layer_order()
-    arrays = dependency_graph.arrays
-    table, diags = build_table(arrays, result.schedule.columns())
-    if table is None:
-        raise AssertionError(diags[0].message if diags else "schedule incomplete")
-    assert_batch_arrays_schedule(arrays, table.batch, table.start, table.end)
+    """Assert a batch schedule: :func:`assert_schedule` of its rows."""
+    assert_schedule(result.schedule, dependency_graph)

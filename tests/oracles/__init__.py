@@ -3,6 +3,8 @@
 from .dependencies import (
     RectIndex,
     build_set_indexes,
+    deps_dict,
+    graph_from_deps,
     layer_level_dependencies,
     reference_dependencies,
     set_dependencies,
@@ -20,6 +22,8 @@ __all__ = [
     "build_set_indexes",
     "cross_layer_schedule",
     "cross_layer_schedule_dynamic",
+    "deps_dict",
+    "graph_from_deps",
     "layer_level_dependencies",
     "reference_batch_schedule",
     "reference_dependencies",

@@ -7,13 +7,21 @@ at a time, and every producer set it meets becomes a predecessor, in
 path order, then set index.  :func:`layer_level_dependencies` is the
 same walk at whole-OFM granularity, the reference of the
 layer-by-layer baseline's start times.
+
+A :class:`~repro.core.dependencies.DependencyGraph` holds its edges as
+CSR arrays only.  :func:`graph_from_deps` lowers a hand-written
+``deps`` dict to one, and :func:`deps_dict` turns one back into the
+dict the reference schedulers walk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 
 from repro.core.dependencies import DependencyGraph, SetRef
+from repro.core.kernels import SetGraphArrays
+from repro.core.sets import SetPartition
 from repro.ir.graph import Graph
 from repro.ir.ops import Input
 from repro.ir.tensor import Rect
@@ -181,11 +189,48 @@ def reference_dependencies(
     against, gid for gid; ``indexes=None`` scans all pairs.
     """
     shapes = graph.infer_shapes()
-    return DependencyGraph(
-        sets=sets,
-        deps={
+    return graph_from_deps(
+        sets,
+        {
             (layer, index): set_dependencies(graph, sets, layer, index, shapes, indexes)
             for layer in sets
             for index in range(len(sets[layer]))
         },
     )
+
+
+def graph_from_deps(
+    sets: Mapping[str, list[Rect]], deps: dict[SetRef, list[SetRef]]
+) -> DependencyGraph:
+    """The dependency graph of a ``deps`` dict over ``sets``, lowered to CSR.
+
+    Every set of ``sets`` needs an entry (``KeyError`` otherwise); each
+    lists its predecessors in the order they enter the CSR.
+    """
+    partition = SetPartition.of(sets)
+    bounds = partition.offsets.tolist()
+    base = dict(zip(partition.layers, bounds))
+    indptr = [0]
+    indices: list[int] = []
+    for layer, lo, hi in zip(partition.layers, bounds, bounds[1:]):
+        for si in range(hi - lo):
+            refs = deps.get((layer, si))
+            if refs is None:
+                raise KeyError(f"dependency graph has no entry for set ({layer!r}, {si})")
+            indices.extend(base[ref_layer] + ref_si for ref_layer, ref_si in refs)
+            indptr.append(len(indices))
+    arrays = SetGraphArrays.from_csr(
+        partition.layers, partition.offsets, partition.coords, indptr, indices
+    )
+    return DependencyGraph(partition, arrays)
+
+
+def deps_dict(dependency_graph: DependencyGraph) -> dict[SetRef, list[SetRef]]:
+    """Predecessors per set ref, in set-id order: the graph as a dict."""
+    arrays = dependency_graph.arrays
+    refs = list(
+        zip([arrays.layers[lid] for lid in arrays.layer_of.tolist()], arrays.set_index.tolist())
+    )
+    indptr = arrays.indptr.tolist()
+    preds = [refs[gid] for gid in arrays.indices.tolist()]
+    return {ref: preds[indptr[gid] : indptr[gid + 1]] for gid, ref in enumerate(refs)}

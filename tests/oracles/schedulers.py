@@ -4,8 +4,10 @@ The identity tests and ``benchmarks/bench_kernels.py`` compare the
 columnar kernels of :mod:`repro.core.kernels` with these loops row for
 row: the static scheduler (fixed Stage III order), the dynamic
 ready-order list scheduler, and the batch pipeline.  They walk the
-``deps`` dict of a :class:`~repro.core.dependencies.DependencyGraph`
-and allocate one :class:`~repro.core.schedule.SetTask` per set.
+dict view of a :class:`~repro.core.dependencies.DependencyGraph`
+(:func:`~oracles.dependencies.deps_dict`; the dynamic and batch loops
+take one built before as ``deps``) and allocate one
+:class:`~repro.core.schedule.SetTask` per set.
 
 The cross-layer scheduler assigns every OFM set its *earliest feasible
 start*: a set may begin once (a) the previous set of the same layer has
@@ -20,11 +22,14 @@ intra-layer order — computes the optimal start times directly.
 from __future__ import annotations
 
 import heapq
+from typing import Optional
 
 from repro.core.batch import BatchScheduleResult
 from repro.core.dependencies import DependencyGraph, SetRef
 from repro.core.schedule import Schedule, SetTask
 from repro.ir.graph import Graph
+
+from .dependencies import deps_dict
 
 #: A (image, layer, set index) triple identifying a batched set.
 BatchRef = tuple[int, str, int]
@@ -53,6 +58,7 @@ def cross_layer_schedule(
         latency in cycles.
     """
     sets = dependency_graph.sets
+    deps = deps_dict(dependency_graph)
     end_of: dict[SetRef, int] = {}
     tasks: list[SetTask] = []
     for layer in graph.base_layers():
@@ -60,7 +66,7 @@ def cross_layer_schedule(
         for position, set_index in enumerate(order[layer]):
             rect = sets[layer][set_index]
             data_ready = 0
-            for ref in dependency_graph.deps[(layer, set_index)]:
+            for ref in deps[(layer, set_index)]:
                 if ref not in end_of:
                     raise AssertionError(
                         f"dependency {ref} of ({layer}, {set_index}) not yet "
@@ -86,6 +92,7 @@ def cross_layer_schedule(
 def cross_layer_schedule_dynamic(
     graph: Graph,
     dependency_graph: DependencyGraph,
+    deps: Optional[dict[SetRef, list[SetRef]]] = None,
 ) -> Schedule:
     """Stage IV with ready-order (dynamic) intra-layer sequencing.
 
@@ -104,9 +111,11 @@ def cross_layer_schedule_dynamic(
     consumers; an idle layer starts its lowest-indexed ready set.
     """
     sets = dependency_graph.sets
+    if deps is None:
+        deps = deps_dict(dependency_graph)
     remaining: dict[SetRef, int] = {}
     consumers: dict[SetRef, list[SetRef]] = {}
-    for ref, preds in dependency_graph.deps.items():
+    for ref, preds in deps.items():
         remaining[ref] = len(preds)
         for pred in preds:
             consumers.setdefault(pred, []).append(ref)
@@ -162,6 +171,7 @@ def reference_batch_schedule(
     dependency_graph: DependencyGraph,
     batch_size: int,
     validate: bool = True,
+    deps: Optional[dict[SetRef, list[SetRef]]] = None,
 ) -> BatchScheduleResult:
     """Stage IV extended to ``batch_size`` pipelined inferences.
 
@@ -174,10 +184,12 @@ def reference_batch_schedule(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     sets = dependency_graph.sets
+    if deps is None:
+        deps = deps_dict(dependency_graph)
 
     remaining: dict[BatchRef, int] = {}
     consumers: dict[BatchRef, list[BatchRef]] = {}
-    for (layer, index), preds in dependency_graph.deps.items():
+    for (layer, index), preds in deps.items():
         for image in range(batch_size):
             ref = (image, layer, index)
             remaining[ref] = len(preds)

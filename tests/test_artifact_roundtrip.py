@@ -20,6 +20,15 @@ CONFIGS = {
     "layer-by-layer": ScheduleOptions(mapping="none", scheduling="layer-by-layer"),
 }
 
+#: Corruptions of an artifact's ``dependencies`` record and the load error each raises.
+CORRUPTIONS = {
+    "dropped": r"no entry for set \['[^']+', \d+\]",
+    "duplicated": "listed twice",
+    "unknown-layer": "unknown layer 'nowhere'",
+    "index-out-of-range": "has no set 1000000",
+    "not-a-pair": r"is not a \[layer, index\] pair",
+}
+
 
 @pytest.fixture(scope="module")
 def compiled_grid():
@@ -103,7 +112,53 @@ class TestArtifactDetails:
         compiled.save(str(path), include_dependencies=True)
         loaded = CompiledModel.load(str(path))
         assert loaded.dependencies is not None
-        assert loaded.dependencies.deps == compiled.dependencies.deps
+        assert loaded.dependencies == compiled.dependencies
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    def test_corrupt_dependencies_rejected_at_load(self, compiled_grid, corruption):
+        """The ``dependencies`` record decodes to CSR at load, so a broken
+        entry fails there with an error naming it, not at first use."""
+        record = serialize.compiled_to_dict(
+            self._one(compiled_grid), include_dependencies=True
+        )
+        entries = record["dependencies"]
+        ref = entries[-1][2][0]  # the last set's first predecessor
+        if corruption == "dropped":
+            del entries[3]
+        elif corruption == "duplicated":
+            entries.append(entries[3])
+        elif corruption == "unknown-layer":
+            ref[0] = "nowhere"
+        elif corruption == "index-out-of-range":
+            ref[1] = 10**6
+        else:
+            entries[-1][2][0] = ref[:1]
+        with pytest.raises(ValueError, match=CORRUPTIONS[corruption]):
+            serialize.compiled_from_dict(record)
+
+    def test_readers_of_artifact_without_dependencies(self, tmp_path):
+        """Saved without its set graph (the default), a CLSA-CIM artifact
+        reruns Stage II for every reader: the same energy (NoC term
+        included), simulation, buffer report and critical path."""
+        from repro.analysis import critical_path
+        from repro.sim import NocCostModel, analyze_buffers, estimate_energy, simulate
+
+        canonical = preprocess(build("tinyyolov4"), quantization=None).graph
+        min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
+        compiled = Session(paper_case_study(min_pes + 16)).compile(
+            canonical, CONFIGS["wdup+xinf"], assume_canonical=True
+        )
+        path = tmp_path / "artifact.json"
+        compiled.save(str(path))
+        loaded = CompiledModel.load(str(path))
+        assert loaded.dependencies is None
+
+        energy = estimate_energy(loaded)
+        assert energy == estimate_energy(compiled) and energy.noc_uj > 0
+        for cost_model in (None, NocCostModel(compiled.mapped, compiled.placement)):
+            assert simulate(loaded, cost_model) == simulate(compiled, cost_model)
+        assert analyze_buffers(loaded) == analyze_buffers(compiled)
+        assert critical_path(loaded) == critical_path(compiled)
 
     def test_to_json_is_the_artifact_document(self, compiled_grid):
         compiled = self._one(compiled_grid)

@@ -2,6 +2,7 @@
 
 from oracles import (
     build_set_indexes,
+    deps_dict,
     layer_level_dependencies,
     reference_dependencies,
     trace_to_base,
@@ -116,7 +117,7 @@ class TestDetermineDependencies:
         deps = determine_dependencies(canonical, sets)
         # every set of every base layer has an entry
         assert deps.num_sets() == sum(len(v) for v in sets.values())
-        assert set(deps.deps) == {
+        assert set(deps_dict(deps)) == {
             (layer, i) for layer, rects in sets.items() for i in range(len(rects))
         }
 
@@ -194,18 +195,20 @@ class TestRectIndex:
 
         canonical = preprocess(tiny_dual_head(), quantization=None).graph
         sets = determine_sets(canonical)
-        fast = reference_dependencies(canonical, sets, build_set_indexes(sets)).deps
-        slow = reference_dependencies(canonical, sets).deps
+        fast = deps_dict(reference_dependencies(canonical, sets, build_set_indexes(sets)))
+        slow = deps_dict(reference_dependencies(canonical, sets))
         assert fast == slow
-        assert list(determine_dependencies(canonical, sets).deps.items()) == list(slow.items())
+        assert list(deps_dict(determine_dependencies(canonical, sets)).items()) == list(
+            slow.items()
+        )
 
     def test_indexed_and_naive_agree_at_coarse_granularity(self):
         g = two_conv_with_pool()
         sets = determine_sets(g, SetGranularity(rows_per_set=None, target_sets=4))
-        fast = reference_dependencies(g, sets, build_set_indexes(sets)).deps
-        slow = reference_dependencies(g, sets).deps
+        fast = deps_dict(reference_dependencies(g, sets, build_set_indexes(sets)))
+        slow = deps_dict(reference_dependencies(g, sets))
         assert fast == slow
-        assert list(determine_dependencies(g, sets).deps.items()) == list(slow.items())
+        assert list(deps_dict(determine_dependencies(g, sets)).items()) == list(slow.items())
 
     def test_empty_rects_excluded_like_naive_scan(self):
         from oracles import RectIndex

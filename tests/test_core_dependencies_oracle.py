@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_set_indexes, reference_dependencies
+from oracles import build_set_indexes, deps_dict, reference_dependencies
 from test_property_random_models import random_models
 
 from repro import Session
@@ -176,7 +176,7 @@ class TestSmallGraphsAllPairs:
         sets = determine_sets(canonical, granularity)
         dependencies = determine_dependencies(canonical, sets)
         assert all(
-            len(set(preds)) == len(preds) for preds in dependencies.deps.values()
+            len(set(preds)) == len(preds) for preds in deps_dict(dependencies).values()
         )
         assert_matches_reference(canonical, sets, dependencies, all_pairs=True)
         assert_matches_reference(canonical, shuffled(sets, seed=5), all_pairs=True)
@@ -288,13 +288,12 @@ class TestCsrBackedGraph:
     def test_counts_read_the_arrays(self):
         canonical = preprocess(tiny_dual_head(), quantization=None).graph
         dependencies = determine_dependencies(canonical, determine_sets(canonical))
-        reference = reference_dependencies(canonical, dependencies.sets).deps
+        reference = deps_dict(reference_dependencies(canonical, dependencies.sets))
         assert dependencies.num_sets() == len(reference)
         assert dependencies.edge_count() == sum(len(p) for p in reference.values())
         fan_in = [len(p) for p in reference.values()]
         assert dependencies.fan_in_stats() == (sum(fan_in) / len(fan_in), max(fan_in))
-        assert dependencies._deps is None  # no dict view was built
-        assert list(dependencies.deps.items()) == list(reference.items())
+        assert list(deps_dict(dependencies).items()) == list(reference.items())
 
     def test_pickles_without_building_the_dict(self):
         """Process-executor envelopes ship the CSR arrays, not the view."""
@@ -304,8 +303,6 @@ class TestCsrBackedGraph:
         )
         dependencies = compiled.dependencies
         back = pickle.loads(pickle.dumps(compiled)).dependencies
-        assert dependencies._deps is None
-        assert back._deps is None
         for name in ("offsets", "indptr", "indices", "area"):
             np.testing.assert_array_equal(
                 getattr(back.arrays, name), getattr(dependencies.arrays, name)

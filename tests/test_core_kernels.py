@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from oracles import (
     cross_layer_schedule,
     cross_layer_schedule_dynamic,
+    deps_dict,
+    graph_from_deps,
     reference_batch_schedule,
 )
 
@@ -36,7 +38,6 @@ from repro.core import (
     determine_sets,
     intra_layer_order,
 )
-from repro.core.dependencies import DependencyGraph
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect
 from repro.ir.ops import rect_columns
@@ -115,7 +116,7 @@ class TestSetGraphArrays:
         assert arrays.layers == tuple(sets)
         assert arrays.num_sets == dep.num_sets()
         assert arrays.num_edges == dep.edge_count()
-        for (layer, si), refs in dep.deps.items():
+        for (layer, si), refs in deps_dict(dep).items():
             gid = arrays.gid(layer, si)
             assert arrays.layers[arrays.layer_of[gid]] == layer
             assert int(arrays.set_index[gid]) == si
@@ -140,9 +141,8 @@ class TestSetGraphArrays:
     def test_missing_deps_entry_raises(self):
         g = preprocess(chain_model(1), quantization=None).graph
         sets = determine_sets(g)
-        broken = DependencyGraph(sets=sets, deps={})
         with pytest.raises(KeyError, match="no entry"):
-            broken.arrays
+            graph_from_deps(sets, {})
 
     def test_lex_rank_orders_layer_names(self):
         g = preprocess(branchy_model(), quantization=None).graph
@@ -278,7 +278,7 @@ def layered_dags(draw):
                 if earlier
                 else []
             )
-    return DependencyGraph(sets, deps)
+    return graph_from_deps(sets, deps)
 
 
 def assert_ready_order_matches_oracle(dependencies):
@@ -355,7 +355,7 @@ class TestReadyOrderPerLayer:
             ("b", 0): [], ("b", 1): [], ("b", 2): [],
             ("a", 0): [], ("a", 1): [("b", 2)], ("a", 2): [("b", 0)],
         }
-        late = DependencyGraph(sets, deps)
+        late = graph_from_deps(sets, deps)
         rows = assert_ready_order_matches_oracle(late)
         assert ("b", 1, 0, 4, 4, Rect(2, 0, 2, 2)) in rows
         # An empty set that starts with a longer, lower-indexed set of its
@@ -365,7 +365,7 @@ class TestReadyOrderPerLayer:
             "c": [Rect(0, 0, 1, 2), Rect(1, 0, 2, 2), Rect(2, 0, 2, 2)],
         }
         deps = {("p", 0): [], ("c", 0): [("p", 0)], ("c", 1): [], ("c", 2): []}
-        shared = DependencyGraph(sets, deps)
+        shared = graph_from_deps(sets, deps)
         rows = assert_ready_order_matches_oracle(shared)
         assert [row[1:5] for row in rows if row[0] == "c"] == [
             (1, 0, 0, 2), (2, 0, 2, 2), (0, 0, 2, 4)
@@ -375,7 +375,7 @@ class TestReadyOrderPerLayer:
             "l1": [Rect(0, 0, 2, 1), Rect(1, 0, 2, 1), Rect(2, 0, 2, 1)],
         }
         deps = {("l0", 0): [], ("l1", 0): [("l0", 0)], ("l1", 1): [], ("l1", 2): []}
-        batched = DependencyGraph(sets, deps)
+        batched = graph_from_deps(sets, deps)
         assert_ready_order_matches_oracle(batched)
         for dependencies in (late, shared, batched):
             assert_batch_matches_oracle(dependencies, 2)
@@ -383,7 +383,7 @@ class TestReadyOrderPerLayer:
     def test_empty_set_with_edge_rejected(self):
         sets = {"a": [Rect(0, 0, 1, 2)], "b": [Rect(0, 0, 0, 2), Rect(0, 0, 1, 2)]}
         deps = {("a", 0): [], ("b", 0): [("a", 0)], ("b", 1): [("a", 0)]}
-        arrays = DependencyGraph(sets, deps).arrays
+        arrays = graph_from_deps(sets, deps).arrays
         with pytest.raises(ValueError, match=r"\('b', 0\) is empty"):
             csr_dynamic_schedule(arrays)
         with pytest.raises(ValueError, match=r"\('b', 0\) is empty"):
@@ -403,7 +403,7 @@ class TestReadyOrderPerLayer:
         names = [f"l{i}" for i in range(num_layers)]
         deps = {(name, 0): [(prev, 0)] for prev, name in zip(names, names[1:])}
         deps[(names[0], 0)] = []
-        arrays = DependencyGraph({name: [big] for name in names}, deps).arrays
+        arrays = graph_from_deps({name: [big] for name in names}, deps).arrays
         with pytest.raises(ValueError, match="overflow int64"):
             csr_batch_schedule(arrays, batch_size)
 
@@ -412,7 +412,7 @@ class TestReadyOrderPerLayer:
         wraps negative, and every Stage IV entry point still raises."""
         side = 2**31 - 1
         sets = {"l0": [Rect(0, 0, side, side)] * 3}
-        arrays = DependencyGraph(sets, {("l0", i): [] for i in range(3)}).arrays
+        arrays = graph_from_deps(sets, {("l0", i): [] for i in range(3)}).arrays
         for schedule in (
             lambda: csr_static_schedule(arrays, {"l0": [0, 1, 2]}),
             lambda: csr_dynamic_schedule(arrays),
@@ -425,13 +425,13 @@ class TestReadyOrderPerLayer:
     def test_largest_batch_within_key_headroom_matches_oracle(self):
         """One layer at batch 2047: twice its last completion key is just
         under 2**63, and the rows are still the oracle's."""
-        big = DependencyGraph({"l0": [Rect(0, 0, 1 << 20, 1 << 20)]}, {("l0", 0): []})
+        big = graph_from_deps({"l0": [Rect(0, 0, 1 << 20, 1 << 20)]}, {("l0", 0): []})
         assert_batch_matches_oracle(big, 2047)
 
     def test_edge_to_later_layer_rejected(self):
         sets = {"a": [Rect(0, 0, 1, 2)], "b": [Rect(0, 0, 1, 2)]}
         deps = {("a", 0): [("b", 0)], ("b", 0): []}
-        arrays = DependencyGraph(sets, deps).arrays
+        arrays = graph_from_deps(sets, deps).arrays
         with pytest.raises(AssertionError, match="topological layer order"):
             csr_dynamic_schedule(arrays)
         with pytest.raises(AssertionError, match="topological layer order"):
@@ -478,7 +478,7 @@ class TestVectorizedValidation:
             "c": [Rect(0, 0, 1, 2), Rect(1, 0, 2, 2), Rect(2, 0, 2, 2)],
         }
         deps = {("p", 0): [], ("c", 0): [("p", 0)], ("c", 1): [], ("c", 2): []}
-        dependencies = DependencyGraph(sets, deps)
+        dependencies = graph_from_deps(sets, deps)
         rows = cross_layer_schedule_dynamic(None, dependencies).tasks
         by_set = Schedule("clsa-cim", tasks=sorted(rows, key=lambda t: (t.layer, t.set_index)))
         by_set.validate_intra_layer_order()

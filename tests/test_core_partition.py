@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import rect_grid, reference_partition
+from oracles import deps_dict, graph_from_deps, rect_grid, reference_partition
 
 from repro.arch import paper_case_study
 from repro.core import (
     CompilationCache,
-    DependencyGraph,
     PartitionMismatchError,
     PassManager,
     ScheduleOptions,
@@ -213,7 +212,7 @@ class TestPlainDictInputs:
         plain = dict(sets)
         want = determine_dependencies(graph, sets)
         got = determine_dependencies(graph, plain)
-        from_deps = DependencyGraph(sets=plain, deps=want.deps)
+        from_deps = graph_from_deps(plain, deps_dict(want))
         for arrays in (got.arrays, from_deps.arrays):
             for name in ("offsets", "indptr", "indices", "area", "r0", "c0", "r1", "c1"):
                 np.testing.assert_array_equal(getattr(arrays, name), getattr(want.arrays, name))

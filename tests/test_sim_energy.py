@@ -1,6 +1,7 @@
 """Tests for the inference energy model."""
 
 import pytest
+from oracles import deps_dict
 
 from repro.arch import CrossbarSpec, paper_case_study
 from repro.core import ScheduleOptions, compile_model
@@ -142,13 +143,13 @@ class TestDegenerateSchedules:
 
 
 def edge_loop_noc_uj(compiled, config):
-    """The NoC term as a per-edge loop over the ``deps`` view."""
+    """The NoC term as a per-edge loop over the dict view."""
     noc = compiled.arch.build_noc()
     sets = compiled.dependencies.sets
     shapes = compiled.mapped.infer_shapes()
     home = {layer: compiled.placement.tiles_of(layer)[0] for layer in compiled.placement.pe_ranges}
     total = 0.0
-    for (layer, _index), preds in compiled.dependencies.deps.items():
+    for (layer, _index), preds in deps_dict(compiled.dependencies).items():
         for pred_layer, pred_index in preds:
             payload = (
                 sets[pred_layer][pred_index].area

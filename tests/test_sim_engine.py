@@ -1,6 +1,7 @@
 """Tests for the event-driven simulation engine and cost models."""
 
 import pytest
+from oracles import deps_dict
 
 from repro.arch import CrossbarSpec, paper_case_study
 from repro.core import ScheduleOptions, compile_model
@@ -60,7 +61,7 @@ class TestZeroCostReplay:
         assert_schedule(explicit.schedule, deps)
         ran = [(t.layer, t.set_index) for t in explicit.schedule.tasks]
         assert len(ran) == len(set(ran)) == deps.num_sets()  # each set once
-        assert set(ran) == set(deps.deps)
+        assert set(ran) == set(deps_dict(deps))
         assert explicit.total_edge_delay_cycles == 0
         assert explicit.events_processed == deps.num_sets()
         assert explicit.finish_cycles == explicit.schedule.makespan
@@ -98,7 +99,7 @@ class TestNocCostModel:
         cost_model = NocCostModel(compiled.mapped, compiled.placement)
         deps = compiled.dependencies
         # find an edge between two different layers
-        for (layer, index), preds in deps.deps.items():
+        for (layer, index), preds in deps_dict(deps).items():
             for pred in preds:
                 if pred[0] != layer:
                     delay = cost_model.edge_delay_cycles(pred, (layer, index), deps)

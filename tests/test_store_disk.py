@@ -344,7 +344,6 @@ class TestDepsCodec:
         stored = _unpack_entry(_pack_entry("deps", codec, dependencies), "deps", codec)
         assert isinstance(stored, DependencyCSR)
         back = stored.paired(dependencies.sets)
-        assert dependencies._deps is None and back._deps is None
         assert back.sets is dependencies.sets
         for name in ("offsets", "indptr", "indices", "r0", "c0", "r1", "c1"):
             np.testing.assert_array_equal(
