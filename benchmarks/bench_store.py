@@ -15,9 +15,12 @@ store exists for — across process boundaries.
   store (cold interpreter, cold numpy, warm disk), compared against a
   fresh subprocess with no store at all.
 
-Each in-process measurement is best-of-``--repeats`` on a collected
-heap; the subprocess pair is timed end-to-end (interpreter startup
-included in both, so the delta isolates the store's contribution).
+Every compile starts from the raw zoo graph, as a user's does, so the
+``preprocess`` entry is read too and the canonical graph it decodes is
+keyed by the fingerprint the entry carries.  Each in-process
+measurement is best-of-``--repeats`` on a collected heap; the
+subprocess pair is timed end-to-end (interpreter startup included in
+both, so the delta isolates the store's contribution).
 The warm-disk compile asserts ``misses == 0`` — the benchmark fails
 rather than reporting a number that silently recompiled.
 
@@ -65,15 +68,16 @@ def _setup(model: str):
     from repro.mapping import minimum_pe_requirement
     from repro.models import build
 
-    canonical = preprocess(build(model), quantization=None).graph
+    graph = build(model)
+    canonical = preprocess(graph, quantization=None).graph
     min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
-    return canonical, paper_case_study(min_pes + 16), ScheduleOptions()
+    return graph, paper_case_study(min_pes + 16), ScheduleOptions()
 
 
-def _compile_once(canonical, arch, options, cache) -> None:
+def _compile_once(graph, arch, options, cache) -> None:
     from repro.core import compile_model
 
-    compile_model(canonical, arch, options, cache=cache, assume_canonical=True)
+    compile_model(graph, arch, options, cache=cache)
 
 
 _CHILD = """
@@ -86,7 +90,8 @@ from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import build
 
-canonical = preprocess(build({model!r}), quantization=None).graph
+graph = build({model!r})
+canonical = preprocess(graph, quantization=None).graph
 min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
 arch = paper_case_study(min_pes + 16)
 store_path = {store!r}
@@ -96,8 +101,7 @@ if store_path:
 else:
     cache = CompilationCache()
 started = time.perf_counter()
-compile_model(canonical, arch, ScheduleOptions(), cache=cache,
-              assume_canonical=True)
+compile_model(graph, arch, ScheduleOptions(), cache=cache)
 elapsed = time.perf_counter() - started
 if store_path and cache.misses:
     raise SystemExit(f"warm store recompiled {{cache.misses}} stages")
@@ -121,7 +125,7 @@ def bench_model(model: str, repeats: int, skip_subprocess: bool) -> dict:
     from repro.core.cache import CompilationCache
     from repro.store import ArtifactStore
 
-    canonical, arch, options = _setup(model)
+    graph, arch, options = _setup(model)
 
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
         store_path = str(Path(tmp) / "store")
@@ -131,22 +135,22 @@ def bench_model(model: str, repeats: int, skip_subprocess: bool) -> dict:
             lambda: (
                 cold_cache.clear(),
                 ArtifactStore(store_path).clear(),
-                _compile_once(canonical, arch, options, cold_cache),
+                _compile_once(graph, arch, options, cold_cache),
             ),
             repeats,
         )
 
         # Publish once more so the warm paths read a settled store.
         warm_cache = CompilationCache(store=ArtifactStore(store_path))
-        _compile_once(canonical, arch, options, warm_cache)
+        _compile_once(graph, arch, options, warm_cache)
 
         warm_memory_s = best_of(
-            lambda: _compile_once(canonical, arch, options, warm_cache), repeats
+            lambda: _compile_once(graph, arch, options, warm_cache), repeats
         )
 
         def warm_disk() -> None:
             fresh = CompilationCache(store=ArtifactStore(store_path))
-            _compile_once(canonical, arch, options, fresh)
+            _compile_once(graph, arch, options, fresh)
             assert fresh.misses == 0, fresh.summary()
 
         warm_disk_s = best_of(warm_disk, repeats)

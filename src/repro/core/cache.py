@@ -46,7 +46,10 @@ def _graph_fingerprint_uncached(graph: Graph) -> str:
     record = graph_to_dict(graph, include_params=False)
     payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8"))
-    for op in graph:
+    # Parameters in the record's topological order, which a graph
+    # rebuilt from its serialized nodes keeps as its insertion order.
+    for node in record["nodes"]:
+        op = graph[node["name"]]
         for name in _PARAM_FIELDS:
             value = getattr(op, name, None)
             if value is None:
@@ -96,13 +99,23 @@ def graph_fingerprint(graph: Graph) -> str:
     if entry is not None and entry[0]() is graph:
         return entry[1]
     value = _graph_fingerprint_uncached(graph)
+    remember_fingerprint(graph, value)
+    return value
+
+
+def remember_fingerprint(graph: Graph, fingerprint: str) -> None:
+    """Memoize ``fingerprint`` as :func:`graph_fingerprint` of ``graph``.
+
+    For decoders that rebuild a graph whose fingerprint they carry (the
+    artifact store's ``preprocess`` entry), so the graph is not hashed
+    again.
+    """
     key = id(graph)
     try:
         ref = weakref.ref(graph, lambda r, key=key: _evict_fingerprint(key, r))
     except TypeError:  # pragma: no cover - Graph is weakref-able
-        return value
-    _FINGERPRINTS[key] = (ref, value)
-    return value
+        return
+    _FINGERPRINTS[key] = (ref, fingerprint)
 
 
 def invalidate_fingerprint(graph: Graph) -> None:

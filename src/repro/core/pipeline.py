@@ -163,6 +163,11 @@ class CompiledModel:
     timings: dict[str, float] = field(default_factory=dict)
     #: Free-form compilation notes (e.g. skipped passes).
     diagnostics: list[str] = field(default_factory=list)
+    #: ``(mapped, sets, set graph)`` of the Stage II run that
+    #: :func:`dependencies_of` made for a model without ``dependencies``.
+    _derived_dependencies: Optional[tuple[Graph, SetPartition, DependencyGraph]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def latency_cycles(self) -> int:
@@ -238,12 +243,16 @@ def dependencies_of(compiled: CompiledModel) -> Optional[DependencyGraph]:
     """The set graph the analyses of ``compiled`` read.
 
     ``compiled.dependencies``; if an artifact was saved without them
-    (the default), Stage II reruns over its mapped graph and sets.
-    ``None`` when the scheduler builds no set graph (the layer-by-layer
-    baseline, or a plugin this process has not registered).
+    (the default), Stage II reruns over its mapped graph and sets, once
+    per model: the result is kept for the next reader.  ``None`` when
+    the scheduler builds no set graph (the layer-by-layer baseline, or
+    a plugin this process has not registered).
     """
     if compiled.dependencies is not None:
         return compiled.dependencies
+    derived = compiled._derived_dependencies
+    if derived is not None and derived[0] is compiled.mapped and derived[1] is compiled.sets:
+        return derived[2]
     from .passes import resolve_scheduler
 
     try:
@@ -252,7 +261,9 @@ def dependencies_of(compiled: CompiledModel) -> Optional[DependencyGraph]:
         return None
     if not rule.needs_dependencies:
         return None
-    return determine_dependencies(compiled.mapped, compiled.sets)
+    dependencies = determine_dependencies(compiled.mapped, compiled.sets)
+    compiled._derived_dependencies = (compiled.mapped, compiled.sets, dependencies)
+    return dependencies
 
 
 def preprocess_stage(

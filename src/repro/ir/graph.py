@@ -36,6 +36,7 @@ class Graph:
         self._shape_cache: Optional[dict[str, Shape]] = None
         self._route_cache: Optional[dict[str, tuple[str, ...]]] = None
         self._topo_cache: Optional[list[str]] = None
+        self._base_cache: Optional[list[str]] = None
 
     # ------------------------------------------------------------------
     # Construction and lookup
@@ -82,8 +83,12 @@ class Graph:
         return [op.name for op in self._ops.values() if name in op.inputs]
 
     def base_layers(self) -> list[str]:
-        """Names of base-layer nodes (Conv2D/Dense) in topological order."""
-        return [name for name in self.topological_order() if self._ops[name].is_base]
+        """Names of base-layer nodes (Conv2D/Dense) in topological order (cached)."""
+        if self._base_cache is None:
+            self._base_cache = [
+                name for name in self.topological_order() if self._ops[name].is_base
+            ]
+        return list(self._base_cache)
 
     def non_base_layers(self) -> list[str]:
         """Names of non-base nodes (excluding Inputs) in topological order."""
@@ -257,6 +262,7 @@ class Graph:
         self._shape_cache = None
         self._route_cache = None
         self._topo_cache = None
+        self._base_cache = None
 
     # ------------------------------------------------------------------
     # Weight materialization

@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import json
 from itertools import chain
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -51,38 +51,69 @@ _SUPPORTED_ARTIFACT_VERSIONS = (1, 2)
 ARTIFACT_FORMAT = "clsa-cim-compiled"
 
 
+def _array_from_record(record: Any) -> np.ndarray:
+    return np.asarray(record["data"], dtype=record["dtype"]).reshape(record["shape"])
+
+
+def _tuple_if_list(value: Any) -> Any:
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _converter(name: str) -> Callable[[Any], Any]:
+    if name in _PARAM_FIELDS:
+        return _array_from_record
+    if name == "shape":
+        return Shape.from_tuple
+    return _tuple_if_list
+
+
 @functools.cache
-def _field_table(cls: type) -> dict[str, dataclasses.Field]:
-    """Name → field of one op class, in declaration order (built once per class)."""
-    return {field.name: field for field in dataclasses.fields(cls)}
+def _converters(cls: type) -> dict[str, Callable[[Any], Any]]:
+    """Field name → converter from its JSON value, for every field of one
+    op class in declaration order (built once per class).
+
+    The one per-attribute conversion: :func:`op_from_dict` and the row
+    decoder :func:`graph_from_rows` both read values through it.
+    """
+    return {field.name: _converter(field.name) for field in dataclasses.fields(cls)}
+
+
+@functools.cache
+def _attr_names(cls: type) -> tuple[str, ...]:
+    """The fields of one op class that records store as attributes, in
+    ``__init__`` order (after ``name`` and ``inputs``)."""
+    return tuple(
+        field.name
+        for field in dataclasses.fields(cls)
+        if field.init and field.name not in ("name", "inputs")
+    )
+
+
+def _attr_to_json(name: str, value: Any) -> Any:
+    """The JSON value of one non-``None`` attribute (inverse of its converter)."""
+    if name in _PARAM_FIELDS:
+        array = np.asarray(value)
+        return {
+            "dtype": str(array.dtype),
+            "shape": list(array.shape),
+            "data": array.reshape(-1).tolist(),
+        }
+    if isinstance(value, Shape):
+        return list(value.hwc)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 def op_to_dict(op: Op, include_params: bool = False) -> dict[str, Any]:
     """Serialize one operator to a JSON-compatible dict."""
-    record: dict[str, Any] = {
-        "type": op.op_type,
-        "name": op.name,
-        "inputs": list(op.inputs),
-        "attrs": {},
-    }
-    for name in _field_table(type(op)):
-        if name in ("name", "inputs", "is_base"):
-            continue
+    attrs: dict[str, Any] = {}
+    for name in _attr_names(type(op)):
         value = getattr(op, name)
-        if name in _PARAM_FIELDS:
-            if include_params and value is not None:
-                record["attrs"][name] = {
-                    "dtype": str(np.asarray(value).dtype),
-                    "shape": list(np.asarray(value).shape),
-                    "data": np.asarray(value).reshape(-1).tolist(),
-                }
+        if name in _PARAM_FIELDS and not (include_params and value is not None):
             continue
-        if isinstance(value, Shape):
-            value = list(value.hwc)
-        elif isinstance(value, tuple):
-            value = list(value)
-        record["attrs"][name] = value
-    return record
+        attrs[name] = _attr_to_json(name, value)
+    return {"type": op.op_type, "name": op.name, "inputs": list(op.inputs), "attrs": attrs}
 
 
 def op_from_dict(record: dict[str, Any]) -> Op:
@@ -91,20 +122,13 @@ def op_from_dict(record: dict[str, Any]) -> Op:
     if op_type not in OP_TYPES:
         raise ValueError(f"unknown op type {op_type!r}")
     cls = OP_TYPES[op_type]
+    converters = _converters(cls)
     kwargs: dict[str, Any] = {}
-    field_types = _field_table(cls)
     for key, value in record.get("attrs", {}).items():
-        if key not in field_types:
+        convert = converters.get(key)
+        if convert is None:
             raise ValueError(f"op type {op_type!r} has no attribute {key!r}")
-        if key in _PARAM_FIELDS:
-            array = np.asarray(value["data"], dtype=value["dtype"])
-            kwargs[key] = array.reshape(value["shape"])
-        elif key == "shape":
-            kwargs[key] = Shape.from_tuple(value)
-        elif isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+        kwargs[key] = convert(value)
     return cls(record["name"], list(record.get("inputs", [])), **kwargs)
 
 
@@ -128,6 +152,64 @@ def graph_from_dict(record: dict[str, Any]) -> Graph:
     graph = Graph(record.get("name", "model"))
     for node in record["nodes"]:
         graph.add(op_from_dict(node))
+    return graph
+
+
+def graph_to_rows(graph: Graph) -> dict[str, Any]:
+    """A graph, parameters included, as positional op rows.
+
+    ``types`` lists each op type once with its attribute names; each op
+    is one row ``[type index, name, inputs, attribute values...]`` in
+    topological order, an attribute that is ``None`` stored as ``None``.
+    The artifact store keeps graphs in this form: it parses and builds
+    faster than the :func:`graph_to_dict` records, which repeat every
+    key per op.
+    """
+    index_of: dict[type, int] = {}
+    types: list[list[Any]] = []
+    rows: list[list[Any]] = []
+    for name in graph.topological_order():
+        op = graph[name]
+        cls = type(op)
+        if cls not in index_of:
+            index_of[cls] = len(types)
+            types.append([op.op_type, list(_attr_names(cls))])
+        row = [index_of[cls], op.name, list(op.inputs)]
+        for attr in _attr_names(cls):
+            value = getattr(op, attr)
+            row.append(None if value is None else _attr_to_json(attr, value))
+        rows.append(row)
+    return {"name": graph.name, "types": types, "rows": rows}
+
+
+def graph_from_rows(record: dict[str, Any]) -> Graph:
+    """Deserialize a graph from :func:`graph_to_rows` output.
+
+    Ops are added in row order, so the graph's topological order is the
+    stored one.  Each type's attribute names must be those its class
+    has now: rows pass their values to the class positionally.
+    """
+    types = []
+    for op_type, names in record["types"]:
+        if op_type not in OP_TYPES:
+            raise ValueError(f"unknown op type {op_type!r}")
+        cls = OP_TYPES[op_type]
+        if tuple(names) != _attr_names(cls):
+            raise ValueError(
+                f"op type {op_type!r} has attributes {list(_attr_names(cls))}, not {names!r}"
+            )
+        table = _converters(cls)
+        types.append((cls, [table[name] for name in names]))
+    graph = Graph(record["name"])
+    for index, name, inputs, *values in record["rows"]:
+        cls, converters = types[index]
+        if len(values) != len(converters):
+            raise ValueError(f"op {name!r} has {len(values)} of {len(converters)} attributes")
+        converted = [
+            None if value is None else convert(value)
+            for convert, value in zip(converters, values)
+        ]
+        graph.add(cls(name, inputs, *converted))
     return graph
 
 

@@ -9,12 +9,19 @@ the same pair; the blocks it is handed are read-only views of the
 entry's bytes, which matches the cache's contract that cached values
 are immutable.
 
-* ``preprocess``, ``tile``, ``wdup`` and ``place`` hold a JSON record
-  and no blocks.  The records ride the :mod:`repro.ir.serialize`
-  vocabulary (graphs, architectures, duplication solutions, rewrites);
-  per-layer tilings and placements get small records here.  Placements
-  store their tilings explicitly: unlike the compiled-artifact loader,
-  a store decode has no mapped graph in hand to recompute them from.
+* ``preprocess`` and ``wdup`` hold a JSON record and no blocks.  Their
+  graphs are positional op rows (:func:`~repro.ir.serialize.graph_to_rows`:
+  one table of op types and field names, then one row per op, in
+  topological order); the rest rides the :mod:`repro.ir.serialize`
+  vocabulary (duplication solutions, rewrites).  ``preprocess`` also
+  carries the canonical graph's fingerprint, which decoding registers
+  for the decoded graph, so a store-served graph is never hashed.
+* ``tile`` holds the layer names and two int64 blocks, an ``(n, 6)``
+  ``gemm`` geometry block and an ``(n, 2)`` ``pe_grid`` block;
+  ``place`` holds the architecture record, the same two blocks for its
+  own tilings and an ``(n, 2)`` ``pe_ranges`` block.  Placements store
+  their tilings explicitly: unlike the compiled-artifact loader, a
+  store decode has no mapped graph in hand to recompute them from.
 * ``sets`` holds the layer names, a ``counts`` block and an ``(n, 4)``
   ``rects`` block; ``deps`` holds the layer names, the ``counts`` and
   the CSR ``indptr`` and ``indices``; ``schedule`` holds the policy and
@@ -49,8 +56,8 @@ from ..ir.serialize import (
     _rewrite_to_dict,
     arch_from_dict,
     arch_to_dict,
-    graph_from_dict,
-    graph_to_dict,
+    graph_from_rows,
+    graph_to_rows,
 )
 
 __all__ = ["CODECS", "StageCodec", "codec_for"]
@@ -85,101 +92,137 @@ def _meta_only(
     )
 
 
+def _layer_names(meta: Meta) -> list[str]:
+    """The distinct layer names of ``meta`` (``ValueError`` otherwise)."""
+    layers = meta["layers"]
+    if (
+        not isinstance(layers, list)
+        or not all(isinstance(layer, str) for layer in layers)
+        or len(set(layers)) != len(layers)
+    ):
+        raise ValueError("entry meta has no list of distinct layer names")
+    return layers
+
+
 # -- graphs (preprocess) ----------------------------------------------------
+#
+# The canonical graph as op rows, with its fingerprint: the decoded
+# graph is registered under it, so the preprocess pass never hashes a
+# graph the store served.  A cold compile still hashes its canonical
+# graph once: the encoder memoizes the fingerprint that the preprocess
+# pass then reads for its cache key.
 
 
-def _encode_graph(value: Any) -> dict[str, Any]:
-    return {"graph": graph_to_dict(value, include_params=True)}
+def _encode_graph(value: Any) -> Meta:
+    from ..core.cache import graph_fingerprint
+
+    return {"fingerprint": graph_fingerprint(value), "graph": graph_to_rows(value)}
 
 
-def _decode_graph(payload: dict[str, Any]) -> Any:
-    return graph_from_dict(payload["graph"])
+def _decode_graph(meta: Meta) -> Any:
+    from ..core.cache import remember_fingerprint
+
+    fingerprint = meta["fingerprint"]
+    if not isinstance(fingerprint, str):
+        raise ValueError("entry meta has no fingerprint")
+    graph = graph_from_rows(meta["graph"])
+    remember_fingerprint(graph, fingerprint)
+    return graph
 
 
-# -- tilings (tile) ---------------------------------------------------------
+# -- tilings (tile, place) --------------------------------------------------
+#
+# The layer names as meta; per layer, one ``gemm`` row ``kernel_rows,
+# kernel_cols, num_mvms, H, W, C`` and one ``pe_grid`` row ``P_V, P_H``.
+
+_TILING_BLOCKS = ("gemm", "pe_grid")
 
 
-def _encode_tilings(value: Any) -> dict[str, Any]:
-    return {
-        "tilings": {
-            layer: {
-                "lowering": {
-                    "layer": tiling.lowering.layer,
-                    "kernel_rows": tiling.lowering.kernel_rows,
-                    "kernel_cols": tiling.lowering.kernel_cols,
-                    "num_mvms": tiling.lowering.num_mvms,
-                    "ofm_shape": list(tiling.lowering.ofm_shape.hwc),
-                },
-                "pe_grid": list(tiling.pe_grid),
-            }
-            for layer, tiling in value.items()
-        }
+def _encode_tilings(value: Any) -> tuple[Meta, Blocks]:
+    if any(tiling.layer != layer for layer, tiling in value.items()):
+        raise ValueError("a tiling is keyed by another layer's name")
+    gemm = [
+        (low.kernel_rows, low.kernel_cols, low.num_mvms, *low.ofm_shape.hwc)
+        for low in (tiling.lowering for tiling in value.values())
+    ]
+    grid = [tiling.pe_grid for tiling in value.values()]
+    return {"layers": list(value)}, {
+        "gemm": np.array(gemm, dtype=np.int64).reshape(len(value), 6),
+        "pe_grid": np.array(grid, dtype=np.int64).reshape(len(value), 2),
     }
 
 
-def _decode_tilings(payload: dict[str, Any]) -> Any:
+def _decode_tilings(meta: Meta, blocks: Blocks) -> Any:
     from ..ir.tensor import Shape
     from ..mapping.im2col import GemmLowering
     from ..mapping.tiling import LayerTiling
 
+    layers = _layer_names(meta)
+    gemm, grid = blocks["gemm"], blocks["pe_grid"]
+    if gemm.shape != (len(layers), 6) or grid.shape != (len(layers), 2):
+        raise ValueError("inconsistent tilings payload")
     return {
         layer: LayerTiling(
-            lowering=GemmLowering(
-                layer=record["lowering"]["layer"],
-                kernel_rows=int(record["lowering"]["kernel_rows"]),
-                kernel_cols=int(record["lowering"]["kernel_cols"]),
-                num_mvms=int(record["lowering"]["num_mvms"]),
-                ofm_shape=Shape.from_tuple(record["lowering"]["ofm_shape"]),
-            ),
-            pe_grid=(int(record["pe_grid"][0]), int(record["pe_grid"][1])),
+            lowering=GemmLowering(layer, rows, cols, mvms, Shape(height, width, channels)),
+            pe_grid=(pv, ph),
         )
-        for layer, record in payload["tilings"].items()
+        for layer, (rows, cols, mvms, height, width, channels), (pv, ph) in zip(
+            layers, gemm.tolist(), grid.tolist()
+        )
     }
 
 
 # -- duplication solution + rewrite (wdup) ----------------------------------
 
 
-def _encode_wdup(value: Any) -> dict[str, Any]:
+def _encode_wdup(value: Any) -> Meta:
     duplication, rewrite = value
     return {
         "duplication": _duplication_to_dict(duplication),
-        "graph": graph_to_dict(rewrite.graph, include_params=True),
+        "graph": graph_to_rows(rewrite.graph),
         "rewrite": _rewrite_to_dict(rewrite),
     }
 
 
-def _decode_wdup(payload: dict[str, Any]) -> Any:
-    mapped = graph_from_dict(payload["graph"])
+def _decode_wdup(meta: Meta) -> Any:
+    mapped = graph_from_rows(meta["graph"])
     return (
-        _duplication_from_dict(payload["duplication"]),
-        _rewrite_from_dict(payload["rewrite"], mapped),
+        _duplication_from_dict(meta["duplication"]),
+        _rewrite_from_dict(meta["rewrite"], mapped),
     )
 
 
 # -- placement (place) ------------------------------------------------------
+#
+# The architecture and the tilings as the tile entry stores them, plus a
+# ``pe_ranges`` row ``first, last + 1`` per layer.  The placement keeps
+# its own tilings: under ``wdup`` they describe the mapped graph's
+# duplicates, not the layers of the tile entry.
 
 
-def _encode_placement(value: Any) -> dict[str, Any]:
-    return {
-        "arch": arch_to_dict(value.arch),
-        "pe_ranges": {
-            layer: list(pe_range) for layer, pe_range in value.pe_ranges.items()
-        },
-        **_encode_tilings(value.tilings),
-    }
+def _encode_placement(value: Any) -> tuple[Meta, Blocks]:
+    if list(value.pe_ranges) != list(value.tilings):
+        raise ValueError("placement ranges and tilings name different layers")
+    meta, blocks = _encode_tilings(value.tilings)
+    blocks["pe_ranges"] = np.array(
+        list(value.pe_ranges.values()), dtype=np.int64
+    ).reshape(len(meta["layers"]), 2)
+    return {"arch": arch_to_dict(value.arch), **meta}, blocks
 
 
-def _decode_placement(payload: dict[str, Any]) -> Any:
+def _decode_placement(meta: Meta, blocks: Blocks) -> Any:
     from ..mapping.placement import Placement
 
+    tilings = _decode_tilings(meta, blocks)
+    ranges = blocks["pe_ranges"]
+    if ranges.shape != (len(tilings), 2):
+        raise ValueError("inconsistent placement payload")
     return Placement(
-        arch=arch_from_dict(payload["arch"]),
+        arch=arch_from_dict(meta["arch"]),
         pe_ranges={
-            layer: (int(start), int(end))
-            for layer, (start, end) in payload["pe_ranges"].items()
+            layer: (start, end) for layer, (start, end) in zip(tilings, ranges.tolist())
         },
-        tilings=_decode_tilings(payload),
+        tilings=tilings,
     )
 
 
@@ -203,18 +246,6 @@ def _encode_sets(value: Any) -> tuple[Meta, Blocks]:
         "counts": np.diff(sets.offsets),
         "rects": sets.coords.T.astype(np.int32),
     }
-
-
-def _layer_names(meta: Meta) -> list[str]:
-    """The distinct layer names of ``meta`` (``ValueError`` otherwise)."""
-    layers = meta["layers"]
-    if (
-        not isinstance(layers, list)
-        or not all(isinstance(layer, str) for layer in layers)
-        or len(set(layers)) != len(layers)
-    ):
-        raise ValueError("entry meta has no list of distinct layer names")
-    return layers
 
 
 def _decode_counts(meta: Meta, blocks: Blocks) -> tuple[list[str], np.ndarray]:
@@ -306,10 +337,12 @@ def _decode_schedule(meta: Meta, blocks: Blocks) -> Any:
 CODECS: dict[str, StageCodec] = {
     codec.stage: codec
     for codec in (
-        _meta_only("preprocess", 1, _encode_graph, _decode_graph),
-        _meta_only("tile", 1, _encode_tilings, _decode_tilings),
-        _meta_only("wdup", 1, _encode_wdup, _decode_wdup),
-        _meta_only("place", 1, _encode_placement, _decode_placement),
+        _meta_only("preprocess", 2, _encode_graph, _decode_graph),
+        StageCodec("tile", 2, _encode_tilings, _decode_tilings, _TILING_BLOCKS),
+        _meta_only("wdup", 2, _encode_wdup, _decode_wdup),
+        StageCodec(
+            "place", 2, _encode_placement, _decode_placement, (*_TILING_BLOCKS, "pe_ranges")
+        ),
         StageCodec("sets", 2, _encode_sets, _decode_sets, ("counts", "rects")),
         StageCodec("deps", 4, _encode_deps, _decode_deps, ("counts", "indptr", "indices")),
         StageCodec("schedule", 2, _encode_schedule, _decode_schedule, _SCHEDULE_COLUMNS),

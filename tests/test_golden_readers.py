@@ -96,3 +96,26 @@ def test_reader_figures(compiled):
     assert reader_record(compiled) == golden
     assert golden["simulate_noc"]["finish_cycles"] == 16474
     assert golden["simulate_noc"]["total_edge_delay_cycles"] == 23498
+
+
+def test_loaded_artifact_runs_stage_two_once(compiled, tmp_path, monkeypatch):
+    """An artifact saved without dependencies reruns Stage II for its
+    first reader only; every reader still reads the pinned figures."""
+    from repro.core import pipeline
+    from repro.core.pipeline import CompiledModel
+    from repro.sim import estimate_energy
+
+    path = tmp_path / "artifact.json"
+    compiled.save(str(path))
+    loaded = CompiledModel.load(str(path))
+    assert loaded.dependencies is None
+    calls = []
+    stage_two = pipeline.determine_dependencies
+    monkeypatch.setattr(
+        pipeline, "determine_dependencies", lambda *args: calls.append(args) or stage_two(*args)
+    )
+    golden = json.loads((GOLDEN / "readers_tinyyolov3_x16.json").read_text())
+    assert reader_record(loaded) == golden
+    assert estimate_energy(loaded) == estimate_energy(compiled)
+    assert len(calls) == 1
+    assert loaded.dependencies is None  # the artifact record is unchanged

@@ -60,6 +60,21 @@ class TestGraphBasics:
         g = tiny_graph()
         assert g.base_layers() == ["c1", "c2", "c3"]
 
+    def test_base_layers_follow_mutation(self):
+        g = tiny_graph()
+        layers = g.base_layers()
+        layers.append("mine")  # a copy: the cached answer is unchanged
+        assert g.base_layers() == ["c1", "c2", "c3"]
+        g.add(Conv2D("c4", ["cat"], out_channels=4))
+        assert g.base_layers() == ["c1", "c2", "c3", "c4"]
+        g.remove("c4")
+        g.remove("cat")
+        g.remove("c3")
+        assert g.base_layers() == ["c1", "c2"]
+        g.insert_after("c1", Conv2D("c0", out_channels=8))
+        g.bypass("c1")
+        assert g.base_layers() == ["c0", "c2"]
+
     def test_non_base_layers(self):
         g = tiny_graph()
         assert set(g.non_base_layers()) == {"r1", "p1", "cat"}
