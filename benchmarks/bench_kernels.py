@@ -19,6 +19,13 @@ times Stage II:
   with ``--quick``).  The record counts the sets.  With ``--quick``
   every layer's ``Rect`` view is also compared with the loop-built
   ``oracles.reference_partition``;
+* **simulate** — the priced :func:`repro.sim.simulate` (a
+  ``NocCostModel`` at 1 B/element, at 4 B, and at 4 B with the GPEU
+  term) against the reference cost-model event loop of
+  ``tests/oracles``, which prices one edge per call with the scalar
+  delay formula; each cost model is built before the clock starts.
+  Both report their rows, total edge delay and stalls, which must
+  agree;
 * **stage2** — ``determine_dependencies`` and the layer-by-layer
   baseline (``layer_by_layer_schedule``) over the mapped graphs of the
   paper grid's cross-layer cells (``none`` and ``wdup`` at every ``x``:
@@ -45,8 +52,10 @@ plus validation (reference / kernel).
 Writes ``BENCH_kernels.json`` (repo root by default) — the first entry
 of the repo's recorded perf trajectory — and exits non-zero when the
 kernels miss their bar: faster-than-reference in ``--quick`` mode
-(the CI smoke gate), the PR acceptance thresholds (>= 5x single-image,
->= 10x batch) in full mode; and, with ``--quick``, when Stage I's sets
+(the CI smoke gate), the acceptance thresholds (>= 5x single-image,
+>= 10x batch, >= 10x for the priced simulation at 1 B/element) in full
+mode; when the priced simulation differs from the event loop in rows,
+total edge delay or stalls; and, with ``--quick``, when Stage I's sets
 or Stage II's CSR differ from the loop-built or scalar reference on any
 graph.
 
@@ -234,6 +243,50 @@ def run_stage1_worker(spec: dict) -> None:
     print(json.dumps(result))
 
 
+#: The priced simulations: name -> ``CostModelConfig`` fields.
+COST_MODELS = {
+    "1B": {"bytes_per_element": 1},
+    "4B": {"bytes_per_element": 4},
+    "4B+gpeu": {"bytes_per_element": 4, "model_gpeu": True},
+}
+
+
+def run_simulate_worker(spec: dict) -> None:
+    """Time one priced simulation; print a JSON line with its outcome."""
+    import hashlib
+
+    import numpy as np
+    from oracles import ScalarNocCostModel, reference_simulate
+
+    from repro.sim import CostModelConfig, NocCostModel, simulate
+
+    compiled = _compile(spec["model"])
+    config = CostModelConfig(**COST_MODELS[spec["config"]])
+    args = (compiled.mapped, compiled.placement, config)
+    if spec["engine"] == "csr":
+        cost_model = NocCostModel(*args)
+        fn = lambda: simulate(compiled, cost_model)  # noqa: E731
+    else:
+        scalar = ScalarNocCostModel(*args)
+        fn = lambda: reference_simulate(  # noqa: E731
+            compiled.dependencies, scalar, compiled.schedule.policy
+        )
+    seconds = best_of(fn, spec["repeats"])
+    result = fn()
+    cols = result.schedule.columns()
+    rows = np.stack(
+        [cols.layer_id, cols.set_index, cols.start, cols.end, cols.image]
+    ).astype(np.int64)
+    print(json.dumps({
+        "num_edges": compiled.dependencies.edge_count(),
+        "seconds": seconds,
+        "finish_cycles": result.finish_cycles,
+        "total_edge_delay_cycles": result.total_edge_delay_cycles,
+        "per_layer_stall": result.per_layer_stall,
+        "rows_sha256": hashlib.sha256(rows.tobytes()).hexdigest(),
+    }))
+
+
 def run_worker(spec: dict) -> None:
     """Measure one (workload, engine) pair; print a JSON result line.
 
@@ -244,6 +297,9 @@ def run_worker(spec: dict) -> None:
         return
     if spec["workload"] == "stage2":
         run_stage2_worker(spec)
+        return
+    if spec["workload"] == "simulate":
+        run_simulate_worker(spec)
         return
     from oracles import cross_layer_schedule_dynamic, reference_batch_schedule
 
@@ -321,6 +377,33 @@ def bench_stage(workload: str, models: list[str], repeats: int, check: bool) -> 
     return {"models": models, **result}
 
 
+def bench_simulate(model: str, repeats: int) -> dict:
+    """The priced simulation and its event-loop reference, per cost model."""
+    sections = []
+    for name in COST_MODELS:
+        python, csr = (
+            run_in_subprocess({
+                "workload": "simulate",
+                "model": model,
+                "config": name,
+                "engine": engine,
+                "repeats": repeats,
+            })
+            for engine in ("python", "csr")
+        )
+        outcome = ("rows_sha256", "total_edge_delay_cycles", "per_layer_stall")
+        sections.append({
+            "cost_model": name,
+            "finish_cycles": csr["finish_cycles"],
+            "total_edge_delay_cycles": csr["total_edge_delay_cycles"],
+            "python_s": round(python["seconds"], 6),
+            "csr_s": round(csr["seconds"], 6),
+            "speedup": round(python["seconds"] / csr["seconds"], 2),
+            "identical_to_reference": all(python[key] == csr[key] for key in outcome),
+        })
+    return {"model": model, "extra_pes": 16, "num_edges": csr["num_edges"], "runs": sections}
+
+
 def bench_model(model: str, batch_size: int, repeats: int) -> dict:
     """Benchmark kernels and reference on one model; returns the JSON record."""
     results = {
@@ -362,8 +445,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke: tinyyolov4 at batch 8, fewer repeats, gate only "
-             "on csr-not-slower-than-python",
+        help="CI smoke: tinyyolov4 at batch 8, fewer repeats, gate on "
+             "csr-not-slower-than-python and on identity with the references",
     )
     parser.add_argument(
         "--model", default=None,
@@ -402,6 +485,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": __import__("numpy").__version__,
         "workloads": [bench_model(model, batch_size, repeats)],
+        "simulate": bench_simulate(model, repeats * 2),
         "stage1": bench_stage("stage1", grid, repeats * 2, check=args.quick),
         "stage2": bench_stage("stage2", grid, repeats * 2, check=args.quick),
     }
@@ -422,6 +506,13 @@ def main(argv=None) -> int:
         f"python {batch['python_s'] * 1e3:8.1f} ms | "
         f"csr {batch['csr_s'] * 1e3:7.1f} ms | {batch['speedup']:.1f}x"
     )
+    priced = record["simulate"]
+    print(f"priced simulate, {model} +16: {priced['num_edges']} edges")
+    for run in priced["runs"]:
+        print(
+            f"  {run['cost_model']:<8} event loop {run['python_s'] * 1e3:7.1f} ms | "
+            f"csr {run['csr_s'] * 1e3:7.1f} ms | {run['speedup']:.1f}x"
+        )
     stage1 = record["stage1"]
     print(
         f"stage I over {stage1['graphs']} grid graphs: {stage1['num_sets']} sets, "
@@ -457,17 +548,27 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    differing = [run["cost_model"] for run in priced["runs"] if not run["identical_to_reference"]]
+    if differing:
+        print(
+            "FAIL: the priced simulation differs from the event loop at "
+            f"{', '.join(differing)}",
+            file=sys.stderr,
+        )
+        return 1
     if args.no_check:
         return 0
+    priced_1b = priced["runs"][0]["speedup"]
     if args.quick:
-        ok = single["speedup"] >= 1.0 and batch["speedup"] >= 1.0
+        ok = single["speedup"] >= 1.0 and batch["speedup"] >= 1.0 and priced_1b >= 1.0
         if not ok:
             print("FAIL: csr kernels slower than the python reference", file=sys.stderr)
         return 0 if ok else 1
-    ok = single["speedup"] >= 5.0 and batch["speedup"] >= 10.0
+    ok = single["speedup"] >= 5.0 and batch["speedup"] >= 10.0 and priced_1b >= 10.0
     if not ok:
         print(
-            "FAIL: below acceptance thresholds (>= 5x single-image, >= 10x batch)",
+            "FAIL: below acceptance thresholds (>= 5x single-image, >= 10x batch, "
+            ">= 10x priced simulation at 1 B)",
             file=sys.stderr,
         )
     return 0 if ok else 1

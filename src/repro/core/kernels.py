@@ -23,10 +23,11 @@ static scheduler, the dynamic list scheduler, the batch pipeline
 scheduler, the simulator, the energy model, the store and the verifier
 all share one set graph; it is the graph's only form.
 
-These kernels are Stage IV: every compile, batch run and zero-cost
-simulator replay schedules here.  The pure-Python reference schedulers
-they must match row for row live with the tests (``tests/oracles``);
-the kernels self-validate with vectorized dependency/resource checks.
+These kernels are Stage IV: every compile, batch run and simulator
+replay, priced or free, schedules here.  The pure-Python reference
+schedulers they must match row for row live with the tests
+(``tests/oracles``); the kernels self-validate with vectorized
+dependency/resource checks.
 
 Release keys.  Ready order is defined by the reference event loop:
 completions pop in ``(end, layer name)`` order, each waking its
@@ -43,6 +44,14 @@ started when the layer's previous set completed with key ``done``,
 ``2 * key`` if started on release) gives the loop's rows.  Keys assume
 that every set ends after it starts, so ready order needs empty sets
 isolated, as Stage II leaves them.
+
+Arrivals.  The priced replay delays each edge: a set's data arrives at
+its predecessors' largest ``end + delay``, and the reference loop
+serves a layer's released sets by ``(arrival, gid)``, each starting at
+``max(layer free, arrival)``.  The prefix form runs on arrivals where
+they and the release keys are non-decreasing; the heap orders
+``(arrival, index)`` elsewhere.  Delays must be non-negative, so that
+no set arrives before its release.
 
 A batch of ``B`` images is the same problem over (image, set) items:
 layer ``l`` owns its ``B * n_l`` items image by image, an item's
@@ -310,10 +319,11 @@ def _image_major(table: np.ndarray, bounds: list[int]) -> np.ndarray:
 
 
 def _schedule_image(
-    arrays: SetGraphArrays, seq: np.ndarray | None, validate: bool
+    arrays: SetGraphArrays, seq: np.ndarray | None, validate: bool, delays: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, ScheduleColumns]:
     """``(start, end, columns)`` of one image: the gid order ``seq``, or
-    ready order; ``start``/``end`` are indexed by gid."""
+    ready order, priced by ``delays`` if given; ``start``/``end`` are
+    indexed by gid."""
     _check_set_graph(arrays, ready_order=seq is None)
     start, end, emit = _schedule_layers(
         arrays.offsets,
@@ -323,6 +333,7 @@ def _schedule_image(
         arrays.lex_rank[arrays.layer_of],
         arrays.num_layers,
         seq,
+        delays,
     )
     if validate:
         from ..verify.hazards import assert_arrays_schedule
@@ -339,6 +350,7 @@ def _schedule_layers(
     tie: np.ndarray,
     scale: int,
     seq: np.ndarray | None = None,
+    delays: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(start, end, emit)`` of every item: in the order ``seq``, or ready order.
 
@@ -349,29 +361,39 @@ def _schedule_layers(
     of the predecessors' completion keys and one segmented max give the
     release keys; the recurrence runs in prefix form,
     ``end_i = S_i + cummax_i(ready_i - S_{i-1})``, ``S_i`` being the
-    sum of the first ``i + 1`` areas in sequence.
+    sum of the first ``i + 1`` areas in sequence.  In ready order, edge
+    ``delays`` (aligned with ``indices``) make ``ready_i`` the arrival,
+    a second segmented max (see the module docstring).
     """
     n, num_layers = int(offsets[-1]), len(offsets) - 1
     bounds, counts = offsets.tolist(), np.diff(offsets)
     ready = seq is None
     if seq is None:
         seq = np.arange(n, dtype=np.int64)
-    # In a layer with edges, an item without predecessors reads slot n (key -1).
+    # In a layer with edges, an item without predecessors reads slot n
+    # (key -1; with delays it arrives at -1, before any set ends).
     fan_in = np.diff(indptr)
     lonely = (fan_in == 0) & np.repeat(np.diff(indptr[offsets]) > 0, counts)
     if lonely.any():
-        indices = np.insert(indices, indptr[:-1][lonely], n)
+        at = indptr[:-1][lonely]
+        indices = np.insert(indices, at, n)
+        if delays is not None:
+            delays = np.insert(delays, at, 0)
         indptr = np.concatenate(([0], np.cumsum(fan_in + lonely)))
     edge_bounds = indptr[offsets].tolist()
     heads = indptr[:-1] - np.repeat(indptr[offsets[:-1]], counts)
     areas = area[seq]
-    # A list schedule never idles every layer, so nothing ends after the
-    # total work: the keys, and the emission ranks (twice a key), fit.
-    # Totals are Python ints, since an int64 sum could wrap: the largest
-    # area times the count first, the exact sum only if that bound fails.
+    # A list schedule idles every layer only while data is in flight, each
+    # such wait ending on one edge's delay, so nothing ends after the total
+    # work plus the total delay: the keys, and the emission ranks (twice a
+    # key), fit.  Totals are Python ints, since an int64 sum could wrap:
+    # the largest value times the count first, the exact sum only if that
+    # bound fails.
     total = int(areas.max(initial=0)) * n
+    if delays is not None:
+        total += int(delays.max(initial=0)) * len(delays)
     if (total + 1) * scale > 1 << 62:
-        total = sum(areas.tolist())
+        total = sum(areas.tolist()) + (0 if delays is None else sum(delays.tolist()))
         if (total + 1) * scale > 1 << 62:
             raise ValueError(
                 f"{total} cycles of work at key scale {scale} overflow "
@@ -387,22 +409,28 @@ def _schedule_layers(
         lo, hi = bounds[lid], bounds[lid + 1]
         if lo == hi:
             continue
+        arrival = None
         if edge_bounds[lid] == edge_bounds[lid + 1]:
             key = keys[lo:hi]
         else:
-            key = keys[lo:hi] = np.maximum.reduceat(
-                tag[indices[edge_bounds[lid] : edge_bounds[lid + 1]]], heads[lo:hi]
-            )
+            edges = slice(edge_bounds[lid], edge_bounds[lid + 1])
+            done = tag[indices[edges]]
+            key = keys[lo:hi] = np.maximum.reduceat(done, heads[lo:hi])
+            if delays is not None:
+                arrival = np.maximum.reduceat(done // scale + delays[edges], heads[lo:hi])
         if not ready:
             key = key[seq[lo:hi] - lo]
-        elif np.count_nonzero(key[1:] < key[:-1]):  # released out of item order
+        elif np.count_nonzero(key[1:] < key[:-1]) or (
+            arrival is not None and np.count_nonzero(arrival[1:] < arrival[:-1])
+        ):  # released, or arriving, out of item order
             perm, dones = _ready_order(
-                key.tolist(), areas[lo:hi].tolist(), tie[lo:hi].tolist(), scale
+                key.tolist(), areas[lo:hi].tolist(), tie[lo:hi].tolist(), scale,
+                None if arrival is None else arrival.tolist(),
             )
             seq[lo:hi] = lo + np.asarray(perm, dtype=np.int64)
             tag[seq[lo:hi]] = dones
             continue
-        lag = key // scale - before[lo:hi]
+        lag = (key // scale if arrival is None else arrival) - before[lo:hi]
         if lag[0] < 0:  # an item without predecessors is ready at 0
             lag[0] = 0
         tag[seq[lo:hi]] = base[lo:hi] + np.maximum.accumulate(lag) * scale
@@ -419,29 +447,34 @@ def _schedule_layers(
 
 
 def _ready_order(
-    keys: list[int], areas: list[int], ties: list[int], scale: int
+    keys: list[int], areas: list[int], ties: list[int], scale: int, arrivals: list | None = None
 ) -> tuple[list[int], list[int]]:
     """``(order, completion keys)`` of one layer, from a heap over its items.
 
     When an item completes, the lowest index released before that
-    completion starts next; if there is none, the next item released
-    starts when it is.
+    completion (given ``arrivals``: the earliest arrival, then index)
+    starts next, at its arrival if later; if there is none, the next
+    item released starts when it is.
     """
-    released = sorted(range(len(keys)), key=keys.__getitem__)  # by (key, index)
+    count = len(keys)
+    if arrivals is None:  # the heap holds indices
+        arrivals, entries = [key // scale for key in keys], range(count)
+    else:  # the heap holds ``arrival * count + index``
+        entries = [arrival * count + i for i, arrival in enumerate(arrivals)]
+    released = sorted(range(count), key=keys.__getitem__)  # by (key, index)
     queued: list[int] = []
     order: list[int] = []
     dones: list[int] = []
     done, end, nxt = -1, 0, 0
     for _ in released:
-        while nxt < len(released) and keys[released[nxt]] < done:
-            heapq.heappush(queued, released[nxt])
+        while nxt < count and keys[released[nxt]] < done:
+            heapq.heappush(queued, entries[released[nxt]])
             nxt += 1
         if queued:
-            i = heapq.heappop(queued)
+            i = heapq.heappop(queued) % count
         else:
             i, nxt = released[nxt], nxt + 1
-            end = max(end, keys[i] // scale)
-        end += areas[i]
+        end = max(end, arrivals[i]) + areas[i]
         done = end * scale + ties[i]
         order.append(i)
         dones.append(done)
@@ -472,21 +505,23 @@ def _check_set_graph(arrays: SetGraphArrays, ready_order: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# simulator replay (zero-cost path)
+# simulator replay
 # ---------------------------------------------------------------------------
 
 
 def csr_replay(
-    arrays: SetGraphArrays, policy: str
+    arrays: SetGraphArrays, policy: str, delays: np.ndarray | None = None
 ) -> tuple[Schedule, dict[str, int], int]:
-    """Zero-cost replay on the columnar arrays.
+    """Ready-order replay on the columnar arrays, free or priced.
 
-    Returns ``(schedule, per_layer_stall, events_processed)``.  With
-    free forwarding the replay is the ready-order schedule of
-    :func:`csr_dynamic_schedule` (one completion event per set); a
-    layer's stall is its idle time inside its busy span.
+    Returns ``(schedule, per_layer_stall, events_processed)``: one
+    completion event per set; a layer's stall is its idle time inside
+    its busy span.  Free, it is :func:`csr_dynamic_schedule`'s schedule.
+    Non-negative int64 ``delays``, aligned with ``arrays.indices``,
+    price the edges: data arrives ``delay`` cycles after its producer
+    ends, and a layer serves its released sets by arrival, then gid.
     """
-    start, end, columns = _schedule_image(arrays, None, validate=False)
+    start, end, columns = _schedule_image(arrays, None, validate=False, delays=delays)
     filled = np.flatnonzero(np.diff(arrays.offsets))
     heads = arrays.offsets[filled]
     idle = (

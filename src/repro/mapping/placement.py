@@ -12,10 +12,17 @@ which the optional NoC cost model rewards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..arch.config import ArchitectureConfig
 from ..ir.graph import Graph
 from .tiling import LayerTiling, tile_graph
+
+if TYPE_CHECKING:
+    from ..core.kernels import SetGraphArrays
+    from ..ir.tensor import Shape
 
 
 class PlacementError(ValueError):
@@ -94,3 +101,33 @@ def place_graph(graph: Graph, arch: ArchitectureConfig) -> Placement:
             f"'{arch.name}' has only {arch.num_pes}"
         )
     return placement
+
+
+def edge_transfers(
+    arrays: SetGraphArrays,
+    shapes: dict[str, Shape],
+    placement: Placement,
+    bytes_per_element: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(source tile, destination tile, payload bytes)`` of every set-graph edge.
+
+    Int64 columns aligned with ``arrays.indices``.  An edge forwards its
+    producer set's output, ``area x channels x bytes_per_element``
+    bytes, from the producer layer's home tile to the consumer layer's;
+    a layer's home tile hosts its first PE.  A layer missing from
+    ``shapes`` has 0 channels, and one the placement leaves out has
+    tile -1.
+    """
+    channels = np.array(
+        [shapes[layer].channels if layer in shapes else 0 for layer in arrays.layers],
+        dtype=np.int64,
+    )
+    placed = placement.pe_ranges
+    home_tile = np.array(
+        [placement.tiles_of(layer)[0] if layer in placed else -1 for layer in arrays.layers],
+        dtype=np.int64,
+    )
+    producer_layer = arrays.layer_of[arrays.indices]
+    consumer_layer = np.repeat(arrays.layer_of, np.diff(arrays.indptr))
+    payload = arrays.area[arrays.indices] * channels[producer_layer] * bytes_per_element
+    return home_tile[producer_layer], home_tile[consumer_layer], payload

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.pipeline import CompiledModel, dependencies_of
+from ..mapping.placement import edge_transfers
 from .metrics import active_pe_cycles
 
 
@@ -140,20 +141,16 @@ def estimate_energy(
     if dependencies is not None:
         arrays = dependencies.arrays
         if arrays.num_edges:
-            noc = compiled.arch.build_noc()
-            shapes = compiled.mapped.infer_shapes()
-            home_tile = np.array(
-                [compiled.placement.tiles_of(layer)[0] for layer in arrays.layers]
+            placement = compiled.placement
+            # Each layer's OFM shape, as its tiling recorded it.
+            shapes = {
+                layer: tiling.lowering.ofm_shape
+                for layer, tiling in placement.tilings.items()
+            }
+            src, dst, payload = edge_transfers(
+                arrays, shapes, placement, config.bytes_per_element
             )
-            channels = np.array([shapes[layer].channels for layer in arrays.layers])
-            producer_layer = arrays.layer_of[arrays.indices]
-            consumer_layer = np.repeat(arrays.layer_of, np.diff(arrays.indptr))
-            payload = (
-                arrays.area[arrays.indices]
-                * channels[producer_layer]
-                * config.bytes_per_element
-            )
-            hops = noc.hops_array(home_tile[producer_layer], home_tile[consumer_layer])
+            hops = compiled.arch.build_noc().hops_array(src, dst)
             # Summed left to right over the edges (cumsum, not the
             # pairwise np.sum), so the total is bit-identical to adding
             # the edges one by one in set order.

@@ -9,20 +9,22 @@ consumer's tile (XY-routed mesh), optionally bouncing through global
 DRAM when the payload exceeds the consumer's input buffer.  An optional
 GPEU term charges the non-base operations between the two layers.
 
-Used by :func:`repro.sim.engine.simulate` to re-schedule with edge
-delays, and by the ablation benchmark.
+A cost model prices all edges of a set graph at once, as one delay
+column aligned with the CSR (:meth:`NocCostModel.edge_delays`), from
+which :func:`repro.sim.engine.simulate` re-schedules; the ablation
+benchmark and ``examples/custom_architecture.py`` drive it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..arch.noc import MeshNoc
-from ..core.dependencies import DependencyGraph, SetRef
-from ..core.sets import SetPartition
+from ..core.kernels import SetGraphArrays
 from ..ir.graph import Graph
-from ..mapping.placement import Placement
+from ..mapping.placement import Placement, edge_transfers
 
 
 @dataclass(frozen=True)
@@ -61,49 +63,34 @@ class NocCostModel:
         self.arch = placement.arch
         self.noc: MeshNoc = self.arch.build_noc()
         self._shapes = graph.infer_shapes()
-        # Home tile of a layer: the tile hosting its first PE.
-        self._home_tile = {
-            layer: self.placement.tiles_of(layer)[0]
-            for layer in self.placement.pe_ranges
-        }
-        self._channels = {
-            layer: self._shapes[layer].channels for layer in self.placement.pe_ranges
-        }
 
-    def payload_bytes(self, producer: SetRef, sets: SetPartition) -> int:
-        """Bytes of one producer set's output (rect area x channels)."""
-        layer, index = producer
-        rect = sets.rect(layer, index)
-        return rect.area * self._channels[layer] * self.config.bytes_per_element
+    def edge_delays(self, arrays: SetGraphArrays) -> np.ndarray:
+        """Delay in cycles of every edge, int64 aligned with ``arrays.indices``.
 
-    def edge_delay_cycles(
-        self, producer: SetRef, consumer: SetRef, dependency_graph: DependencyGraph
-    ) -> int:
-        """Delay in cycles charged on one dependency edge."""
-        src = self._home_tile[producer[0]]
-        dst = self._home_tile[consumer[0]]
-        payload = self.payload_bytes(producer, dependency_graph.sets)
-        latency_ns = self.noc.transfer_latency_ns(src, dst, payload)
-        if (
-            self.config.model_buffer_spills
-            and payload > self.arch.tile.input_buffer_bytes
-        ):
-            latency_ns += self.noc.dram_round_trip_ns(payload)
+        :meth:`MeshNoc.transfer_latency_ns` (free within one tile), plus
+        :meth:`MeshNoc.dram_round_trip_ns` where the payload spills the
+        input buffer and the GPEU's occupancy if modelled, for all edges
+        in one pass, rounded up to t_MVM cycles.
+        """
+        src, dst, payload = edge_transfers(
+            arrays, self._shapes, self.placement, self.config.bytes_per_element
+        )
+        spec, tile = self.noc.spec, self.arch.tile
+        hops = self.noc.hops_array(src, dst)
+        serialization = payload / spec.link_bandwidth_bytes_per_ns
+        latency_ns = np.where(hops > 0, hops * spec.hop_latency_ns + serialization, 0.0)
+        if self.config.model_buffer_spills:
+            spilled = payload > tile.input_buffer_bytes
+            latency_ns += np.where(spilled, 2.0 * spec.dram_latency_ns + serialization, 0.0)
         if self.config.model_gpeu:
-            latency_ns += self._gpeu_ns(payload)
-        return math.ceil(latency_ns / self.arch.t_mvm_ns)
-
-    def _gpeu_ns(self, payload_bytes: int) -> float:
-        """Crude GPEU occupancy: elements / throughput, in nanoseconds."""
-        elements = payload_bytes / self.config.bytes_per_element
-        cycles = elements / self.arch.tile.gpeu.throughput_per_cycle
-        return cycles * self.arch.t_mvm_ns
+            elements = payload / self.config.bytes_per_element
+            latency_ns += elements / tile.gpeu.throughput_per_cycle * self.arch.t_mvm_ns
+        return np.ceil(latency_ns / self.arch.t_mvm_ns).astype(np.int64)
 
 
 class ZeroCostModel:
     """The paper's headline assumption: forwarding is free."""
 
-    def edge_delay_cycles(
-        self, producer: SetRef, consumer: SetRef, dependency_graph: DependencyGraph
-    ) -> int:
-        return 0
+    def edge_delays(self, arrays: SetGraphArrays) -> np.ndarray:
+        """A zero delay for every edge."""
+        return np.zeros(arrays.num_edges, dtype=np.int64)

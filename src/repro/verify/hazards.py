@@ -498,30 +498,13 @@ def buffer_peaks(
     real time).  Tiles come in increasing order; a tile that never
     holds forwarded data is left out.
     """
+    from ..mapping.placement import edge_transfers
+
     arrays = table.arrays
     n = arrays.num_sets
-    channels = np.asarray(
-        [
-            shapes[layer].channels if layer in shapes else 0
-            for layer in arrays.layers
-        ],
-        dtype=np.int64,
-    )
-    home_tile = np.asarray(
-        [
-            placement.tiles_of(layer)[0] if layer in placement.pe_ranges else -1
-            for layer in arrays.layers
-        ],
-        dtype=np.int64,
-    )
-    consumer = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(arrays.indptr)
-    )
-    producer = arrays.indices
-    payload = arrays.area[producer] * channels[arrays.layer_of[producer]] * bytes_per_element
-    tile = home_tile[arrays.layer_of[consumer]]
-
-    window_start = table.end.reshape(table.batch, n)[:, producer]
+    _, tile, payload = edge_transfers(arrays, shapes, placement, bytes_per_element)
+    consumer = np.repeat(np.arange(n, dtype=np.int64), np.diff(arrays.indptr))
+    window_start = table.end.reshape(table.batch, n)[:, arrays.indices]
     window_end = table.end.reshape(table.batch, n)[:, consumer]
     live = (window_end > window_start) & (tile >= 0)[None, :]
     if not live.any():

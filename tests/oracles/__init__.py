@@ -16,9 +16,17 @@ from .schedulers import (
     reference_batch_schedule,
 )
 from .sets import rect_grid, reference_partition
+from .simulation import (
+    ColumnCostModel,
+    ScalarNocCostModel,
+    reference_simulate,
+    scalar_edge_delays,
+)
 
 __all__ = [
+    "ColumnCostModel",
     "RectIndex",
+    "ScalarNocCostModel",
     "build_set_indexes",
     "cross_layer_schedule",
     "cross_layer_schedule_dynamic",
@@ -28,7 +36,9 @@ __all__ = [
     "reference_batch_schedule",
     "reference_dependencies",
     "reference_partition",
+    "reference_simulate",
     "rect_grid",
+    "scalar_edge_delays",
     "set_dependencies",
     "trace_to_base",
 ]

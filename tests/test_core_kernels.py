@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    ColumnCostModel,
     cross_layer_schedule,
     cross_layer_schedule_dynamic,
     deps_dict,
     graph_from_deps,
     reference_batch_schedule,
+    reference_simulate,
 )
 
 from repro.arch import paper_case_study
@@ -299,6 +301,18 @@ def assert_ready_order_matches_oracle(dependencies):
     return rows
 
 
+def assert_priced_replay_matches_oracle(dependencies, delays):
+    """The replay priced by the edge ``delays`` equals the oracle's
+    cost-model event loop row for row, stalls included; returns the rows."""
+    reference = reference_simulate(dependencies, ColumnCostModel(dependencies, delays))
+    replay, stalls, events = csr_replay(dependencies.arrays, "clsa-cim", delays)
+    rows = task_keys(reference.schedule)
+    assert task_keys(replay) == rows
+    assert stalls == reference.per_layer_stall
+    assert events == reference.events_processed
+    return rows
+
+
 def assert_batch_matches_oracle(dependencies, batch_size):
     """The batch kernel equals the oracle's batch event loop row for row,
     image spans included."""
@@ -341,10 +355,36 @@ class TestReadyOrderPerLayer:
         assert_batch_matches_oracle(compiled.dependencies, 2)
 
     @settings(max_examples=200, deadline=None)
-    @given(dependencies=layered_dags(), batch_size=st.integers(1, 8))
-    def test_random_dags_match_oracle(self, dependencies, batch_size):
+    @given(
+        dependencies=layered_dags(),
+        batch_size=st.integers(1, 8),
+        largest_delay=st.sampled_from([0, 1, 3, 50]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_dags_match_oracle(self, dependencies, batch_size, largest_delay, seed):
         assert_ready_order_matches_oracle(dependencies)
         assert_batch_matches_oracle(dependencies, batch_size)
+        delays = np.random.default_rng(seed).integers(
+            0, largest_delay + 1, dependencies.arrays.num_edges
+        )
+        assert_priced_replay_matches_oracle(dependencies, delays)
+
+    def test_delayed_heap_layer_pinned(self):
+        """b0 (no predecessors) holds b while b1 and b2 become visible;
+        b1's data is delayed past b2's, so b serves b2 first: an order
+        no row-major recurrence produces, and not the free replay's."""
+        unit = Rect(0, 0, 1, 1)
+        sets = {"a": [unit, Rect(1, 0, 2, 1)], "b": [Rect(0, 0, 5, 1), unit, unit]}
+        deps = {
+            ("a", 0): [], ("a", 1): [],
+            ("b", 0): [], ("b", 1): [("a", 0)], ("b", 2): [("a", 1)],
+        }
+        dependencies = graph_from_deps(sets, deps)
+        rows = assert_priced_replay_matches_oracle(dependencies, np.array([3, 0]))
+        b = [(index, start, end) for layer, index, _, start, end, _ in rows if layer == "b"]
+        assert b == [(0, 0, 5), (2, 5, 6), (1, 6, 7)]
+        free = [row[1] for row in assert_ready_order_matches_oracle(dependencies)]
+        assert free == [0, 0, 1, 1, 2]
 
     def test_isolated_empty_set_matches_oracle(self):
         sets = {
@@ -379,6 +419,9 @@ class TestReadyOrderPerLayer:
         assert_ready_order_matches_oracle(batched)
         for dependencies in (late, shared, batched):
             assert_batch_matches_oracle(dependencies, 2)
+            for delay in (0, 3):
+                delays = np.full(dependencies.arrays.num_edges, delay)
+                assert_priced_replay_matches_oracle(dependencies, delays)
 
     def test_empty_set_with_edge_rejected(self):
         sets = {"a": [Rect(0, 0, 1, 2)], "b": [Rect(0, 0, 0, 2), Rect(0, 0, 1, 2)]}

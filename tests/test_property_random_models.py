@@ -12,17 +12,19 @@ them:
 * the duplication rewrite preserves numerical semantics;
 * Eq. 3 links utilizations and speedups exactly;
 * the per-layer dynamic kernel matches the event-loop oracle on sets
-  of mixed stripe heights.
+  of mixed stripe heights, free and with random edge delays.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    ColumnCostModel,
     cross_layer_schedule,
     cross_layer_schedule_dynamic,
     reference_batch_schedule,
+    reference_simulate,
 )
 
 from repro.arch import CrossbarSpec, paper_case_study
@@ -188,20 +190,36 @@ def test_property_csr_and_python_engines_identical(model, batch_size):
     assert rows(replay.schedule) == rows(reference)
 
 
+def two_conv_chain():
+    """Two convolutions in a chain: with delays of up to 499 cycles
+    (seed 0), the second one's sets arrive out of set order."""
+    b = GraphBuilder("chain")
+    x = b.input((8, 8, 2), name="in")
+    x = b.relu(b.conv2d(x, 4, kernel=3, padding="same", use_bias=True))
+    b.conv2d(x, 4, kernel=1, padding="same", use_bias=True)
+    return b.graph
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     model=random_models(),
     mapping=st.sampled_from(["none", "wdup"]),
     axis=st.sampled_from(["width", "height"]),
-    data=st.data(),
+    stripes=st.lists(st.sampled_from([1, 2, 3, 5, 16]), min_size=1, max_size=8),
+    delays=st.tuples(st.sampled_from([0, 1, 7, 499]), st.integers(0, 2**32 - 1)),
 )
-def test_property_dynamic_kernel_mixed_stripes(model, mapping, axis, data):
-    """Ready order per layer equals the global event loop, row for row.
+@example(model=two_conv_chain(), mapping="none", axis="width", stripes=[1], delays=(499, 0))
+def test_property_dynamic_kernel_mixed_stripes(model, mapping, axis, stripes, delays):
+    """Ready order per layer equals the global event loop, row for row,
+    free and with a delay drawn per edge.
 
-    Each layer gets its own stripe height, so producers and consumers
-    release sets at different rates; height-axis duplication runs one
-    layer's stripes in parallel.  Both put some layers' ready order out
-    of row-major order, which the kernel's heap fallback must follow.
+    Base layer ``i`` gets stripe height ``stripes[i % len(stripes)]``,
+    so producers and consumers release sets at different rates;
+    height-axis duplication runs one layer's stripes in parallel.  Both
+    put some layers' ready order out of row-major order, which the
+    kernel's heap fallback must follow.  ``delays`` is the largest
+    delay and the seed of the column drawn below it: delays put
+    arrivals out of order too.
     """
     canonical = preprocess(model, quantization=None).graph
     min_pes = minimum_pe_requirement(canonical, CrossbarSpec())
@@ -212,10 +230,9 @@ def test_property_dynamic_kernel_mixed_stripes(model, mapping, axis, data):
     shapes = mapped.infer_shapes()
     sets = {
         layer: partition_ofm(
-            shapes[layer],
-            SetGranularity(rows_per_set=data.draw(st.sampled_from([1, 2, 3, 5, 16]))),
+            shapes[layer], SetGranularity(rows_per_set=stripes[i % len(stripes)])
         )
-        for layer in mapped.base_layers()
+        for i, layer in enumerate(mapped.base_layers())
     }
     deps = determine_dependencies(mapped, sets)
 
@@ -225,6 +242,14 @@ def test_property_dynamic_kernel_mixed_stripes(model, mapping, axis, data):
     reference = rows(cross_layer_schedule_dynamic(mapped, deps))
     assert rows(csr_dynamic_schedule(deps.arrays)) == reference
     assert rows(csr_replay(deps.arrays, "clsa-cim")[0]) == reference
+
+    largest, seed = delays
+    column = np.random.default_rng(seed).integers(0, largest + 1, deps.arrays.num_edges)
+    priced = reference_simulate(deps, ColumnCostModel(deps, column))
+    schedule, stalls, events = csr_replay(deps.arrays, "clsa-cim", column)
+    assert rows(schedule) == rows(priced.schedule)
+    assert stalls == priced.per_layer_stall
+    assert events == priced.events_processed
 
 
 @settings(max_examples=15, deadline=None)

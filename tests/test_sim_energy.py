@@ -180,3 +180,19 @@ class TestNocTermOnCsrEdges:
         noc_uj = estimate_energy(compiled, config).noc_uj
         assert noc_uj > 0
         assert noc_uj.hex() == edge_loop_noc_uj(compiled, config).hex()
+
+    def test_channels_come_from_the_tilings(self, monkeypatch):
+        """The NoC term reads each layer's channels from its tiling's OFM
+        shape: no shape inference over the mapped graph."""
+        from repro.ir.graph import Graph
+
+        g = preprocess(build("tinyyolov3"), quantization=None).graph
+        arch = paper_case_study(minimum_pe_requirement(g, CrossbarSpec()) + 16)
+        compiled = compile_model(g, arch, ScheduleOptions(), assume_canonical=True)
+        expected = estimate_energy(compiled)
+
+        def infer_shapes(self):
+            raise AssertionError("estimate_energy inferred shapes")
+
+        monkeypatch.setattr(Graph, "infer_shapes", infer_shapes)
+        assert estimate_energy(compiled) == expected

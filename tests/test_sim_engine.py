@@ -1,15 +1,32 @@
-"""Tests for the event-driven simulation engine and cost models."""
+"""Tests for the simulator's replay and cost models."""
 
+import dataclasses
+
+import numpy as np
 import pytest
-from oracles import deps_dict
+from oracles import (
+    ColumnCostModel,
+    ScalarNocCostModel,
+    deps_dict,
+    reference_simulate,
+    scalar_edge_delays,
+)
 
 from repro.arch import CrossbarSpec, paper_case_study
 from repro.core import ScheduleOptions, compile_model
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
-from repro.models import tiny_csp, tiny_dual_head, tiny_sequential
+from repro.mapping.placement import edge_transfers
+from repro.models import build, tiny_csp, tiny_dual_head, tiny_sequential
 from repro.sim import CostModelConfig, NocCostModel, ZeroCostModel, simulate
 from repro.verify import assert_schedule
+
+#: The cost model configurations compared with the scalar reference.
+CONFIGS = [
+    CostModelConfig(),
+    CostModelConfig(bytes_per_element=4),
+    CostModelConfig(bytes_per_element=4, model_gpeu=True),
+]
 
 
 def compile_xinf(graph, extra=8, mapping="none"):
@@ -53,8 +70,8 @@ class TestZeroCostReplay:
         assert result.total_edge_delay_cycles == 0
 
     def test_explicit_zero_cost_model(self):
-        """ZeroCostModel goes through the cost-model event loop
-        (arrival-ordered ready queues) but charges nothing."""
+        """ZeroCostModel takes the priced replay (ready sets served by
+        data arrival, then set index) but charges nothing."""
         compiled = compile_xinf(tiny_sequential())
         explicit = simulate(compiled, ZeroCostModel())
         deps = compiled.dependencies
@@ -96,16 +113,14 @@ class TestNocCostModel:
 
     def test_edge_delay_positive_between_tiles(self):
         compiled = compile_xinf(tiny_sequential())
-        cost_model = NocCostModel(compiled.mapped, compiled.placement)
-        deps = compiled.dependencies
-        # find an edge between two different layers
-        for (layer, index), preds in deps_dict(deps).items():
-            for pred in preds:
-                if pred[0] != layer:
-                    delay = cost_model.edge_delay_cycles(pred, (layer, index), deps)
-                    assert delay >= 0
-                    return
-        pytest.fail("no cross-layer edge found")
+        arrays = compiled.dependencies.arrays
+        delays = NocCostModel(compiled.mapped, compiled.placement).edge_delays(arrays)
+        assert delays.dtype == np.int64 and delays.shape == (arrays.num_edges,)
+        src, dst, _ = edge_transfers(arrays, compiled.mapped.infer_shapes(), compiled.placement)
+        between_tiles = src != dst
+        assert between_tiles.any()
+        assert (delays[between_tiles] > 0).all()
+        assert (delays >= 0).all()
 
     def test_gpeu_cost_increases_delay(self):
         compiled = compile_xinf(tiny_sequential())
@@ -141,3 +156,117 @@ class TestNocCostModel:
         result = simulate(compiled)
         for layer, stall in result.per_layer_stall.items():
             assert stall >= 0
+
+
+@pytest.fixture(scope="module", params=["tinyyolov3", "tinyyolov4", "resnet50", "vgg16"])
+def zoo_compiled(request):
+    """A zoo model at 16 extra PEs, wdup+xinf."""
+    canonical = preprocess(build(request.param), quantization=None).graph
+    min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
+    return compile_model(
+        canonical, paper_case_study(min_pes + 16), ScheduleOptions(), assume_canonical=True
+    )
+
+
+class TestAgainstReference:
+    """The delay column and the replay against the scalar formula and
+    the event loop of ``tests/oracles``, the implementation they replaced."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["1B", "4B", "4B-gpeu"])
+    def test_edge_delays_match_scalar_formula(self, zoo_compiled, config):
+        deps = zoo_compiled.dependencies
+        args = (zoo_compiled.mapped, zoo_compiled.placement, config)
+        np.testing.assert_array_equal(
+            NocCostModel(*args).edge_delays(deps.arrays),
+            scalar_edge_delays(ScalarNocCostModel(*args), deps),
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["1B", "4B", "4B-gpeu"])
+    def test_edge_delays_match_scalar_formula_with_spills(self, config):
+        """A 5 KiB input buffer on four-PE tiles: some payloads spill
+        through DRAM, and some edges stay on one tile."""
+        canonical = preprocess(build("tinyyolov4"), quantization=None).graph
+        min_pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
+        arch = paper_case_study(min_pes + 16, pes_per_tile=4)
+        arch = dataclasses.replace(
+            arch, tile=dataclasses.replace(arch.tile, input_buffer_bytes=5120)
+        )
+        compiled = compile_model(canonical, arch, ScheduleOptions(), assume_canonical=True)
+        deps = compiled.dependencies
+        src, dst, payload = edge_transfers(
+            deps.arrays, compiled.mapped.infer_shapes(), compiled.placement,
+            config.bytes_per_element,
+        )
+        assert (payload > 5120).any() and (payload <= 5120).any()
+        assert (src == dst).any() and (src != dst).any()
+        args = (compiled.mapped, compiled.placement, config)
+        np.testing.assert_array_equal(
+            NocCostModel(*args).edge_delays(deps.arrays),
+            scalar_edge_delays(ScalarNocCostModel(*args), deps),
+        )
+
+    @pytest.mark.parametrize("factory", [tiny_sequential, tiny_csp, tiny_dual_head])
+    @pytest.mark.parametrize("mapping", ["none", "wdup"])
+    def test_priced_replay_matches_event_loop(self, factory, mapping):
+        compiled = compile_xinf(factory(), mapping=mapping)
+        deps = compiled.dependencies
+        policy = compiled.schedule.policy
+        for config in CONFIGS:
+            args = (compiled.mapped, compiled.placement, config)
+            assert simulate(compiled, NocCostModel(*args)) == reference_simulate(
+                deps, ScalarNocCostModel(*args), policy
+            )
+        zeros = ColumnCostModel(deps, np.zeros(deps.arrays.num_edges, dtype=np.int64))
+        assert simulate(compiled, ZeroCostModel()) == reference_simulate(deps, zeros, policy)
+
+
+class FixedDelays:
+    """A cost model whose column is ``column(arrays)``."""
+
+    def __init__(self, column):
+        self.column = column
+
+    def edge_delays(self, arrays):
+        return self.column(arrays)
+
+
+class TestDelayColumnChecks:
+    """``simulate`` rejects a bad delay column, naming the cost model's
+    class, before it schedules anything."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        from repro.sim import engine
+
+        def replay(*args):
+            raise AssertionError("scheduled a bad delay column")
+
+        compiled = compile_xinf(tiny_sequential())
+        monkeypatch.setattr(engine, "csr_replay", replay)
+        return compiled
+
+    def test_non_integer_column_rejected(self, compiled):
+        float_delays = FixedDelays(lambda arrays: np.zeros(arrays.num_edges))
+        with pytest.raises(ValueError, match="FixedDelays.edge_delays must return an integer"):
+            simulate(compiled, float_delays)
+        listed = FixedDelays(lambda arrays: [0] * arrays.num_edges)
+        with pytest.raises(ValueError, match="integer array, not list"):
+            simulate(compiled, listed)
+
+    def test_wrong_length_rejected(self, compiled):
+        short = FixedDelays(lambda arrays: np.zeros(arrays.num_edges - 1, dtype=np.int64))
+        edges = compiled.dependencies.arrays.num_edges
+        with pytest.raises(ValueError, match=f"FixedDelays.edge_delays .* for {edges} edges"):
+            simulate(compiled, short)
+
+    def test_negative_delay_rejected(self, compiled):
+        """The replay relies on data arriving no earlier than its
+        producer ends (the event loop clamped a negative delay)."""
+
+        def one_negative(arrays):
+            delays = np.ones(arrays.num_edges, dtype=np.int32)
+            delays[-1] = -1
+            return delays
+
+        with pytest.raises(ValueError, match="FixedDelays.edge_delays returned 1 negative"):
+            simulate(compiled, FixedDelays(one_negative))
